@@ -50,7 +50,6 @@ from .objectives import (
     verify_growth,
 )
 from .sde import (
-    Agent,
     ConfigError,
     Ensemble,
     InitialLaw,

@@ -1,7 +1,7 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 a check or suite failed, 2 configuration error,
-3 I/O error.
+3 I/O error, 4 a simulation diverged (non-finite state).
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from .harness import (
 from .infokernel import KernelError
 from .measures import MeasureError
 from .objectives import ObjectiveError
-from .sde import ConfigError
+from .sde import ConfigError, SimulationError
 from .validation import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_DIVERGED = 4
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
     except RunDirectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SimulationError as exc:
+        print(f"simulation diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .gibbs import drift
 from .infokernel import eval_kernel
 from .measures import EmpiricalMeasure, phi_r_expectation
 from .sde import SimConfig, simulate
@@ -335,10 +336,7 @@ def g_phi_residual(
     def generator_average(snap: Snapshot) -> float:
         ens = snap.ensemble
         x, lam = ens.x, ens.lam
-        if snap.f_val is None:
-            v = -x + (1.0 - lam)[:, None] * snap.e_val
-        else:
-            v = -x + lam[:, None] * snap.f_val + (1.0 - lam)[:, None] * snap.e_val
+        v = drift(x, lam, snap.f_val, snap.e_val)
         rate = eval_kernel(config.kernel, ens.summary(), x, lam)
         terms = config.drift_gain * np.sum(v * phi.grad_x(x, lam), axis=1)
         terms += rate * phi.grad_lambda(x, lam)

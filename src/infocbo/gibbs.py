@@ -120,22 +120,24 @@ def weighted_consensus(params: ConsensusParams, measure: EmpiricalMeasure) -> np
     return consensus_from_energies(params, measure.atoms, measure.masses, energies)
 
 
-def drift(x: np.ndarray, lam, f_val: np.ndarray, e_val: np.ndarray) -> np.ndarray:
+def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np.ndarray:
     """Drift field -x + lam * f + (1 - lam) * e.
 
-    Accepts a single point (x: (d,), lam scalar) or a batch (x: (N, d),
-    lam: (N,)).
+    f_val None drops the consensus term, which gives the consensus-free
+    (auxiliary) field -x + (1 - lam) * e. Accepts a single point (x: (d,),
+    lam scalar) or a batch (x: (N, d), lam: (N,)).
     """
     x = np.asarray(x, dtype=float)
-    f_val = np.asarray(f_val, dtype=float)
+    f_val = None if f_val is None else np.asarray(f_val, dtype=float)
     e_val = np.asarray(e_val, dtype=float)
     d = x.shape[-1]
-    if f_val.shape != (d,) or e_val.shape != (d,):
+    if e_val.shape != (d,) or (f_val is not None and f_val.shape != (d,)):
         raise GibbsError("consensus and mean points must match the state dimension")
     lam = np.asarray(lam, dtype=float)
     if x.ndim == 2:
         lam = lam.reshape(-1, 1)
-    return -x + lam * f_val + (1.0 - lam) * e_val
+    pull = -x if f_val is None else -x + lam * f_val
+    return pull + (1.0 - lam) * e_val
 
 
 def _bump_tail(t: float) -> float:

@@ -28,7 +28,7 @@ from .diagnostics import (
 )
 from .infokernel import KernelSpec
 from .objectives import ObservableMap, quadratic, rastrigin_like
-from .sde import ConfigError, InitialLaw, SimConfig, simulate
+from .sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from .trajectory import TrajectoryRecord
 from .util import GENERATOR_NAME, derive_seed, jsonable
 
@@ -265,12 +265,15 @@ def _run_checks(record: TrajectoryRecord, experiment: ExperimentConfig) -> dict:
 
 def _replica_record(experiment: ExperimentConfig, index: int) -> TrajectoryRecord:
     sim = replace(experiment.sim, seed=derive_seed(experiment.sim.seed, index))
-    return simulate(
-        sim,
-        record_stride=experiment.observers.stride,
-        snapshot_stride=experiment.observers.snapshot_stride,
-        ball_radii=experiment.observers.ball_radii,
-    )
+    try:
+        return simulate(
+            sim,
+            record_stride=experiment.observers.stride,
+            snapshot_stride=experiment.observers.snapshot_stride,
+            ball_radii=experiment.observers.ball_radii,
+        )
+    except SimulationError as exc:
+        raise SimulationError(f"replica {index}: {exc}") from exc
 
 
 def _replica_record_from_flat(flat: dict, index: int) -> TrajectoryRecord:
@@ -346,6 +349,10 @@ def run(
             _replica_record(experiment, i) for i in range(experiment.replicas)
         ]
 
+    # from here on the directory is mid-rewrite; a manifest left from an
+    # earlier run would list hashes of files about to change
+    manifest_path = outdir / MANIFEST_NAME
+    manifest_path.unlink(missing_ok=True)
     files: dict[str, str] = {}
     for i, record in enumerate(records):
         csv_path = outdir / f"replica_{i:03d}.csv"
@@ -384,14 +391,22 @@ def run(
         "checks_passed": not failed if experiment.checks else None,
         "files": files,
     }
-    manifest_path = outdir / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    partial = manifest_path.with_name(MANIFEST_NAME + ".tmp")
+    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(partial, manifest_path)
     return RunResult(
         directory=outdir,
         manifest=manifest,
         checks_passed=not failed,
         failed_checks=tuple(failed),
     )
+
+
+def _point_dir_name(axis: str, value) -> str:
+    """axis=value with the short :g form when it reads back as the same
+    value, else the exact repr, so distinct values never share a directory."""
+    short = f"{value:g}"
+    return f"{axis}={short if float(short) == value else repr(value)}"
 
 
 def sweep(
@@ -425,7 +440,7 @@ def sweep(
             checks=experiment.checks,
             flat=flat,
         )
-        subdir = root / f"{axis}={value:g}"
+        subdir = root / _point_dir_name(axis, value)
         results.append(run(point, output_dir=subdir, force=force, workers=workers))
         entries.append({"value": value, "dir": subdir.name})
     index = {"axis": axis, "points": entries}

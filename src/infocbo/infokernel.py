@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import rng_from_seed
+from .util import require_finite, rng_from_seed
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -45,6 +45,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise KernelError(f"unknown kernel variant {self.variant!r}")
+        require_finite(KernelError, a=self.a, b=self.b, theta=self.theta)
         if not self.a > 0:
             raise KernelError("kernel gain a must be strictly positive")
         if self.b < 0:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import rng_from_seed
+from .util import require_finite, rng_from_seed
 
 GROWTH_RTOL = 1e-9
 
@@ -209,6 +209,7 @@ class ObservableMap:
     def __post_init__(self) -> None:
         if self.variant not in ("identity", "saturated"):
             raise ObjectiveError(f"unknown observable variant {self.variant!r}")
+        require_finite(ObjectiveError, m_g=self.m_g)
         if self.m_g <= 0:
             raise ObjectiveError("observable bound m_g must be positive")
         if self.variant == "identity" and self.m_g != 1.0:

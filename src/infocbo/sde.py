@@ -25,6 +25,7 @@ from .gibbs import (
     GibbsError,
     consensus_from_energies,
     cutoff_eta,
+    drift,
 )
 from .infokernel import KernelSpec, PopulationSummary, eval_kernel
 from .measures import EmpiricalMeasure
@@ -32,10 +33,9 @@ from .objectives import (
     ObjectiveSpec,
     ObservableMap,
     eval_objective_batch,
-    eval_observable_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import rng_from_seed
+from .util import require_finite, rng_from_seed
 
 MODES = ("full", "auxiliary")
 
@@ -48,12 +48,6 @@ class ConfigError(ValueError):
 
 class SimulationError(RuntimeError):
     """Numerical breakdown during integration."""
-
-
-@dataclass
-class Agent:
-    x: np.ndarray
-    lam: float
 
 
 @dataclass
@@ -82,10 +76,6 @@ class Ensemble:
     @property
     def dimension(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def agents(self) -> list[Agent]:
-        return [Agent(self.x[i].copy(), float(self.lam[i])) for i in range(self.n_agents)]
 
     def spatial_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure.uniform(self.x)
@@ -116,6 +106,11 @@ class InitialLaw:
     def __post_init__(self) -> None:
         if self.spatial_kind not in ("gaussian", "ball", "point"):
             raise ConfigError(f"unknown initial law {self.spatial_kind!r}")
+        require_finite(
+            ConfigError,
+            spread=self.spread,
+            **{f"center[{i}]": c for i, c in enumerate(self.center)},
+        )
         if self.spatial_kind != "point" and self.spread <= 0:
             raise ConfigError("gaussian/ball initial laws need a positive spread")
         if not (0.0 <= self.lambda_lo <= self.lambda_hi <= 1.0):
@@ -195,6 +190,15 @@ class SimConfig:
     shared_noise: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(
+            ConfigError,
+            dt=self.dt,
+            t_end=self.t_end,
+            sharpness=self.sharpness,
+            drift_gain=self.drift_gain,
+            noise_strength=self.noise_strength,
+            truncation_radius=self.truncation_radius,
+        )
         if self.d < 1 or self.n_particles < 1:
             raise ConfigError("need d >= 1 and at least one particle")
         if self.objective.dimension != self.d:
@@ -287,12 +291,6 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig):
     return f_val, e_val
 
 
-def _drift_field(x, lam, f_val, e_val):
-    if f_val is None:
-        return -x + (1.0 - lam)[:, None] * e_val
-    return -x + lam[:, None] * f_val + (1.0 - lam)[:, None] * e_val
-
-
 def _draw_noise(rng: np.random.Generator, config: SimConfig) -> np.ndarray:
     if config.shared_noise:
         # one Brownian increment shared by every agent
@@ -302,15 +300,22 @@ def _draw_noise(rng: np.random.Generator, config: SimConfig) -> np.ndarray:
     return rng.standard_normal((config.n_particles, config.d))
 
 
-def _advance(ensemble: Ensemble, config: SimConfig, xi: np.ndarray | None) -> Ensemble:
+def em_step(
+    ensemble: Ensemble, config: SimConfig, rng: np.random.Generator, fields=None
+) -> Ensemble:
+    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state.
+
+    fields, when given, must be consensus_fields(ensemble, config); a caller
+    that already holds them saves computing them twice.
+    """
     x, lam = ensemble.x, ensemble.lam
     dt = config.dt
-    f_val, e_val = consensus_fields(ensemble, config)
-    v = _drift_field(x, lam, f_val, e_val)
+    f_val, e_val = consensus_fields(ensemble, config) if fields is None else fields
+    v = drift(x, lam, f_val, e_val)
     new_x = x + config.drift_gain * dt * v
-    if xi is not None and config.noise_strength > 0:
+    if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.linalg.norm(v, axis=1)
-        new_x = new_x + amplitude[:, None] * xi
+        new_x = new_x + amplitude[:, None] * _draw_noise(rng, config)
     rate = eval_kernel(config.kernel, ensemble.summary(), x, lam)
     raw = lam + dt * rate
     clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
@@ -324,15 +329,10 @@ def _advance(ensemble: Ensemble, config: SimConfig, xi: np.ndarray | None) -> En
     )
 
 
-def em_step(ensemble: Ensemble, config: SimConfig, rng: np.random.Generator) -> Ensemble:
-    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state."""
-    xi = _draw_noise(rng, config) if config.noise_strength > 0 else None
-    return _advance(ensemble, config, xi)
-
-
 class _Recorder:
     def __init__(self, config: SimConfig, ball_radii: Sequence[float], keep_snapshots: bool):
         for r in ball_radii:
+            require_finite(ConfigError, ball_radius=r)
             if r <= 0:
                 raise ConfigError("ball radii must be positive")
         self.config = config
@@ -345,8 +345,8 @@ class _Recorder:
         self.consensus: list[np.ndarray] = []
         self.snapshots: list[Snapshot] | None = [] if keep_snapshots else None
 
-    def observe(self, ensemble: Ensemble, snapshot: bool, observers) -> None:
-        f_val, e_val = consensus_fields(ensemble, self.config)
+    def observe(self, ensemble: Ensemble, fields, snapshot: bool, observers) -> None:
+        f_val, e_val = fields
         norms_sq = np.sum(ensemble.x * ensemble.x, axis=1)
         self.times.append(ensemble.time)
         self.m2_sq.append(float(norms_sq.mean()))
@@ -385,6 +385,35 @@ def _check_stride(name: str, stride: int, steps: int) -> None:
         raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
 
 
+def _trajectory(config: SimConfig, record_stride: int):
+    """Step one run; yield (step, ensemble, fields, lam_min, lam_max) at
+    step 0 and every record_stride-th step.
+
+    The consensus fields of each state are computed once and serve both the
+    caller and the step that leaves the state. lam_min / lam_max are running
+    extremes over every state so far, recorded or not. The initial ensemble
+    and each step's noise are drawn from one stream seeded by config.seed, so
+    two configs that differ only in mode see the same draws.
+    """
+    steps = config.n_steps
+    rng = rng_from_seed(config.seed)
+    ens = initial_ensemble(config, rng)
+    fields = consensus_fields(ens, config)
+    lam_min = float(ens.lam.min())
+    lam_max = float(ens.lam.max())
+    yield 0, ens, fields, lam_min, lam_max
+    for k in range(1, steps + 1):
+        try:
+            ens = em_step(ens, config, rng, fields)
+            fields = consensus_fields(ens, config)
+        except (SimulationError, GibbsError) as exc:
+            raise SimulationError(f"step {k}/{steps}: {exc}") from exc
+        lam_min = min(lam_min, float(ens.lam.min()))
+        lam_max = max(lam_max, float(ens.lam.max()))
+        if k % record_stride == 0:
+            yield k, ens, fields, lam_min, lam_max
+
+
 def simulate(
     config: SimConfig,
     observers: Sequence[Observer] = (),
@@ -406,22 +435,10 @@ def simulate(
         _check_stride("snapshot_stride", snapshot_stride, steps)
         if snapshot_stride % record_stride != 0:
             raise ConfigError("snapshot_stride must be a multiple of record_stride")
-    rng = rng_from_seed(config.seed)
-    ens = initial_ensemble(config, rng)
-    lam_min = float(ens.lam.min())
-    lam_max = float(ens.lam.max())
     rec = _Recorder(config, ball_radii, snapshot_stride is not None)
-    rec.observe(ens, snapshot=snapshot_stride is not None, observers=observers)
-    for k in range(1, steps + 1):
-        try:
-            ens = em_step(ens, config, rng)
-            lam_min = min(lam_min, float(ens.lam.min()))
-            lam_max = max(lam_max, float(ens.lam.max()))
-            if k % record_stride == 0:
-                snap = snapshot_stride is not None and k % snapshot_stride == 0
-                rec.observe(ens, snapshot=snap, observers=observers)
-        except (SimulationError, GibbsError) as exc:
-            raise SimulationError(f"step {k}/{steps}: {exc}") from exc
+    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride):
+        snap = snapshot_stride is not None and k % snapshot_stride == 0
+        rec.observe(ens, fields, snap, observers)
     return rec.build(ens, lam_min, lam_max)
 
 
@@ -443,8 +460,12 @@ def simulate_pair_coupled(
 ) -> CoupledRecord:
     """Run the consensus-driven and consensus-free systems on shared randomness.
 
+    The coupling is same seed, same draws: the two runs step in lockstep,
+    each drawing its initial agents and its noise from its own stream on
+    the common seed, so both see identical initial data and increments.
     Both configs must agree on everything except mode. The ensemble-average
-    squared position gap is recorded alongside both trajectories. It starts
+    squared position gap is recorded alongside both trajectories; both
+    records carry the joint lambda extremes of the pair. The gap starts
     at zero (shared initial agents) and stays zero only while the consensus
     term is inert; once information rates are positive the full drift keeps
     an extra lambda-weighted consensus pull that the auxiliary flow drops,
@@ -454,40 +475,21 @@ def simulate_pair_coupled(
         raise ConfigError("pass the full-mode config first, auxiliary second")
     if config_full.signature(ignore_mode=True) != config_aux.signature(ignore_mode=True):
         raise ConfigError("coupled configs must agree on everything except mode")
-    steps = config_full.n_steps
-    _check_stride("record_stride", record_stride, steps)
-    rng = rng_from_seed(config_full.seed)
-    ens_f = initial_ensemble(config_full, rng)
-    ens_a = ens_f.copy()
+    _check_stride("record_stride", record_stride, config_full.n_steps)
     rec_f = _Recorder(config_full, ball_radii, keep_snapshots=False)
     rec_a = _Recorder(config_aux, ball_radii, keep_snapshots=False)
-    times = [0.0]
-    gaps = [0.0]
-    rec_f.observe(ens_f, snapshot=False, observers=())
-    rec_a.observe(ens_a, snapshot=False, observers=())
-    noisy = config_full.noise_strength > 0
-    lam_lo = float(min(ens_f.lam.min(), ens_a.lam.min()))
-    lam_hi = float(max(ens_f.lam.max(), ens_a.lam.max()))
-    for k in range(1, steps + 1):
-        xi = _draw_noise(rng, config_full) if noisy else None
-        try:
-            ens_f = _advance(ens_f, config_full, xi)
-            ens_a = _advance(ens_a, config_aux, xi)
-            lam_lo = min(lam_lo, float(ens_f.lam.min()), float(ens_a.lam.min()))
-            lam_hi = max(lam_hi, float(ens_f.lam.max()), float(ens_a.lam.max()))
-            if k % record_stride == 0:
-                times.append(ens_f.time)
-                gap = ens_f.x - ens_a.x
-                gaps.append(float(np.sum(gap * gap, axis=1).mean()))
-                rec_f.observe(ens_f, snapshot=False, observers=())
-                rec_a.observe(ens_a, snapshot=False, observers=())
-        except (SimulationError, GibbsError) as exc:
-            raise SimulationError(f"step {k}/{steps}: {exc}") from exc
-    record_f = rec_f.build(ens_f, lam_lo, lam_hi)
-    record_a = rec_a.build(ens_a, lam_lo, lam_hi)
+    gaps = []
+    for (_, ens_f, fields_f, lo_f, hi_f), (_, ens_a, fields_a, lo_a, hi_a) in zip(
+        _trajectory(config_full, record_stride), _trajectory(config_aux, record_stride)
+    ):
+        rec_f.observe(ens_f, fields_f, snapshot=False, observers=())
+        rec_a.observe(ens_a, fields_a, snapshot=False, observers=())
+        gap = ens_f.x - ens_a.x
+        gaps.append(float(np.sum(gap * gap, axis=1).mean()))
+    lam_lo, lam_hi = min(lo_f, lo_a), max(hi_f, hi_a)
     return CoupledRecord(
-        times=np.asarray(times),
+        times=np.asarray(rec_f.times),
         gap_sq=np.asarray(gaps),
-        full=record_f,
-        aux=record_a,
+        full=rec_f.build(ens_f, lam_lo, lam_hi),
+        aux=rec_a.build(ens_a, lam_lo, lam_hi),
     )

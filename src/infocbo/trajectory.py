@@ -8,7 +8,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,7 +56,6 @@ class TrajectoryRecord:
     lambda_min: float
     lambda_max: float
     snapshots: list[Snapshot] | None = None
-    config_echo: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         rows = len(self.times)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,18 @@ def derive_seed(master_seed: int, index: int) -> int:
     ).to_bytes(8, "little")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def require_finite(error: type[Exception], **values) -> None:
+    """Raise error naming the first value that is set but not a finite real.
+
+    Range checks such as `value <= 0` are false for NaN, and JSON configs
+    may carry NaN and Infinity, so parameters are checked for finiteness
+    where they enter.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def format_float(x: float) -> str:

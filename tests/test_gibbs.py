@@ -232,6 +232,15 @@ def test_drift_broadcasts_over_an_ensemble():
     assert np.allclose(out, [[-3.0, -2.0], [2.0, 1.0]], rtol=0, atol=0)
 
 
+def test_consensus_free_drift_drops_the_consensus_term():
+    # f = None is the auxiliary flow: -x + (1 - lam) e, with no lam * f pull
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    lam = np.array([0.25, 1.0])
+    out = drift(x, lam, None, np.array([-2.0, 4.0]))
+    assert out.tolist() == [[-2.5, 3.0], [0.0, -1.0]]
+    assert drift(np.array([2.0]), 0.5, None, np.array([4.0])).tolist() == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # cutoff machinery
 

@@ -6,10 +6,13 @@ file stays fast; physics-scale runs live in test_acceptance.py.
 
 import hashlib
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from infocbo.cli import main
+from infocbo.cli import EXIT_DIVERGED, main
 from infocbo.harness import (
     CONFIG_KEYS,
     MANIFEST_NAME,
@@ -232,6 +235,29 @@ def test_rerun_refused_then_forced(tmp_path):
     assert second.manifest["files"] == first.manifest["files"]
 
 
+def test_failed_forced_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    run(parse_flat_config(config(**{"run.replicas": 2})), output_dir=outdir)
+    real_write_text = Path.write_text
+    csv_writes = []
+
+    def failing_second_csv(self, *args, **kwargs):
+        if self.suffix == ".csv":
+            csv_writes.append(self.name)
+            if len(csv_writes) == 2:
+                raise OSError("injected write failure")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_second_csv)
+    rerun = parse_flat_config(config(**{"run.replicas": 2, "sim.seed": 78}))
+    with pytest.raises(OSError, match="injected"):
+        run(rerun, output_dir=outdir, force=True)
+    # replica_000.csv now holds the new run, so the old manifest would lie
+    assert csv_writes == ["replica_000.csv", "replica_001.csv"]
+    with pytest.raises(RunDirectoryError):
+        load_manifest(outdir)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     doc = config(**{"sim.noise_strength": 0.3, "run.replicas": 2,
                     "run.checks": ["lambda_persistence"]})
@@ -340,14 +366,18 @@ def test_load_manifest_requires_completed_run(tmp_path):
 
 def test_sweep_layout_and_index(tmp_path):
     exp = parse_flat_config(config())
-    results = sweep(exp, axis="n", values=[1.0, 4.0], output_dir=tmp_path / "sw")
-    assert [r.directory.name for r in results] == ["n=1", "n=4"]
+    # the last two values agree to six significant digits, which is all the
+    # short directory name shows, so they fall back to the exact form
+    values = [1.0, 4.0, 1.0000001, 1.0000002]
+    names = ["n=1", "n=4", "n=1.0000001", "n=1.0000002"]
+    results = sweep(exp, axis="n", values=values, output_dir=tmp_path / "sw")
+    assert [r.directory.name for r in results] == names
     index = json.loads((tmp_path / "sw" / "index.json").read_text())
     assert index == {
         "axis": "n",
-        "points": [{"value": 1.0, "dir": "n=1"}, {"value": 4.0, "dir": "n=4"}],
+        "points": [{"value": v, "dir": d} for v, d in zip(values, names)],
     }
-    for result, value in zip(results, [1.0, 4.0]):
+    for result, value in zip(results, values):
         manifest = load_manifest(result.directory)
         assert manifest["config"]["sim.n"] == value
 
@@ -398,6 +428,27 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_nan_parameter_exits_2(tmp_path, capsys):
+    # json accepts NaN, and NaN slips through every range comparison
+    path = write_config(tmp_path, config(**{"sim.noise_strength": math.nan}))
+    assert "NaN" in path.read_text()
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "noise_strength must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_divergence_exits_4(tmp_path, capsys):
+    path = write_config(tmp_path, config(**{"sim.drift_gain": 1e300, "run.replicas": 2}))
+    with np.errstate(all="ignore"):
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DIVERGED == 4
+    err = capsys.readouterr().err
+    assert "simulation diverged: replica 0: step 1/10:" in err
+    with pytest.raises(RunDirectoryError):
+        load_manifest(tmp_path / "out")
 
 
 def test_cli_wrong_mode_check_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def test_step_parameter_above_the_stability_bound_is_rejected():
 def test_step_parameter_defaults_to_the_stability_bound():
     spec = KernelSpec(variant="logistic", a=1.0, b=3.0)
     assert spec.theta == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_parameters_are_rejected(field, value):
+    params = dict(a=1.0, b=1.0)
+    params[field] = value
+    with pytest.raises(KernelError, match=f"{field} must be finite"):
+        KernelSpec(variant="crowd-coupled", **params)
 
 
 def test_unknown_variant_is_rejected():

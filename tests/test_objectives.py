@@ -123,6 +123,13 @@ def test_identity_observable_rejects_rescaling():
         ObservableMap(variant="identity", m_g=2.0)
 
 
+@pytest.mark.parametrize("variant", ["identity", "saturated"])
+@pytest.mark.parametrize("m_g", [math.nan, math.inf])
+def test_observable_rejects_nonfinite_bound(variant, m_g):
+    with pytest.raises(ObjectiveError, match="m_g must be finite"):
+        ObservableMap(variant=variant, m_g=m_g)
+
+
 def test_unknown_observable_variant_is_rejected():
     with pytest.raises(ObjectiveError):
         ObservableMap(variant="clip")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from infocbo import sde
 from infocbo.gibbs import ConsensusParams, consensus_from_energies
 from infocbo.infokernel import KernelSpec
 from infocbo.objectives import ObservableMap, quadratic
@@ -15,6 +16,7 @@ from infocbo.sde import (
     InitialLaw,
     SimConfig,
     SimulationError,
+    consensus_fields,
     em_step,
     simulate,
     simulate_pair_coupled,
@@ -24,6 +26,7 @@ from infocbo.util import rng_from_seed
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)  # lambda = 1 is a fixed point
+CROWD_KERNEL = KernelSpec("crowd-coupled", a=1.0, b=1.0)
 
 
 def make_config(**overrides):
@@ -86,6 +89,16 @@ def test_truncation_radius_must_be_positive_when_set():
         make_config(truncation_radius=0.0)
 
 
+@pytest.mark.parametrize("field", [
+    "dt", "t_end", "sharpness", "drift_gain", "noise_strength", "truncation_radius",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_float_parameters_are_rejected(field, value):
+    # NaN fails every comparison, so a range check alone would let it through
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        make_config(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # initial laws
 
@@ -127,6 +140,18 @@ def test_origin_charging_classification():
     assert not InitialLaw.ball(center=(5.0,), radius=1.0).charges_origin_balls()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "ball", "point"])
+@pytest.mark.parametrize("spread, center", [
+    (math.nan, (0.0,)),
+    (math.inf, (0.0,)),
+    (1.0, (math.nan,)),
+    (1.0, (-math.inf,)),
+])
+def test_initial_law_rejects_nonfinite_spread_and_center(kind, spread, center):
+    with pytest.raises(ConfigError, match="must be finite"):
+        InitialLaw(kind, center, spread)
+
+
 def test_information_bounds_are_validated():
     with pytest.raises(ConfigError):
         InitialLaw.gaussian(center=(0.0,), sigma=1.0, lambda_lo=-0.1)
@@ -146,14 +171,6 @@ def test_ensemble_rejects_information_outside_unit_interval():
 def test_ensemble_rejects_mismatched_lengths():
     with pytest.raises(ConfigError):
         Ensemble(x=np.zeros((3, 1)), lam=np.array([0.5, 0.5]))
-
-
-def test_agents_view_matches_arrays():
-    ens = two_atom_ensemble([-1.0, 1.0], 0.25)
-    agents = ens.agents
-    assert len(agents) == 2
-    assert agents[0].x.tolist() == [-1.0]
-    assert agents[1].lam == 0.25
 
 
 def test_ensemble_copy_is_independent():
@@ -185,6 +202,22 @@ def test_single_agent_with_identity_observable_is_a_spatial_fixed_point():
     # noise amplitude vanish identically
     assert out.x[0, 0] == 1.7
     assert out.lam[0] != 0.6
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(noise_strength=0.7),
+    dict(noise_strength=0.7, shared_noise=True),
+    dict(mode="auxiliary", kernel=CROWD_KERNEL, noise_strength=0.7),
+    dict(truncation_radius=0.5),
+], ids=["noisy", "shared_noise", "auxiliary_crowd", "truncated"])
+def test_precomputed_fields_give_the_same_step_bit_for_bit(overrides):
+    cfg = make_config(n_particles=12, sharpness=3.0, **overrides)
+    ens = sde.initial_ensemble(cfg, rng_from_seed(3))
+    plain = em_step(ens, cfg, rng_from_seed(4))
+    given = em_step(ens, cfg, rng_from_seed(4), consensus_fields(ens, cfg))
+    assert plain.x.tobytes() == given.x.tobytes()
+    assert plain.lam.tobytes() == given.lam.tobytes()
+    assert (plain.time, plain.clamp_events) == (given.time, given.clamp_events)
 
 
 def test_auxiliary_step_with_full_information_contracts_each_position():
@@ -309,6 +342,12 @@ def test_full_records_carry_the_consensus_series():
     assert rec.consensus_point.shape == (len(rec.times), 1)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_nonfinite_ball_radius_is_rejected(radius):
+    with pytest.raises(ConfigError, match="ball_radius must be finite"):
+        simulate(make_config(), ball_radii=(radius,))
+
+
 def test_mass_ball_series_are_recorded_per_radius():
     cfg = make_config(n_particles=40, noise_strength=0.3)
     rec = simulate(cfg, ball_radii=(0.5, 2.0))
@@ -316,6 +355,20 @@ def test_mass_ball_series_are_recorded_per_radius():
     assert all(0.0 <= m <= 1.0 for m in rec.mass_ball[0.5])
     # larger ball can never hold less mass
     assert np.all(np.asarray(rec.mass_ball[2.0]) >= np.asarray(rec.mass_ball[0.5]))
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_consensus_is_computed_once_per_state(stride, monkeypatch):
+    calls = []
+
+    def counted(ensemble, config):
+        calls.append(ensemble.time)
+        return consensus_fields(ensemble, config)
+
+    monkeypatch.setattr(sde, "consensus_fields", counted)
+    cfg = make_config(n_particles=6, noise_strength=0.5)
+    simulate(cfg, record_stride=stride, snapshot_stride=2 * stride)
+    assert len(calls) == cfg.n_steps + 1
 
 
 def test_divergence_is_reported_with_the_step_index():
@@ -405,13 +458,89 @@ GOLDEN_CONFIG = dict(
 )
 GOLDEN_SHA256 = "7a054d18f5f053df0a4dab9f89fdd35ce3ed892eb7a98def8a94684d86d6d0cf"
 
+# (config overrides, simulate keywords, digest); every digest was recorded
+# before the stepping loops were merged into one, so a change of any byte
+# here is a change of behaviour
+GOLDEN_CASES = {
+    "default": ({}, {}, GOLDEN_SHA256),
+    "stride5_snapshots": (
+        {}, dict(record_stride=5, snapshot_stride=10),
+        "d6fa5362b716e0b3fe103166030373bbd8fd0c5eb5500e4503ad625abbc78c38",
+    ),
+    "truncation": (
+        dict(truncation_radius=1.5), {},
+        "6b8f87ad068e8354730b431db70d0aa14ef9b293fdb92ba2d60fce5910d78a4b",
+    ),
+    "shared_noise": (
+        dict(shared_noise=True), {},
+        "c689f0dc5afaa2f52b41fd47a3c9c37d78860bb4836021372bfe55d63a7e7b32",
+    ),
+    "auxiliary_crowd": (
+        dict(mode="auxiliary", kernel=CROWD_KERNEL), {},
+        "974b7d7745c2c72ddd3ced2c4feff6201d91bf9fb9a154f00163d63988ae5229",
+    ),
+}
 
-def test_golden_statistics_hash_is_stable():
-    cfg = make_config(objective=quadratic(2),
-                      init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2),
-                      **GOLDEN_CONFIG)
-    digest = hashlib.sha256(simulate(cfg, ball_radii=(1.0,)).to_csv().encode()).hexdigest()
-    assert digest == GOLDEN_SHA256
+# simulate_pair_coupled on golden_config(**COUPLED_OVERRIDES), per record stride
+COUPLED_OVERRIDES = dict(
+    kernel=CROWD_KERNEL,
+    init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.1, lambda_hi=0.6),
+)
+COUPLED_SHA256 = {
+    1: "d2585a52b66676d210b967aff0a74cc5ef245af3bbc89319eb034b6429a5a7f1",
+    5: "42ed9118bee658264c635295894f6fd292e44cecb8a7813c4213accac5efe295",
+}
+
+
+def golden_config(**overrides):
+    fields = dict(objective=quadratic(2),
+                  init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2),
+                  **GOLDEN_CONFIG)
+    fields.update(overrides)
+    return make_config(**fields)
+
+
+def record_digest(record):
+    """sha256 of the CSV, extended by the raw bytes of any snapshots."""
+    digest = hashlib.sha256(record.to_csv().encode())
+    for snap in record.snapshots or ():
+        for arr in (snap.ensemble.x, snap.ensemble.lam, snap.f_val, snap.e_val):
+            if arr is not None:
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_statistics_hash_is_stable(case):
+    overrides, sim_kwargs, expected = GOLDEN_CASES[case]
+    record = simulate(golden_config(**overrides), ball_radii=(1.0,), **sim_kwargs)
+    assert record_digest(record) == expected
+
+
+@pytest.mark.parametrize("stride", sorted(COUPLED_SHA256))
+def test_coupled_pair_hash_is_stable(stride):
+    full = golden_config(**COUPLED_OVERRIDES)
+    pair = simulate_pair_coupled(full, dataclasses.replace(full, mode="auxiliary"),
+                                 record_stride=stride, ball_radii=(1.0,))
+    digest = hashlib.sha256(pair.times.tobytes())
+    digest.update(pair.gap_sq.tobytes())
+    for rec in (pair.full, pair.aux):
+        digest.update(rec.to_csv().encode())
+        digest.update(np.array([rec.lambda_min, rec.lambda_max, rec.clamp_events],
+                               dtype=float).tobytes())
+    assert digest.hexdigest() == COUPLED_SHA256[stride]
+
+
+def test_coupled_pair_matches_two_single_runs():
+    full = golden_config(**COUPLED_OVERRIDES)
+    aux = dataclasses.replace(full, mode="auxiliary")
+    pair = simulate_pair_coupled(full, aux, ball_radii=(1.0,))
+    alone_f = simulate(full, ball_radii=(1.0,))
+    alone_a = simulate(aux, ball_radii=(1.0,))
+    assert pair.full.to_csv() == alone_f.to_csv()
+    assert pair.aux.to_csv() == alone_a.to_csv()
+    assert pair.full.lambda_min == min(alone_f.lambda_min, alone_a.lambda_min)
+    assert pair.aux.lambda_max == max(alone_f.lambda_max, alone_a.lambda_max)
 
 
 # ---------------------------------------------------------------------------
