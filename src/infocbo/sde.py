@@ -300,17 +300,11 @@ def _draw_noise(rng: np.random.Generator, config: SimConfig) -> np.ndarray:
     return rng.standard_normal((config.n_particles, config.d))
 
 
-def em_step(
-    ensemble: Ensemble, config: SimConfig, rng: np.random.Generator, fields=None
-) -> Ensemble:
-    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state.
-
-    fields, when given, must be consensus_fields(ensemble, config); a caller
-    that already holds them saves computing them twice.
-    """
+def em_step(ensemble: Ensemble, config: SimConfig, rng: np.random.Generator) -> Ensemble:
+    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state."""
     x, lam = ensemble.x, ensemble.lam
     dt = config.dt
-    f_val, e_val = consensus_fields(ensemble, config) if fields is None else fields
+    f_val, e_val = consensus_fields(ensemble, config)
     v = drift(x, lam, f_val, e_val)
     new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
@@ -389,28 +383,28 @@ def _trajectory(config: SimConfig, record_stride: int):
     """Step one run; yield (step, ensemble, fields, lam_min, lam_max) at
     step 0 and every record_stride-th step.
 
-    The consensus fields of each state are computed once and serve both the
-    caller and the step that leaves the state. lam_min / lam_max are running
-    extremes over every state so far, recorded or not. The initial ensemble
-    and each step's noise are drawn from one stream seeded by config.seed, so
-    two configs that differ only in mode see the same draws.
+    fields are the consensus fields of the yielded state, for the caller;
+    em_step computes those of the state it leaves. lam_min / lam_max are
+    running extremes over every state so far, recorded or not. The initial
+    ensemble and each step's noise are drawn from one stream seeded by
+    config.seed, so two configs that differ only in mode see the same draws.
     """
     steps = config.n_steps
     rng = rng_from_seed(config.seed)
     ens = initial_ensemble(config, rng)
-    fields = consensus_fields(ens, config)
     lam_min = float(ens.lam.min())
     lam_max = float(ens.lam.max())
-    yield 0, ens, fields, lam_min, lam_max
+    yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
     for k in range(1, steps + 1):
+        recorded = k % record_stride == 0
         try:
-            ens = em_step(ens, config, rng, fields)
-            fields = consensus_fields(ens, config)
+            ens = em_step(ens, config, rng)
+            fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc
         lam_min = min(lam_min, float(ens.lam.min()))
         lam_max = max(lam_max, float(ens.lam.max()))
-        if k % record_stride == 0:
+        if recorded:
             yield k, ens, fields, lam_min, lam_max
 
 
