@@ -66,6 +66,7 @@ from .diagnostics import (
     concentration_sweep,
     constant_test_function,
     coordinate_window,
+    g_phi_replica_residuals,
     g_phi_residual,
     g_phi_scaling_study,
     gaussian_bump,

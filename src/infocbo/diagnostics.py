@@ -13,10 +13,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gibbs import drift
-from .infokernel import eval_kernel
 from .measures import EmpiricalMeasure, phi_r_expectation
-from .sde import SimConfig, simulate
+from .sde import (
+    Ensemble,
+    SimConfig,
+    SimulationError,
+    _check_stride,
+    _trajectory,
+    drift_and_rate,
+    simulate,
+)
 from .trajectory import Snapshot, TrajectoryRecord
 from .util import derive_seed
 
@@ -312,6 +318,41 @@ def second_moment_envelope_check(
 # weak-form residual
 
 
+def _replica_means(ensemble: Ensemble, values: np.ndarray) -> np.ndarray:
+    return values.reshape(ensemble.replicas, -1).mean(axis=1)
+
+
+def _phi_average(ensemble: Ensemble, phi: TestFunction) -> np.ndarray:
+    """<phi> per replica, shape (R,)."""
+    return _replica_means(ensemble, phi.value(ensemble.x, ensemble.lam))
+
+
+def _generator_average(
+    ensemble: Ensemble, fields, config: SimConfig, phi: TestFunction
+) -> np.ndarray:
+    """<nu v . grad_x phi + T d_lam phi + (sigma^2 / 2) ||v||^2 lap_x phi>
+    per replica, shape (R,), under the consensus fields in force."""
+    x, lam = ensemble.x, ensemble.lam
+    v, rate = drift_and_rate(ensemble, config, fields)
+    terms = config.drift_gain * np.sum(v * phi.grad_x(x, lam), axis=1)
+    terms += rate * phi.grad_lambda(x, lam)
+    terms += (
+        0.5 * config.noise_strength**2 * np.sum(v * v, axis=1) * phi.laplacian_x(x, lam)
+    )
+    return _replica_means(ensemble, terms)
+
+
+def _residual(times, phi_start, phi_end, generator) -> np.ndarray:
+    """G per replica from <phi> at both ends and one (R,) generator average
+    per recorded time (at least two), integrated by the trapezoid rule."""
+    times = np.asarray(times)
+    gaps = np.diff(times)
+    if np.any(gaps <= 0) or np.any(np.abs(gaps - gaps[0]) > 1e-9 * gaps[0]):
+        raise DiagnosticsError("snapshots must sit on a uniform time grid")
+    integral = np.trapezoid(np.stack(generator, axis=-1), times, axis=-1)
+    return phi_end - phi_start - integral
+
+
 def g_phi_residual(
     snapshots: Sequence[Snapshot], config: SimConfig, phi: TestFunction
 ) -> float:
@@ -327,28 +368,38 @@ def g_phi_residual(
     """
     if len(snapshots) < 2:
         raise DiagnosticsError("need at least two snapshots for the residual")
-    times = np.array([s.ensemble.time for s in snapshots])
-    gaps = np.diff(times)
-    if np.any(gaps <= 0) or np.any(np.abs(gaps - gaps[0]) > 1e-9 * gaps[0]):
-        raise DiagnosticsError("snapshots must sit on a uniform time grid")
-    sigma_sq = config.noise_strength**2
+    residual = _residual(
+        [s.ensemble.time for s in snapshots],
+        _phi_average(snapshots[0].ensemble, phi),
+        _phi_average(snapshots[-1].ensemble, phi),
+        [_generator_average(s.ensemble, (s.f_val, s.e_val), config, phi) for s in snapshots],
+    )
+    return float(residual[0])
 
-    def generator_average(snap: Snapshot) -> float:
-        ens = snap.ensemble
-        x, lam = ens.x, ens.lam
-        v = drift(x, lam, snap.f_val, snap.e_val)
-        rate = eval_kernel(config.kernel, ens.summary(), x, lam)
-        terms = config.drift_gain * np.sum(v * phi.grad_x(x, lam), axis=1)
-        terms += rate * phi.grad_lambda(x, lam)
-        terms += 0.5 * sigma_sq * np.sum(v * v, axis=1) * phi.laplacian_x(x, lam)
-        return float(terms.mean())
 
-    def phi_average(snap: Snapshot) -> float:
-        return float(phi.value(snap.ensemble.x, snap.ensemble.lam).mean())
+def g_phi_replica_residuals(
+    config: SimConfig, seeds: Sequence[int], phi: TestFunction, snapshot_stride: int = 1
+) -> np.ndarray:
+    """Residual of one replica per seed, all stepped as one batch.
 
-    generator = np.array([generator_average(s) for s in snapshots])
-    integral = float(np.trapezoid(generator, times))
-    return phi_average(snapshots[-1]) - phi_average(snapshots[0]) - integral
+    Replica r equals, bit for bit, g_phi_residual of
+    simulate(replace(config, seed=seeds[r]), record_stride=snapshot_stride,
+    snapshot_stride=snapshot_stride): the generator average of each recorded
+    state is taken while the batch steps, so no snapshot is kept.
+    """
+    _check_stride("snapshot_stride", snapshot_stride, config.n_steps)
+    if config.n_steps == 0:
+        raise DiagnosticsError("need at least one step for the residual")
+    times, generator = [], []
+    try:
+        for k, ens, fields, _, _ in _trajectory(config, snapshot_stride, seeds):
+            if k == 0:
+                phi_start = _phi_average(ens, phi)
+            times.append(ens.time)
+            generator.append(_generator_average(ens, fields, config, phi))
+    except SimulationError as exc:
+        raise SimulationError(f"N = {config.n_particles}: {exc}") from exc
+    return _residual(times, phi_start, _phi_average(ens, phi), generator)
 
 
 @dataclass(frozen=True)
@@ -370,9 +421,10 @@ def g_phi_scaling_study(
     """Residual statistics across independent replicas at each ensemble size.
 
     Replica seeds derive from (config.seed, size index, replica index), so
-    every (N, replica) pair opens its own stream. stderr is the standard
-    error of the replica mean. Fewer than MIN_STUDY_REPLICAS replicas is a
-    refusal, not a warning: variance ratios on less are noise.
+    every (N, replica) pair opens its own stream; the replicas of one size
+    step as one batch. stderr is the standard error of the replica mean.
+    Fewer than MIN_STUDY_REPLICAS replicas is a refusal, not a warning:
+    variance ratios on less are noise.
     """
     if replica_count < MIN_STUDY_REPLICAS:
         raise DiagnosticsError(
@@ -381,19 +433,12 @@ def g_phi_scaling_study(
     out: dict[int, GPhiStats] = {}
     for idx, n_particles in enumerate(n_list):
         size_seed = derive_seed(config.seed, idx)
-        values = np.empty(replica_count)
-        for rep in range(replica_count):
-            cfg = replace(
-                config,
-                n_particles=int(n_particles),
-                seed=derive_seed(size_seed, rep),
-            )
-            record = simulate(
-                cfg,
-                record_stride=snapshot_stride,
-                snapshot_stride=snapshot_stride,
-            )
-            values[rep] = g_phi_residual(record.snapshots, cfg, phi)
+        values = g_phi_replica_residuals(
+            replace(config, n_particles=int(n_particles)),
+            [derive_seed(size_seed, rep) for rep in range(replica_count)],
+            phi,
+            snapshot_stride,
+        )
         variance = float(values.var(ddof=1))
         out[int(n_particles)] = GPhiStats(
             n_particles=int(n_particles),

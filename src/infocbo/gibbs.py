@@ -72,20 +72,31 @@ class DriftParams:
         return 2.0 - self.noise_strength**2 * dimension
 
 
+def _require_per_population(ok: np.ndarray, message: str) -> None:
+    """Raise GibbsError unless ok holds; a stack names its first failing row."""
+    if not ok.all():
+        where = f" (replica {int(np.argmin(ok))})" if ok.ndim else ""
+        raise GibbsError(message + where)
+
+
 def _stabilized_weights(sharpness: float, energies: np.ndarray, prior: np.ndarray):
+    """Normalized weights along the last axis: one population, or a stack of
+    them (energies (R, N)) sharing the prior."""
     finite = np.isfinite(energies)
-    if not finite.any():
-        raise GibbsError("every atom has infinite energy; weights are undefined")
+    _require_per_population(
+        finite.any(axis=-1), "every atom has infinite energy; weights are undefined"
+    )
     if sharpness == 0.0:
         # exp(-0 * E) = 1 by convention, infinite energies included
-        weights = prior.copy()
+        weights = np.broadcast_to(prior, energies.shape).copy()
     else:
-        shifted = energies - energies[finite].min()
-        weights = np.zeros_like(prior)
-        weights[finite] = prior[finite] * np.exp(-sharpness * shifted[finite])
-    total = weights.sum()
-    if total <= 0.0:
-        raise GibbsError("all weights vanished; atoms carry no usable mass")
+        lowest = np.where(finite, energies, np.inf).min(axis=-1, keepdims=True)
+        raw = prior * np.exp(-sharpness * (energies - lowest))
+        weights = np.where(finite, raw, 0.0)
+    total = weights.sum(axis=-1, keepdims=True)
+    _require_per_population(
+        total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
+    )
     return weights / total
 
 
@@ -107,9 +118,17 @@ def consensus_from_energies(
     masses: np.ndarray,
     energies: np.ndarray,
 ) -> np.ndarray:
-    """Weighted consensus given precomputed energies (the hot path)."""
+    """Weighted consensus given precomputed energies (the hot path).
+
+    A stack of populations (atoms (R, N, d), energies (R, N)) sharing the
+    masses gets one consensus row per population, each equal bit for bit to
+    the consensus of that population alone.
+    """
     weights = _stabilized_weights(params.sharpness, energies, masses)
-    return weights @ eval_observable_batch(params.observable, atoms)
+    atoms = np.asarray(atoms, dtype=float)
+    flat = atoms.reshape(-1, atoms.shape[-1])
+    observed = eval_observable_batch(params.observable, flat).reshape(atoms.shape)
+    return (weights[..., None, :] @ observed)[..., 0, :]
 
 
 def weighted_consensus(params: ConsensusParams, measure: EmpiricalMeasure) -> np.ndarray:
@@ -125,17 +144,18 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
 
     f_val None drops the consensus term, which gives the consensus-free
     (auxiliary) field -x + (1 - lam) * e. Accepts a single point (x: (d,),
-    lam scalar) or a batch (x: (N, d), lam: (N,)).
+    lam scalar), a batch (x: (N, d), lam: (N,)) or a stack of batches
+    (x: (R, N, d), lam: (R, N)) with targets of shape (R, 1, d).
     """
     x = np.asarray(x, dtype=float)
     f_val = None if f_val is None else np.asarray(f_val, dtype=float)
     e_val = np.asarray(e_val, dtype=float)
     d = x.shape[-1]
-    if e_val.shape != (d,) or (f_val is not None and f_val.shape != (d,)):
+    if e_val.shape[-1:] != (d,) or (f_val is not None and f_val.shape[-1:] != (d,)):
         raise GibbsError("consensus and mean points must match the state dimension")
     lam = np.asarray(lam, dtype=float)
-    if x.ndim == 2:
-        lam = lam.reshape(-1, 1)
+    if x.ndim > 1:
+        lam = lam[..., None]
     pull = -x if f_val is None else -x + lam * f_val
     return pull + (1.0 - lam) * e_val
 

@@ -350,9 +350,13 @@ def run(
         ]
 
     # from here on the directory is mid-rewrite; a manifest left from an
-    # earlier run would list hashes of files about to change
+    # earlier run would list hashes of files about to change, and files of
+    # that run which this one does not write would outlive it
     manifest_path = outdir / MANIFEST_NAME
+    stale = _earlier_artifacts(outdir)
     manifest_path.unlink(missing_ok=True)
+    for path in stale:
+        path.unlink(missing_ok=True)
     files: dict[str, str] = {}
     for i, record in enumerate(records):
         csv_path = outdir / f"replica_{i:03d}.csv"
@@ -402,6 +406,19 @@ def run(
     )
 
 
+def _earlier_artifacts(outdir: Path) -> list[Path]:
+    """Files an earlier run left: those its manifest lists, and every
+    replica CSV and check report, listed or not."""
+    paths = {*outdir.glob("replica_*.csv"), *outdir.glob("check_*.json")}
+    try:
+        listed = json.loads((outdir / MANIFEST_NAME).read_text()).get("files", {})
+    except (OSError, ValueError, AttributeError):
+        listed = {}
+    # a listed name is a file of the run directory itself, never a path
+    paths.update(outdir / name for name in listed if Path(name).name == name)
+    return sorted(paths)
+
+
 def _point_dir_name(axis: str, value) -> str:
     """axis=value with the short :g form when it reads back as the same
     value, else the exact repr, so distinct values never share a directory."""
@@ -417,17 +434,28 @@ def sweep(
     force: bool = False,
     workers: int | None = None,
 ) -> list[RunResult]:
-    """One run per axis value in subdirectories axis=value, plus an index."""
+    """One run per axis value in subdirectories axis=value, plus an index.
+
+    Values that would share a directory are refused before any run starts.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
     field_name, cast = SWEEP_AXES[axis]
     root = _resolve_output_dir(experiment, output_dir)
+    points: dict[str, object] = {}
+    for raw in values:
+        value = cast(raw)
+        name = _point_dir_name(axis, value)
+        if name in points:
+            raise ConfigError(
+                f"sweep values {points[name]!r} and {value!r} share the directory {name}"
+            )
+        points[name] = value
     results = []
     entries = []
     flat_key = {"n": "sim.n", "N": "sim.N", "noise_strength": "sim.noise_strength",
                 "dt": "sim.dt"}[axis]
-    for raw in values:
-        value = cast(raw)
+    for name, value in points.items():
         sub = replace(experiment.sim, **{field_name: value})
         flat = dict(experiment.flat)
         if flat:
@@ -440,7 +468,7 @@ def sweep(
             checks=experiment.checks,
             flat=flat,
         )
-        subdir = root / _point_dir_name(axis, value)
+        subdir = root / name
         results.append(run(point, output_dir=subdir, force=force, workers=workers))
         entries.append({"value": value, "dir": subdir.name})
     index = {"axis": axis, "points": entries}

@@ -61,21 +61,36 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
 class PopulationSummary:
-    """What a kernel may see of the ensemble: spatial mean and joint first moment."""
+    """What a kernel may see of the ensemble: spatial mean and joint first moment.
 
-    mean_x: np.ndarray
-    m1: float
+    from_arrays takes one population (x: (N, d), lam: (N,)) or a stack of R
+    (x: (R, N, d), lam: (R, N)), which gets one mean_x row and one m1 per
+    population. No shipped kernel reads m1, so a summary built from arrays
+    computes it when it is first read.
+    """
+
+    def __init__(self, mean_x: np.ndarray, m1=None, *, arrays=None):
+        self.mean_x = mean_x
+        self._m1 = m1
+        self._arrays = arrays
 
     @classmethod
     def from_arrays(cls, x: np.ndarray, lam: np.ndarray) -> "PopulationSummary":
-        joint = np.sqrt(np.sum(x * x, axis=1) + lam * lam)
-        return cls(mean_x=x.mean(axis=0), m1=float(joint.mean()))
+        return cls(mean_x=x.mean(axis=-2), arrays=(x, lam))
+
+    @property
+    def m1(self):
+        if self._m1 is None:
+            x, lam = self._arrays
+            joint = np.sqrt(np.sum(x * x, axis=-1) + lam * lam).mean(axis=-1)
+            self._m1 = float(joint) if joint.ndim == 0 else joint
+        return self._m1
 
 
 def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, lam):
-    """Rate at one state (x: (d,), lam scalar) or a batch (x: (N, d), lam: (N,))."""
+    """Rate at one state (x: (d,), lam scalar), a batch (x: (N, d), lam: (N,)),
+    or a stack of batches (x: (R, N, d), lam: (R, N)) summarized per batch."""
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr < 0) or np.any(lam_arr > 1):
         raise KernelError("lambda outside [0, 1]")
@@ -83,7 +98,10 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     if kernel.variant == "logistic":
         rate = kernel.a * (1.0 - lam_arr) - kernel.b * lam_arr
         return float(rate) if lam_arr.ndim == 0 else rate
-    gap = x - np.asarray(summary.mean_x, dtype=float)
+    mean_x = np.asarray(summary.mean_x, dtype=float)
+    if mean_x.ndim > 1:  # one mean per stacked batch
+        mean_x = mean_x[..., None, :]
+    gap = x - mean_x
     dist = np.linalg.norm(gap, axis=-1)
     rate = (1.0 - lam_arr) * kernel.a / (1.0 + dist) - kernel.b * lam_arr
     return float(rate) if lam_arr.ndim == 0 else rate

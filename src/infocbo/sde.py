@@ -9,6 +9,12 @@ ensemble mean e evaluated on the pre-step ensemble:
 
 With dt <= theta the lambda update is a convex combination of admissible
 values, so the clamp never fires; the counter exists to prove that.
+
+The step and the stepping loop take a batch of R independent replicas of
+one configuration, stored replica-major as (R * N, d) rows. Elementwise work
+runs on the rows; every reduction (means, Gibbs weights, summaries) runs per
+replica on (R, N, d) views, and each replica draws from its own stream, so a
+replica's numbers do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -52,12 +58,17 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """N agents at a common time, stored as arrays for vector arithmetic."""
+    """N agents at a common time, stored as arrays for vector arithmetic.
+
+    A batch of R replicas stores replica r in rows r * N to (r + 1) * N - 1
+    of x and lam; clamp_events counts over all rows.
+    """
 
     x: np.ndarray
     lam: np.ndarray
     time: float = 0.0
     clamp_events: int = 0
+    replicas: int = 1
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -66,25 +77,32 @@ class Ensemble:
             raise ConfigError("ensemble positions must form a nonempty (N, d) array")
         if self.lam.shape != (self.x.shape[0],):
             raise ConfigError("lambda vector must match the agent count")
+        if self.replicas < 1 or self.x.shape[0] % self.replicas:
+            raise ConfigError("the rows must split evenly into the replicas")
         if np.any(self.lam < 0) or np.any(self.lam > 1):
             raise ConfigError("agent lambda outside [0, 1]")
 
     @property
     def n_agents(self) -> int:
-        return self.x.shape[0]
+        """Agents per replica."""
+        return self.x.shape[0] // self.replicas
 
     @property
     def dimension(self) -> int:
         return self.x.shape[1]
 
+    def views(self) -> tuple[np.ndarray, np.ndarray]:
+        """x as (R, N, d) and lam as (R, N), sharing memory with the rows."""
+        r = self.replicas
+        return self.x.reshape(r, -1, self.x.shape[1]), self.lam.reshape(r, -1)
+
     def spatial_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure.uniform(self.x)
 
-    def summary(self) -> PopulationSummary:
-        return PopulationSummary.from_arrays(self.x, self.lam)
-
     def copy(self) -> "Ensemble":
-        return Ensemble(self.x.copy(), self.lam.copy(), self.time, self.clamp_events)
+        return Ensemble(
+            self.x.copy(), self.lam.copy(), self.time, self.clamp_events, self.replicas
+        )
 
 
 @dataclass(frozen=True)
@@ -262,64 +280,95 @@ class SimConfig:
         )
 
 
-def initial_ensemble(config: SimConfig, rng: np.random.Generator) -> Ensemble:
-    x, lam = config.init.sample(rng, config.n_particles)
-    return Ensemble(x, lam, time=0.0)
+def initial_ensemble(config: SimConfig, rngs: Sequence[np.random.Generator]) -> Ensemble:
+    """One replica per generator, each sampled from its own stream."""
+    draws = [config.init.sample(rng, config.n_particles) for rng in rngs]
+    return Ensemble(
+        np.concatenate([x for x, _ in draws]),
+        np.concatenate([lam for _, lam in draws]),
+        replicas=len(draws),
+    )
 
 
 def consensus_fields(ensemble: Ensemble, config: SimConfig):
-    """(f, e) targets for the current ensemble; f is None in auxiliary mode.
+    """(f, e) targets of each replica, as (R, d) arrays; f is None in
+    auxiliary mode.
 
-    Both are computed once per step and shared by all agents, so a step costs
-    O(N d) regardless of sharpness.
+    Both are computed once per step and shared by all agents of a replica,
+    so a step costs O(N d) per replica regardless of sharpness.
     """
-    x = ensemble.x
-    e_val = x.mean(axis=0)
+    xs, _ = ensemble.views()
+    e_val = xs.mean(axis=1)
     if config.mode == "auxiliary":
         f_val = None
     else:
         params = config.consensus_params
-        energies = eval_objective_batch(config.objective, x)
-        masses = np.full(x.shape[0], 1.0 / x.shape[0])
-        f_val = consensus_from_energies(params, x, masses, energies)
+        energies = eval_objective_batch(config.objective, ensemble.x)
+        n = xs.shape[1]
+        masses = np.full(n, 1.0 / n)
+        f_val = consensus_from_energies(params, xs, masses, energies.reshape(-1, n))
     if config.truncation_radius is not None:
-        m1 = float(np.linalg.norm(x, axis=1).mean())
-        phi = cutoff_eta(config.truncation_radius, m1)
+        m1 = np.linalg.norm(xs, axis=2).mean(axis=1)
+        phi = np.array([[cutoff_eta(config.truncation_radius, m)] for m in m1])
         e_val = phi * e_val
         if f_val is not None:
             f_val = phi * f_val
     return f_val, e_val
 
 
-def _draw_noise(rng: np.random.Generator, config: SimConfig) -> np.ndarray:
-    if config.shared_noise:
-        # one Brownian increment shared by every agent
-        return np.broadcast_to(
-            rng.standard_normal(config.d), (config.n_particles, config.d)
-        )
-    return rng.standard_normal((config.n_particles, config.d))
+def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields):
+    """Drift v (rows, d) and information rate T (rows,) of every agent, each
+    replica pulled toward its own consensus fields: (R, d) arrays as returned
+    by consensus_fields, or (d,) arrays for a single replica."""
+    f_val, e_val = fields
+    xs, lams = ensemble.views()
+    targets = (xs.shape[0], 1, xs.shape[2])
+    f_val = None if f_val is None else f_val.reshape(targets)
+    v = drift(xs, lams, f_val, e_val.reshape(targets))
+    rate = eval_kernel(config.kernel, PopulationSummary.from_arrays(xs, lams), xs, lams)
+    return v.reshape(ensemble.x.shape), rate.reshape(-1)
 
 
-def em_step(ensemble: Ensemble, config: SimConfig, rng: np.random.Generator) -> Ensemble:
-    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state."""
+def _draw_noise(rngs: Sequence[np.random.Generator], ensemble: Ensemble,
+                shared: bool) -> np.ndarray:
+    """One increment per row, replica r drawing in order from rngs[r]."""
+    n, d = ensemble.n_agents, ensemble.dimension
+    if shared:
+        # one Brownian increment shared by every agent of a replica
+        return np.repeat([rng.standard_normal(d) for rng in rngs], n, axis=0)
+    noise = np.empty(ensemble.x.shape)
+    for r, rng in enumerate(rngs):
+        rng.standard_normal(out=noise[r * n:(r + 1) * n])
+    return noise
+
+
+def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
+    """One Euler-Maruyama step; consensus fields are frozen at the pre-step state.
+
+    rng is one generator per replica, or a bare generator for one replica.
+    """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     x, lam = ensemble.x, ensemble.lam
     dt = config.dt
-    f_val, e_val = consensus_fields(ensemble, config)
-    v = drift(x, lam, f_val, e_val)
+    v, rate = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
     new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.linalg.norm(v, axis=1)
-        new_x = new_x + amplitude[:, None] * _draw_noise(rng, config)
-    rate = eval_kernel(config.kernel, ensemble.summary(), x, lam)
+        new_x = new_x + amplitude[:, None] * _draw_noise(rngs, ensemble, config.shared_noise)
     raw = lam + dt * rate
     clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
     new_lam = np.clip(raw, 0.0, 1.0)
     if not np.isfinite(new_x).all():
+        where = ""
+        if ensemble.replicas > 1:
+            finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
+            where = f" in replica {int(np.argmin(finite))}"
         raise SimulationError(
-            f"non-finite position leaving t = {ensemble.time:g} (dt = {dt:g})"
+            f"non-finite position{where} leaving t = {ensemble.time:g} (dt = {dt:g})"
         )
     return Ensemble(
-        new_x, new_lam, ensemble.time + dt, ensemble.clamp_events + clamped
+        new_x, new_lam, ensemble.time + dt, ensemble.clamp_events + clamped,
+        ensemble.replicas,
     )
 
 
@@ -340,7 +389,9 @@ class _Recorder:
         self.snapshots: list[Snapshot] | None = [] if keep_snapshots else None
 
     def observe(self, ensemble: Ensemble, fields, snapshot: bool, observers) -> None:
-        f_val, e_val = fields
+        # a recorded run is a batch of one replica
+        f_val = None if fields[0] is None else fields[0][0]
+        e_val = fields[1][0]
         norms_sq = np.sum(ensemble.x * ensemble.x, axis=1)
         self.times.append(ensemble.time)
         self.m2_sq.append(float(norms_sq.mean()))
@@ -379,26 +430,29 @@ def _check_stride(name: str, stride: int, steps: int) -> None:
         raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
 
 
-def _trajectory(config: SimConfig, record_stride: int):
-    """Step one run; yield (step, ensemble, fields, lam_min, lam_max) at
+def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
+    """Step one batch; yield (step, ensemble, fields, lam_min, lam_max) at
     step 0 and every record_stride-th step.
 
+    The batch holds one replica per seed (default: the single config.seed).
     fields are the consensus fields of the yielded state, for the caller;
     em_step computes those of the state it leaves. lam_min / lam_max are
-    running extremes over every state so far, recorded or not. The initial
-    ensemble and each step's noise are drawn from one stream seeded by
-    config.seed, so two configs that differ only in mode see the same draws.
+    running extremes over every row and every state so far, recorded or
+    not. Each replica draws its initial agents and then each step's noise
+    from its own stream, so two configs that differ only in mode see the
+    same draws, and a replica's draws do not depend on the batch.
     """
     steps = config.n_steps
-    rng = rng_from_seed(config.seed)
-    ens = initial_ensemble(config, rng)
+    seeds = (config.seed,) if seeds is None else seeds
+    rngs = [rng_from_seed(seed) for seed in seeds]
+    ens = initial_ensemble(config, rngs)
     lam_min = float(ens.lam.min())
     lam_max = float(ens.lam.max())
     yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
     for k in range(1, steps + 1):
         recorded = k % record_stride == 0
         try:
-            ens = em_step(ens, config, rng)
+            ens = em_step(ens, config, rngs)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc

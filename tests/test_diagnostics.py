@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from infocbo.diagnostics import (
     DiagnosticsError,
     constant_test_function,
     coordinate_window,
+    g_phi_replica_residuals,
     g_phi_residual,
     g_phi_scaling_study,
     gaussian_bump,
@@ -22,9 +24,9 @@ from infocbo.diagnostics import (
 )
 from infocbo.infokernel import KernelSpec, logistic_closed_form
 from infocbo.objectives import ObservableMap, quadratic
-from infocbo.sde import InitialLaw, SimConfig, simulate
+from infocbo.sde import InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.trajectory import TrajectoryRecord
-from infocbo.util import rng_from_seed
+from infocbo.util import derive_seed, rng_from_seed
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)
@@ -343,6 +345,57 @@ def test_noise_free_point_start_has_zero_replica_variance():
     stats = g_phi_scaling_study(cfg, (20,), 30, gaussian_bump())
     assert stats[20].variance == 0.0
     assert stats[20].stderr == 0.0
+
+
+BATCH_VARIANTS = {
+    "logistic": {},
+    "crowd_truncated": dict(kernel=KernelSpec("crowd-coupled", a=1.0, b=1.0),
+                            truncation_radius=1.0),
+    "auxiliary_shared_noise": dict(mode="auxiliary", shared_noise=True),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+@pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
+def test_batched_study_equals_per_replica_runs_bit_for_bit(variant, stride):
+    cfg = full_config(t_end=0.5, n_particles=12, **BATCH_VARIANTS[variant])
+    phi = gaussian_bump(2.0)
+    size_seed = derive_seed(cfg.seed, 0)
+    values = []
+    for rep in range(30):
+        alone = dataclasses.replace(cfg, seed=derive_seed(size_seed, rep))
+        record = simulate(alone, record_stride=stride, snapshot_stride=stride)
+        values.append(g_phi_residual(record.snapshots, alone, phi))
+    values = np.array(values)
+    seeds = [derive_seed(size_seed, rep) for rep in range(30)]
+    assert np.array_equal(g_phi_replica_residuals(cfg, seeds, phi, stride), values)
+    stats = g_phi_scaling_study(cfg, (12,), 30, phi, snapshot_stride=stride)[12]
+    assert stats.mean == float(values.mean())
+    assert stats.variance == float(values.var(ddof=1))
+
+
+def test_study_divergence_names_the_replica_and_the_step():
+    # deviations grow by about gain * dt per step, so whether a replica
+    # overflows at step 3 or 4 depends on its initial spread
+    cfg = full_config(mode="auxiliary", drift_gain=8e102, dt=0.5, t_end=2.0,
+                      noise_strength=0.0, n_particles=4)
+    size_seed = derive_seed(cfg.seed, 0)
+    first = []
+    with np.errstate(all="ignore"):
+        for rep in range(30):
+            with pytest.raises(SimulationError) as info:
+                simulate(dataclasses.replace(cfg, seed=derive_seed(size_seed, rep)))
+            first.append((int(re.search(r"step (\d+)/", str(info.value)).group(1)), rep))
+        step, rep = min(first)
+        assert rep > 0  # the batch must not just name its first row
+        with pytest.raises(SimulationError,
+                           match=rf"^N = 4: step {step}/4: .* in replica {rep} leaving"):
+            g_phi_scaling_study(cfg, (4,), 30, gaussian_bump())
+
+
+def test_study_needs_at_least_one_step():
+    with pytest.raises(DiagnosticsError, match="one step"):
+        g_phi_scaling_study(full_config(t_end=0.0), (10,), 30, gaussian_bump())
 
 
 def test_residual_variance_scales_inversely_with_ensemble_size():

@@ -91,6 +91,28 @@ def test_infinite_energy_atoms_get_zero_weight():
     assert point == pytest.approx([expected])
 
 
+@pytest.mark.parametrize("observable", [ObservableMap(), ObservableMap("saturated", 2.0)])
+def test_stacked_consensus_matches_each_population_alone(observable):
+    params = params_for(3.0, d=2, observable=observable)
+    rng = rng_from_seed(12)
+    atoms = rng.standard_normal((4, 9, 2))
+    energies = eval_objective_batch(params.objective, atoms.reshape(-1, 2)).reshape(4, 9)
+    energies[2, 5] = np.inf
+    masses = np.full(9, 1 / 9)
+    stacked = consensus_from_energies(params, atoms, masses, energies)
+    assert stacked.shape == (4, 2)
+    for r in range(4):
+        alone = consensus_from_energies(params, atoms[r], masses, energies[r])
+        assert np.array_equal(stacked[r], alone)
+
+
+def test_stacked_degenerate_weights_name_the_replica():
+    energies = np.array([[0.0, 1.0], [np.inf, np.inf], [np.inf, np.inf]])
+    with pytest.raises(GibbsError, match=r"infinite energy.*\(replica 1\)"):
+        consensus_from_energies(params_for(1.0), np.zeros((3, 2, 1)),
+                                np.array([0.5, 0.5]), energies)
+
+
 def test_all_infinite_energies_error():
     params = params_for(1.0)
     with pytest.raises(GibbsError):

@@ -258,6 +258,31 @@ def test_failed_forced_rerun_leaves_no_manifest(tmp_path, monkeypatch):
         load_manifest(outdir)
 
 
+def test_forced_rerun_removes_files_the_new_run_does_not_write(tmp_path):
+    outdir = tmp_path / "out"
+    run(parse_flat_config(config(**{"run.replicas": 2,
+                                    "run.checks": ["lambda_persistence"]})),
+        output_dir=outdir)
+    (outdir / "replica_007.csv").write_text("stray\n")
+    (outdir / "notes.txt").write_text("kept\n")
+    result = run(parse_flat_config(config()), output_dir=outdir, force=True)
+    assert sorted(result.manifest["files"]) == ["replica_000.csv"]
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        MANIFEST_NAME, "notes.txt", "replica_000.csv"]
+
+
+def test_forced_rerun_deletes_only_listed_names_inside_the_run_directory(tmp_path):
+    outdir = tmp_path / "out"
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not a run file\n")
+    run(parse_flat_config(config()), output_dir=outdir)
+    manifest = json.loads((outdir / MANIFEST_NAME).read_text())
+    manifest["files"]["../outside.txt"] = "sha256:0"
+    (outdir / MANIFEST_NAME).write_text(json.dumps(manifest))
+    run(parse_flat_config(config()), output_dir=outdir, force=True)
+    assert outside.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     doc = config(**{"sim.noise_strength": 0.3, "run.replicas": 2,
                     "run.checks": ["lambda_persistence"]})
@@ -380,6 +405,21 @@ def test_sweep_layout_and_index(tmp_path):
     for result, value in zip(results, values):
         manifest = load_manifest(result.directory)
         assert manifest["config"]["sim.n"] == value
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_sweep_refuses_values_sharing_a_directory_before_any_run(tmp_path, force):
+    exp = parse_flat_config(config())
+    with pytest.raises(ConfigError, match="share the directory n=2"):
+        sweep(exp, axis="n", values=[2.0, 2.0], output_dir=tmp_path / "sw", force=force)
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_refuses_particle_counts_equal_after_the_cast(tmp_path):
+    exp = parse_flat_config(config())
+    with pytest.raises(ConfigError, match="share the directory N=4"):
+        sweep(exp, axis="N", values=[4.0, 6.0, 4], output_dir=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_casts_particle_counts_to_int(tmp_path):

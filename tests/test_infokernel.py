@@ -87,6 +87,30 @@ def test_logistic_rate_ignores_the_population():
     assert near == far
 
 
+def test_summary_from_arrays_computes_m1_only_when_read():
+    rng = rng_from_seed(3)
+    x = rng.standard_normal((7, 2))
+    lam = rng.uniform(size=7)
+    summary = PopulationSummary.from_arrays(x, lam)
+    assert summary._m1 is None
+    assert summary.m1 == float(np.sqrt(np.sum(x * x, axis=1) + lam * lam).mean())
+    assert np.array_equal(summary.mean_x, x.mean(axis=0))
+
+
+def test_stacked_summary_and_rate_match_each_population_alone():
+    k = KernelSpec("crowd-coupled", a=1.0, b=0.5)
+    rng = rng_from_seed(4)
+    xs = rng.standard_normal((3, 5, 2))
+    lams = rng.uniform(size=(3, 5))
+    stacked = PopulationSummary.from_arrays(xs, lams)
+    rates = eval_kernel(k, stacked, xs, lams)
+    for r in range(3):
+        alone = PopulationSummary.from_arrays(xs[r], lams[r])
+        assert np.array_equal(stacked.mean_x[r], alone.mean_x)
+        assert stacked.m1[r] == alone.m1
+        assert np.array_equal(rates[r], eval_kernel(k, alone, xs[r], lams[r]))
+
+
 def test_information_outside_unit_interval_is_rejected():
     k = KernelSpec(variant="logistic", a=1.0, b=1.0)
     with pytest.raises(KernelError):

@@ -173,6 +173,20 @@ def test_ensemble_rejects_mismatched_lengths():
         Ensemble(x=np.zeros((3, 1)), lam=np.array([0.5, 0.5]))
 
 
+def test_ensemble_rows_must_split_evenly_into_the_replicas():
+    with pytest.raises(ConfigError, match="replicas"):
+        Ensemble(x=np.zeros((5, 1)), lam=np.full(5, 0.5), replicas=2)
+
+
+def test_ensemble_views_are_replica_major():
+    ens = Ensemble(x=np.arange(12.0).reshape(6, 2), lam=np.full(6, 0.5), replicas=3)
+    xs, lams = ens.views()
+    assert ens.n_agents == 2
+    assert xs.shape == (3, 2, 2) and lams.shape == (3, 2)
+    assert xs[1].tolist() == [[4.0, 5.0], [6.0, 7.0]]
+    assert np.shares_memory(xs, ens.x)
+
+
 def test_ensemble_copy_is_independent():
     ens = two_atom_ensemble([-1.0, 1.0], 0.5)
     dup = ens.copy()
@@ -515,6 +529,23 @@ def test_coupled_pair_hash_is_stable(stride):
         digest.update(np.array([rec.lambda_min, rec.lambda_max, rec.clamp_events],
                                dtype=float).tobytes())
     assert digest.hexdigest() == COUPLED_SHA256[stride]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_batched_trajectory_steps_each_replica_as_if_alone(case):
+    cfg = golden_config(**GOLDEN_CASES[case][0])
+    seeds = [3, 1, 4]
+    batch = list(sde._trajectory(cfg, 1, seeds))
+    for r, seed in enumerate(seeds):
+        alone = sde._trajectory(dataclasses.replace(cfg, seed=seed), 1)
+        for (_, ens, fields, _, _), (_, single, single_fields, _, _) in zip(batch, alone):
+            xs, lams = ens.views()
+            assert np.array_equal(xs[r], single.x)
+            assert np.array_equal(lams[r], single.lam)
+            for batched, own in zip(fields, single_fields):
+                assert (batched is None) == (own is None)
+                if own is not None:
+                    assert np.array_equal(batched[r], own[0])
 
 
 def test_coupled_pair_matches_two_single_runs():
