@@ -13,6 +13,7 @@ import sys
 from .diagnostics import DiagnosticsError
 from .gibbs import GibbsError
 from .harness import (
+    SWEEP_AXES,
     RunDirectoryError,
     load_config_file,
     load_manifest,
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a config across one axis")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, choices=("n", "N", "noise_strength", "dt"))
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument(
         "--values", required=True, nargs="+",
         help="axis values, space or comma separated",

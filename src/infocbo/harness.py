@@ -3,6 +3,9 @@
 A run directory holds one statistics CSV per replica, one JSON per requested
 check, and a manifest written last; the manifest's presence marks the run as
 complete. Reruns of the same config produce byte-identical CSVs.
+
+Three tables declare what a config may say: CONFIG_KEYS (every flat key),
+SWEEP_AXES (the sim keys a sweep may vary) and CHECKS (every check).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .diagnostics import (
     mass_bound_fit,
     mean_decay_check,
     second_moment_bound_check,
+    second_moment_constant,
 )
 from .infokernel import KernelSpec
 from .objectives import ObservableMap, quadratic, rastrigin_like
@@ -37,50 +42,84 @@ ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
 MANIFEST_NAME = "manifest.json"
 
-CHECK_NAMES = ("mean_decay", "second_moment_bound", "lambda_persistence", "mass_bound")
-
-SWEEP_AXES = {
-    "n": ("sharpness", float),
-    "N": ("n_particles", int),
-    "noise_strength": ("noise_strength", float),
-    "dt": ("dt", float),
-}
-
 OBJECTIVES = {"quadratic": quadratic, "rastrigin": rastrigin_like}
 
-# key -> (required, default); values are validated while building SimConfig
-CONFIG_KEYS: dict[str, tuple[bool, object]] = {
-    "sim.d": (True, None),
-    "sim.N": (True, None),
-    "sim.n": (False, 1.0),
-    "sim.drift_gain": (False, 1.0),
-    "sim.noise_strength": (False, 0.0),
-    "sim.dt": (True, None),
-    "sim.t_end": (True, None),
-    "sim.seed": (True, None),
-    "sim.mode": (False, "full"),
-    "sim.truncation_radius": (False, None),
-    "sim.shared_noise": (False, False),
-    "objective.name": (True, None),
-    "observable.variant": (False, "identity"),
-    "observable.m_g": (False, 1.0),
-    "kernel.variant": (True, None),
-    "kernel.a": (True, None),
-    "kernel.b": (False, 0.0),
-    "kernel.theta": (False, None),
-    "init.spatial": (True, None),
-    "init.center": (True, None),
-    "init.spread": (False, 0.0),
-    "init.lambda": (False, "const"),
-    "init.lambda_value": (False, 0.5),
-    "init.lambda_min": (False, None),
-    "init.lambda_max": (False, None),
-    "observers.stride": (False, 1),
-    "observers.snapshot_stride": (False, None),
-    "observers.ball_radii": (False, ()),
-    "run.output_dir": (False, None),
-    "run.replicas": (False, 1),
-    "run.checks": (False, ()),
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true/false")
+    return value
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in value)
+
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """A flat key's coercion, default (REQUIRED for none) and the field it
+    sets on the constructor its section names (sim: SimConfig, observers:
+    ObserverConfig, run: ExperimentConfig, and so on). parse_flat_config
+    reads the keys without a field itself."""
+
+    coerce: Callable
+    default: object
+    field: str | None
+
+
+CONFIG_KEYS: dict[str, Key] = {
+    "sim.d": Key(_integer, REQUIRED, "d"),
+    "sim.N": Key(_integer, REQUIRED, "n_particles"),
+    "sim.n": Key(float, 1.0, "sharpness"),
+    "sim.drift_gain": Key(float, 1.0, "drift_gain"),
+    "sim.noise_strength": Key(float, 0.0, "noise_strength"),
+    "sim.dt": Key(float, REQUIRED, "dt"),
+    "sim.t_end": Key(float, REQUIRED, "t_end"),
+    "sim.seed": Key(_integer, REQUIRED, "seed"),
+    "sim.mode": Key(str, "full", "mode"),
+    "sim.truncation_radius": Key(float, None, "truncation_radius"),
+    "sim.shared_noise": Key(_bool, False, "shared_noise"),
+    "objective.name": Key(str, REQUIRED, None),
+    "observable.variant": Key(str, "identity", "variant"),
+    "observable.m_g": Key(float, 1.0, "m_g"),
+    "kernel.variant": Key(str, REQUIRED, "variant"),
+    "kernel.a": Key(float, REQUIRED, "a"),
+    "kernel.b": Key(float, 0.0, "b"),
+    "kernel.theta": Key(float, None, "theta"),
+    "init.spatial": Key(str, REQUIRED, "spatial_kind"),
+    "init.center": Key(_floats, REQUIRED, "center"),
+    "init.spread": Key(float, 0.0, "spread"),
+    "init.lambda": Key(str, "const", None),
+    "init.lambda_value": Key(float, 0.5, None),
+    "init.lambda_min": Key(float, None, None),
+    "init.lambda_max": Key(float, None, None),
+    "observers.stride": Key(_integer, 1, "stride"),
+    "observers.snapshot_stride": Key(_integer, None, "snapshot_stride"),
+    "observers.ball_radii": Key(_floats, (), "ball_radii"),
+    "run.output_dir": Key(str, None, "output_dir"),
+    "run.replicas": Key(_integer, 1, "replicas"),
+    "run.checks": Key(lambda value: tuple(str(v) for v in value), (), "checks"),
+}
+
+# axis a sets the key sim.a
+SWEEP_AXES = ("n", "N", "noise_strength", "dt")
+
+# name -> report on one replica's record: one report, or one per ball radius
+CHECKS: dict[str, Callable[[TrajectoryRecord, ExperimentConfig], object]] = {
+    "mean_decay": lambda record, _: mean_decay_check(record),
+    "second_moment_bound": lambda record, exp: second_moment_bound_check(record, exp.sim),
+    "lambda_persistence": lambda record, _: lambda_persistence_check(record),
+    "mass_bound": lambda record, exp: [
+        mass_bound_fit(record, r) for r in exp.observers.ball_radii
+    ],
 }
 
 
@@ -105,39 +144,33 @@ class ExperimentConfig:
     flat: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the hypotheses of every requested check, before any replica runs
         if self.replicas < 1:
             raise ConfigError("replicas must be at least 1")
         for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise ConfigError(
-                    f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}"
-                )
-        if "mass_bound" in self.checks and not self.observers.ball_radii:
-            raise ConfigError("mass_bound check needs observers.ball_radii")
+            if name not in CHECKS:
+                raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        for name in ("mean_decay", "second_moment_bound"):
+            if name in self.checks and self.sim.mode != "auxiliary":
+                raise ConfigError(f'{name} check: needs sim.mode "auxiliary"; its law '
+                                  "holds for the consensus-free flow only")
+        if "second_moment_bound" in self.checks:
+            try:
+                second_moment_constant(self.sim.noise_strength, self.sim.d)
+            except DiagnosticsError as exc:
+                raise ConfigError(f"second_moment_bound check: {exc}") from exc
+        if "mass_bound" in self.checks:
+            if self.observers.snapshot_stride is None:
+                raise ConfigError("mass_bound check needs observers.snapshot_stride")
+            if not self.observers.ball_radii:
+                raise ConfigError("mass_bound check needs observers.ball_radii")
 
 
 def _coerce(key: str, value):
     if value is None:
         return None
     try:
-        if key in ("sim.d", "sim.N", "sim.seed", "observers.stride",
-                   "observers.snapshot_stride", "run.replicas"):
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError("not an integer")
-            return int(value)
-        if key in ("sim.shared_noise",):
-            if not isinstance(value, bool):
-                raise ValueError("expected true/false")
-            return value
-        if key in ("init.center", "observers.ball_radii"):
-            return tuple(float(v) for v in value)
-        if key in ("run.checks",):
-            return tuple(str(v) for v in value)
-        if key in ("sim.mode", "objective.name", "observable.variant",
-                   "kernel.variant", "init.spatial", "init.lambda",
-                   "run.output_dir"):
-            return str(value)
-        return float(value)
+        return CONFIG_KEYS[key].coerce(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
 
@@ -152,27 +185,26 @@ def parse_flat_config(mapping: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values: dict[str, object] = {}
-    for key, (required, default) in CONFIG_KEYS.items():
+    for key, row in CONFIG_KEYS.items():
         if key in mapping:
             values[key] = _coerce(key, mapping[key])
-        elif required:
+        elif row.default is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         else:
-            values[key] = default
+            values[key] = row.default
+
+    def fields(section: str) -> dict[str, object]:
+        return {
+            row.field: values[key]
+            for key, row in CONFIG_KEYS.items()
+            if row.field is not None and key.startswith(section + ".")
+        }
 
     objective_name = values["objective.name"]
     if objective_name not in OBJECTIVES:
         raise ConfigError(
             f"unknown objective {objective_name!r}; known: {', '.join(OBJECTIVES)}"
         )
-    objective = OBJECTIVES[objective_name](values["sim.d"])
-    observable = ObservableMap(values["observable.variant"], values["observable.m_g"])
-    kernel = KernelSpec(
-        variant=values["kernel.variant"],
-        a=values["kernel.a"],
-        b=values["kernel.b"],
-        theta=values["kernel.theta"],
-    )
     lam_kind = values["init.lambda"]
     if lam_kind == "const":
         lo = hi = values["init.lambda_value"]
@@ -182,45 +214,18 @@ def parse_flat_config(mapping: dict) -> ExperimentConfig:
         lo, hi = values["init.lambda_min"], values["init.lambda_max"]
     else:
         raise ConfigError(f"unknown lambda init {lam_kind!r}")
-    init = InitialLaw(
-        spatial_kind=values["init.spatial"],
-        center=values["init.center"],
-        spread=values["init.spread"],
-        lambda_lo=lo,
-        lambda_hi=hi,
-    )
     sim = SimConfig(
-        d=values["sim.d"],
-        n_particles=values["sim.N"],
-        dt=values["sim.dt"],
-        t_end=values["sim.t_end"],
-        seed=values["sim.seed"],
-        objective=objective,
-        observable=observable,
-        kernel=kernel,
-        init=init,
-        sharpness=values["sim.n"],
-        drift_gain=values["sim.drift_gain"],
-        noise_strength=values["sim.noise_strength"],
-        mode=values["sim.mode"],
-        truncation_radius=values["sim.truncation_radius"],
-        shared_noise=values["sim.shared_noise"],
+        objective=OBJECTIVES[objective_name](values["sim.d"]),
+        observable=ObservableMap(**fields("observable")),
+        kernel=KernelSpec(**fields("kernel")),
+        init=InitialLaw(**fields("init"), lambda_lo=lo, lambda_hi=hi),
+        **fields("sim"),
     )
-    observers = ObserverConfig(
-        stride=values["observers.stride"],
-        snapshot_stride=values["observers.snapshot_stride"],
-        ball_radii=values["observers.ball_radii"],
-    )
-    snapshot_stride = observers.snapshot_stride
-    if "mass_bound" in values["run.checks"] and snapshot_stride is None:
-        raise ConfigError("mass_bound check needs observers.snapshot_stride")
     return ExperimentConfig(
         sim=sim,
-        observers=observers,
-        output_dir=values["run.output_dir"],
-        replicas=values["run.replicas"],
-        checks=values["run.checks"],
+        observers=ObserverConfig(**fields("observers")),
         flat=dict(mapping),
+        **fields("run"),
     )
 
 
@@ -238,29 +243,11 @@ def load_config_file(path: str | Path) -> ExperimentConfig:
     return parse_flat_config(mapping)
 
 
-def _run_checks(record: TrajectoryRecord, experiment: ExperimentConfig) -> dict:
-    """One report dict per requested check name for a single replica."""
-    sim = experiment.sim
-    reports: dict[str, dict] = {}
-    for name in experiment.checks:
-        if name == "mean_decay":
-            rep = mean_decay_check(record)
-            reports[name] = {"passed": rep.ok, "report": jsonable(rep)}
-        elif name == "second_moment_bound":
-            rep = second_moment_bound_check(record, sim)
-            reports[name] = {"passed": rep.ok, "report": jsonable(rep)}
-        elif name == "lambda_persistence":
-            rep = lambda_persistence_check(record)
-            reports[name] = {"passed": rep.ok, "report": jsonable(rep)}
-        elif name == "mass_bound":
-            per_radius = [
-                mass_bound_fit(record, r) for r in experiment.observers.ball_radii
-            ]
-            reports[name] = {
-                "passed": all(r.ok for r in per_radius),
-                "report": [jsonable(r) for r in per_radius],
-            }
-    return reports
+def _check_report(name: str, record: TrajectoryRecord, experiment: ExperimentConfig) -> dict:
+    report = CHECKS[name](record, experiment)
+    if isinstance(report, list):
+        return {"passed": all(r.ok for r in report), "report": [jsonable(r) for r in report]}
+    return {"passed": report.ok, "report": jsonable(report)}
 
 
 def _replica_record(experiment: ExperimentConfig, index: int) -> TrajectoryRecord:
@@ -308,7 +295,12 @@ def worker_count(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(ENV_WORKERS)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}") from None
 
 
 def run(
@@ -329,12 +321,12 @@ def run(
         raise RunDirectoryError(
             f"{outdir} already holds a completed run; pass force to overwrite"
         )
+    n_workers = worker_count(workers)
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.now(timezone.utc).isoformat()
     seeds = [derive_seed(experiment.sim.seed, i) for i in range(experiment.replicas)]
 
-    n_workers = worker_count(workers)
     if n_workers > 1 and experiment.flat:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(
@@ -348,6 +340,14 @@ def run(
         records = [
             _replica_record(experiment, i) for i in range(experiment.replicas)
         ]
+    # a check that raises leaves an earlier run in the directory untouched
+    reports = {
+        name: [
+            {**_check_report(name, record, experiment), "replica": i}
+            for i, record in enumerate(records)
+        ]
+        for name in experiment.checks
+    }
 
     # from here on the directory is mid-rewrite; a manifest left from an
     # earlier run would list hashes of files about to change, and files of
@@ -364,13 +364,7 @@ def run(
         files[csv_path.name] = _sha256(csv_path)
 
     failed: list[str] = []
-    replica_reports = [_run_checks(record, experiment) for record in records]
-    for name in experiment.checks:
-        per_replica = []
-        for i, reports in enumerate(replica_reports):
-            report = reports[name]
-            report["replica"] = i
-            per_replica.append(report)
+    for name, per_replica in reports.items():
         passed = all(r["passed"] for r in per_replica)
         if not passed:
             failed.append(name)
@@ -436,41 +430,33 @@ def sweep(
 ) -> list[RunResult]:
     """One run per axis value in subdirectories axis=value, plus an index.
 
-    Values that would share a directory are refused before any run starts.
+    Axis a sets the key sim.a, and its values are coerced like that key, so
+    a particle count must be integral. Every point is built, and values that
+    would share a directory are refused, before any run starts.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
-    field_name, cast = SWEEP_AXES[axis]
+    key = f"sim.{axis}"
     root = _resolve_output_dir(experiment, output_dir)
-    points: dict[str, object] = {}
+    points: dict[str, tuple[object, ExperimentConfig]] = {}
     for raw in values:
-        value = cast(raw)
+        value = _coerce(key, raw)
         name = _point_dir_name(axis, value)
         if name in points:
             raise ConfigError(
-                f"sweep values {points[name]!r} and {value!r} share the directory {name}"
+                f"sweep values {points[name][0]!r} and {value!r} share the directory {name}"
             )
-        points[name] = value
+        points[name] = value, replace(
+            experiment,
+            sim=replace(experiment.sim, **{CONFIG_KEYS[key].field: value}),
+            output_dir=None,
+            flat={**experiment.flat, key: value} if experiment.flat else {},
+        )
     results = []
     entries = []
-    flat_key = {"n": "sim.n", "N": "sim.N", "noise_strength": "sim.noise_strength",
-                "dt": "sim.dt"}[axis]
-    for name, value in points.items():
-        sub = replace(experiment.sim, **{field_name: value})
-        flat = dict(experiment.flat)
-        if flat:
-            flat[flat_key] = value
-        point = ExperimentConfig(
-            sim=sub,
-            observers=experiment.observers,
-            output_dir=None,
-            replicas=experiment.replicas,
-            checks=experiment.checks,
-            flat=flat,
-        )
-        subdir = root / name
-        results.append(run(point, output_dir=subdir, force=force, workers=workers))
-        entries.append({"value": value, "dir": subdir.name})
+    for name, (value, point) in points.items():
+        results.append(run(point, output_dir=root / name, force=force, workers=workers))
+        entries.append({"value": value, "dir": name})
     index = {"axis": axis, "points": entries}
     root.mkdir(parents=True, exist_ok=True)
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .trajectory import Snapshot, TrajectoryRecord
 from .util import require_finite, rng_from_seed
 
 MODES = ("full", "auxiliary")
-
-Observer = Callable[[int, "Ensemble", np.ndarray | None, np.ndarray], None]
 
 
 class ConfigError(ValueError):
@@ -388,7 +386,7 @@ class _Recorder:
         self.consensus: list[np.ndarray] = []
         self.snapshots: list[Snapshot] | None = [] if keep_snapshots else None
 
-    def observe(self, ensemble: Ensemble, fields, snapshot: bool, observers) -> None:
+    def observe(self, ensemble: Ensemble, fields, snapshot: bool) -> None:
         # a recorded run is a batch of one replica
         f_val = None if fields[0] is None else fields[0][0]
         e_val = fields[1][0]
@@ -403,8 +401,6 @@ class _Recorder:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
             self.snapshots.append(Snapshot(ensemble.copy(), f_val, e_val))
-        for obs in observers:
-            obs(len(self.times) - 1, ensemble, f_val, e_val)
 
     def build(self, final: Ensemble, lam_min: float, lam_max: float) -> TrajectoryRecord:
         consensus = (
@@ -464,7 +460,6 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
 
 def simulate(
     config: SimConfig,
-    observers: Sequence[Observer] = (),
     record_stride: int = 1,
     snapshot_stride: int | None = None,
     ball_radii: Sequence[float] = (),
@@ -486,7 +481,7 @@ def simulate(
     rec = _Recorder(config, ball_radii, snapshot_stride is not None)
     for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride):
         snap = snapshot_stride is not None and k % snapshot_stride == 0
-        rec.observe(ens, fields, snap, observers)
+        rec.observe(ens, fields, snap)
     return rec.build(ens, lam_min, lam_max)
 
 
@@ -530,8 +525,8 @@ def simulate_pair_coupled(
     for (_, ens_f, fields_f, lo_f, hi_f), (_, ens_a, fields_a, lo_a, hi_a) in zip(
         _trajectory(config_full, record_stride), _trajectory(config_aux, record_stride)
     ):
-        rec_f.observe(ens_f, fields_f, snapshot=False, observers=())
-        rec_a.observe(ens_a, fields_a, snapshot=False, observers=())
+        rec_f.observe(ens_f, fields_f, snapshot=False)
+        rec_a.observe(ens_a, fields_a, snapshot=False)
         gap = ens_f.x - ens_a.x
         gaps.append(float(np.sum(gap * gap, axis=1).mean()))
     lam_lo, lam_hi = min(lo_f, lo_a), max(hi_f, hi_a)

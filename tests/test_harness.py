@@ -7,15 +7,18 @@ file stays fast; physics-scale runs live in test_acceptance.py.
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infocbo.cli import EXIT_DIVERGED, main
+from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
     CONFIG_KEYS,
     MANIFEST_NAME,
+    REQUIRED,
     ExperimentConfig,
     ObserverConfig,
     RunDirectoryError,
@@ -72,8 +75,14 @@ def write_config(tmp_path, doc, name="exp.json"):
 
 
 def test_base_covers_exactly_the_required_keys():
-    required = {key for key, (req, _) in CONFIG_KEYS.items() if req}
+    required = {key for key, row in CONFIG_KEYS.items() if row.default is REQUIRED}
     assert required <= set(BASE)
+
+
+def test_readme_config_section_names_exactly_the_table_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"\b[a-z]+\.[A-Za-z_]+\b", section)) == set(CONFIG_KEYS)
 
 
 def test_parse_minimal_fills_defaults():
@@ -168,6 +177,29 @@ def test_parse_mass_bound_needs_ball_radii():
         parse_flat_config(doc)
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"run.checks": ["mean_decay"]}, 'mean_decay check: needs sim.mode "auxiliary"'),
+        ({"run.checks": ["second_moment_bound"]}, "second_moment_bound check: needs sim.mode"),
+        ({"run.checks": ["second_moment_bound"], "sim.mode": "auxiliary",
+          "sim.noise_strength": 1.0}, r"noise_strength\^2 \* d < 2 violated \(2 >= 2\)"),
+    ],
+)
+def test_parse_check_hypotheses(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_flat_config(config(**overrides))
+
+
+def test_hand_built_mass_bound_experiment_is_refused_before_writing(tmp_path):
+    sim = parse_flat_config(config()).sim
+    with pytest.raises(ConfigError, match="snapshot_stride"):
+        run(ExperimentConfig(sim=sim, observers=ObserverConfig(ball_radii=(1.0,)),
+                             checks=("mass_bound",)),
+            output_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_replicas_must_be_positive():
     with pytest.raises(ConfigError, match="replicas"):
         parse_flat_config(config(**{"run.replicas": 0}))
@@ -256,6 +288,19 @@ def test_failed_forced_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     assert csv_writes == ["replica_000.csv", "replica_001.csv"]
     with pytest.raises(RunDirectoryError):
         load_manifest(outdir)
+
+
+def test_check_that_raises_leaves_the_earlier_run_intact(tmp_path):
+    outdir = tmp_path / "out"
+    run(parse_flat_config(config(**{"run.replicas": 2})), output_dir=outdir)
+    before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    # every agent starts at the origin, so the ceiling has no base to scale
+    at_origin = config(**{"sim.mode": "auxiliary", "init.spatial": "point",
+                          "init.center": [0.0, 0.0],
+                          "run.checks": ["second_moment_bound"]})
+    with pytest.raises(DiagnosticsError, match="initial second moment"):
+        run(parse_flat_config(at_origin), output_dir=outdir, force=True)
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
 
 def test_forced_rerun_removes_files_the_new_run_does_not_write(tmp_path):
@@ -378,6 +423,9 @@ def test_worker_count_precedence(monkeypatch):
     monkeypatch.setenv("INFOCBO_WORKERS", "5")
     assert worker_count(None) == 5
     assert worker_count(2) == 2  # explicit argument wins over the env
+    monkeypatch.setenv("INFOCBO_WORKERS", "two")
+    with pytest.raises(ConfigError, match="INFOCBO_WORKERS must be an integer, got 'two'"):
+        worker_count(None)
 
 
 def test_load_manifest_requires_completed_run(tmp_path):
@@ -427,6 +475,14 @@ def test_sweep_casts_particle_counts_to_int(tmp_path):
     results = sweep(exp, axis="N", values=[4.0, 6.0], output_dir=tmp_path / "sw")
     assert [r.directory.name for r in results] == ["N=4", "N=6"]
     assert load_manifest(results[0].directory)["config"]["sim.N"] == 4
+
+
+def test_sweep_refuses_points_that_break_a_check_hypothesis_before_any_run(tmp_path):
+    exp = parse_flat_config(config(**{"sim.mode": "auxiliary",
+                                      "run.checks": ["second_moment_bound"]}))
+    with pytest.raises(ConfigError, match="second_moment_bound check"):
+        sweep(exp, axis="noise_strength", values=[0.1, 1.0], output_dir=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_unknown_axis(tmp_path):
@@ -500,6 +556,23 @@ def test_cli_wrong_mode_check_exits_2(tmp_path):
         load_manifest(tmp_path / "out")
 
 
+def test_cli_forced_rerun_with_a_wrong_mode_check_keeps_the_earlier_run(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["run", str(write_config(tmp_path, config())), "--out", out]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    path = write_config(tmp_path, config(**{"run.checks": ["mean_decay"]}), name="decay.json")
+    assert main(["run", str(path), "--out", out, "--force"]) == 2
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+def test_cli_non_integer_workers_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("INFOCBO_WORKERS", "two")
+    path = write_config(tmp_path, config())
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "INFOCBO_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_existing_dir_exits_3_without_force(tmp_path, capsys):
     path = write_config(tmp_path, config())
     out = str(tmp_path / "out")
@@ -522,6 +595,15 @@ def test_cli_sweep_comma_values(tmp_path):
     assert (tmp_path / "sw" / "index.json").exists()
     assert (tmp_path / "sw" / "n=1" / MANIFEST_NAME).exists()
     assert (tmp_path / "sw" / "n=4" / MANIFEST_NAME).exists()
+
+
+def test_cli_sweep_refuses_a_fractional_particle_count(tmp_path, capsys):
+    path = write_config(tmp_path, config())
+    code = main(["sweep", str(path), "--axis", "N", "--values", "4,2.5",
+                 "--out", str(tmp_path / "sw")])
+    assert code == 2
+    assert "config key 'sim.N': bad value 2.5 (not an integer)" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cli_report_json_roundtrip(tmp_path, capsys):
