@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .gibbs import (
     ConsensusParams,
-    DriftParams,
     cutoff_eta,
     cutoff_phi_measure,
     drift,
@@ -27,7 +26,6 @@ from .infokernel import (
     check_kernel_contract,
     eval_kernel,
     logistic_closed_form,
-    max_stable_step,
 )
 from .measures import (
     EmpiricalMeasure,

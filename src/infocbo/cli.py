@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-from .diagnostics import DiagnosticsError
-from .gibbs import GibbsError
 from .harness import (
     SWEEP_AXES,
     RunDirectoryError,
@@ -20,9 +18,6 @@ from .harness import (
     run,
     sweep,
 )
-from .infokernel import KernelError
-from .measures import MeasureError
-from .objectives import ObjectiveError
 from .sde import ConfigError, SimulationError
 from .validation import SUITES, run_suite
 
@@ -31,17 +26,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    DiagnosticsError,
-    GibbsError,
-    KernelError,
-    MeasureError,
-    ObjectiveError,
-    ValueError,
-)
-
 
 def _cmd_run(args) -> int:
     experiment = load_config_file(args.config)
@@ -154,7 +138,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except _CONFIG_ERRORS as exc:
+    except ValueError as exc:  # ConfigError and every other parameter error
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -41,26 +41,23 @@ class DiagnosticsError(ValueError):
 class TestFunction:
     """Smooth bounded observable phi(x, lambda) with analytic derivatives.
 
-    All callables are vectorized: value and laplacian_x map ((N, d), (N,)) to
-    (N,), grad_x to (N, d), grad_lambda to (N,).
+    parts(x, lam) is vectorized over agents (x: (N, d), lam: (N,)) and
+    returns (value, grad_x, grad_lambda, laplacian_x) with shapes (N,),
+    (N, d), (N,) and (N,), sharing the factors the four have in common.
     """
 
     name: str
-    value: Callable
-    grad_x: Callable
-    grad_lambda: Callable
-    laplacian_x: Callable
+    parts: Callable
 
 
 def constant_test_function() -> TestFunction:
     """phi = 1. Every weak-form residual vanishes identically on it."""
-    return TestFunction(
-        name="constant",
-        value=lambda x, lam: np.ones(x.shape[0]),
-        grad_x=lambda x, lam: np.zeros_like(x),
-        grad_lambda=lambda x, lam: np.zeros(x.shape[0]),
-        laplacian_x=lambda x, lam: np.zeros(x.shape[0]),
-    )
+
+    def parts(x, lam):
+        n = x.shape[0]
+        return np.ones(n), np.zeros_like(x), np.zeros(n), np.zeros(n)
+
+    return TestFunction(name="constant", parts=parts)
 
 
 def gaussian_bump(scale: float = 1.0) -> TestFunction:
@@ -73,21 +70,18 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
         raise DiagnosticsError("bump scale must be positive")
     s2 = scale * scale
 
-    def radial(x):
-        return np.exp(-np.sum(x * x, axis=1) / (2.0 * s2))
+    def parts(x, lam):
+        norm_sq = np.sum(x * x, axis=1)
+        radial = np.exp(-norm_sq / (2.0 * s2))
+        value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
+        return (
+            value,
+            (-value / s2)[:, None] * x,
+            radial * (-0.5 * np.pi * np.sin(np.pi * lam)),
+            value * (norm_sq / (s2 * s2) - x.shape[1] / s2),
+        )
 
-    def lam_factor(lam):
-        return 0.5 * (1.0 + np.cos(np.pi * lam))
-
-    return TestFunction(
-        name=f"gaussian_bump(scale={scale:g})",
-        value=lambda x, lam: radial(x) * lam_factor(lam),
-        grad_x=lambda x, lam: (-(radial(x) * lam_factor(lam)) / s2)[:, None] * x,
-        grad_lambda=lambda x, lam: radial(x) * (-0.5 * np.pi * np.sin(np.pi * lam)),
-        laplacian_x=lambda x, lam: radial(x)
-        * lam_factor(lam)
-        * (np.sum(x * x, axis=1) / (s2 * s2) - x.shape[1] / s2),
-    )
+    return TestFunction(name=f"gaussian_bump(scale={scale:g})", parts=parts)
 
 
 def coordinate_window() -> TestFunction:
@@ -97,17 +91,17 @@ def coordinate_window() -> TestFunction:
     all bounded, which is what the product derivatives below use.
     """
 
-    def value(x, lam):
-        return np.prod(1.0 / (1.0 + x * x), axis=1)
+    def parts(x, lam):
+        w_inv = 1.0 + x * x
+        value = np.prod(1.0 / w_inv, axis=1)
+        return (
+            value,
+            value[:, None] * (-2.0 * x / w_inv),
+            np.zeros(x.shape[0]),
+            value * np.sum((6.0 * x * x - 2.0) / w_inv**2, axis=1),
+        )
 
-    return TestFunction(
-        name="coordinate_window",
-        value=value,
-        grad_x=lambda x, lam: value(x, lam)[:, None] * (-2.0 * x / (1.0 + x * x)),
-        grad_lambda=lambda x, lam: np.zeros(x.shape[0]),
-        laplacian_x=lambda x, lam: value(x, lam)
-        * np.sum((6.0 * x * x - 2.0) / (1.0 + x * x) ** 2, axis=1),
-    )
+    return TestFunction(name="coordinate_window", parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +318,7 @@ def _replica_means(ensemble: Ensemble, values: np.ndarray) -> np.ndarray:
 
 def _phi_average(ensemble: Ensemble, phi: TestFunction) -> np.ndarray:
     """<phi> per replica, shape (R,)."""
-    return _replica_means(ensemble, phi.value(ensemble.x, ensemble.lam))
+    return _replica_means(ensemble, phi.parts(ensemble.x, ensemble.lam)[0])
 
 
 def _generator_average(
@@ -332,13 +326,11 @@ def _generator_average(
 ) -> np.ndarray:
     """<nu v . grad_x phi + T d_lam phi + (sigma^2 / 2) ||v||^2 lap_x phi>
     per replica, shape (R,), under the consensus fields in force."""
-    x, lam = ensemble.x, ensemble.lam
     v, rate = drift_and_rate(ensemble, config, fields)
-    terms = config.drift_gain * np.sum(v * phi.grad_x(x, lam), axis=1)
-    terms += rate * phi.grad_lambda(x, lam)
-    terms += (
-        0.5 * config.noise_strength**2 * np.sum(v * v, axis=1) * phi.laplacian_x(x, lam)
-    )
+    _, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
+    terms = config.drift_gain * np.sum(v * grad_x, axis=1)
+    terms += rate * grad_lambda
+    terms += 0.5 * config.noise_strength**2 * np.sum(v * v, axis=1) * laplacian_x
     return _replica_means(ensemble, terms)
 
 
@@ -467,10 +459,8 @@ def _require_concentration_hypotheses(config: SimConfig) -> None:
             "hypothesis violated: initial spatial law must charge every ball "
             "around the origin"
         )
-    if config.drift_params.contraction_margin(config.d) <= 0:
-        raise DiagnosticsError(
-            "contraction hypothesis noise_strength^2 * d < 2 violated"
-        )
+    # the ceiling's contraction hypothesis noise_strength^2 * d < 2; raises
+    second_moment_constant(config.noise_strength, config.d)
 
 
 def concentration_sweep(

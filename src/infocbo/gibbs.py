@@ -25,7 +25,6 @@ from .objectives import (
 __all__ = [
     "GibbsError",
     "ConsensusParams",
-    "DriftParams",
     "gibbs_weights",
     "weighted_consensus",
     "consensus_from_energies",
@@ -52,24 +51,6 @@ class ConsensusParams:
     def __post_init__(self) -> None:
         if not (self.sharpness >= 0) or not math.isfinite(self.sharpness):
             raise GibbsError("sharpness must be a finite nonnegative real")
-
-
-@dataclass(frozen=True)
-class DriftParams:
-    """Drift gain (nu > 0) and noise strength (sigma >= 0) of the dynamics."""
-
-    drift_gain: float = 1.0
-    noise_strength: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.drift_gain <= 0:
-            raise GibbsError("drift gain must be positive")
-        if self.noise_strength < 0:
-            raise GibbsError("noise strength must be nonnegative")
-
-    def contraction_margin(self, dimension: int) -> float:
-        """2 - sigma^2 d. Concentration diagnostics need this positive."""
-        return 2.0 - self.noise_strength**2 * dimension
 
 
 def _require_per_population(ok: np.ndarray, message: str) -> None:

@@ -167,10 +167,13 @@ class ExperimentConfig:
 
 
 def _coerce(key: str, value):
+    row = CONFIG_KEYS[key]
     if value is None:
-        return None
+        if row.default is None:
+            return None
+        raise ConfigError(f"config key {key!r} may not be null")
     try:
-        return CONFIG_KEYS[key].coerce(value)
+        return row.coerce(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
 

@@ -107,14 +107,6 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     return float(rate) if lam_arr.ndim == 0 else rate
 
 
-def max_stable_step(kernel: KernelSpec) -> float:
-    """Largest Euler step preserving lambda in [0, 1], namely 1 / (a + b)."""
-    total = kernel.a + kernel.b
-    if total == 0:
-        raise KernelError("a + b = 0 admits no finite stability step")
-    return 1.0 / total
-
-
 @dataclass(frozen=True)
 class ContractReport:
     trial_count: int

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import require_finite, rng_from_seed
+from .util import require_finite, rng_from_seed, uniform_ball
 
 GROWTH_RTOL = 1e-9
 
@@ -54,10 +54,6 @@ class ObjectiveSpec:
             raise ObjectiveError(
                 f"objective {self.name!r} must vanish at the origin, got {at_origin!r}"
             )
-
-    def signature(self) -> tuple:
-        """Value-level identity, ignoring the callable object itself."""
-        return (self.name, self.dimension, self.c2, self.c3, self.growth_exponent)
 
 
 def quadratic(dimension: int) -> ObjectiveSpec:
@@ -160,13 +156,6 @@ class GrowthReport:
         return not self.violations
 
 
-def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
-    directions = rng.standard_normal((count, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.uniform(size=count) ** (1.0 / dim)
-    return directions * radii[:, None]
-
-
 def verify_growth(
     spec: ObjectiveSpec,
     sample_count: int = 2000,
@@ -181,7 +170,7 @@ def verify_growth(
     if sample_count < 1 or radius <= 0:
         raise ObjectiveError("need sample_count >= 1 and radius > 0")
     rng = rng_from_seed(rng_seed)
-    pts = _uniform_ball(rng, sample_count, spec.dimension, radius)
+    pts = uniform_ball(rng, sample_count, spec.dimension, radius)
     values = eval_objective_batch(spec, pts)
     norms = np.linalg.norm(pts, axis=1)
     lower = spec.c2 * norms**spec.growth_exponent

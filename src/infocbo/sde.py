@@ -20,14 +20,13 @@ replica's numbers do not depend on the batch it runs in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .gibbs import (
     ConsensusParams,
-    DriftParams,
     GibbsError,
     consensus_from_energies,
     cutoff_eta,
@@ -41,7 +40,7 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import require_finite, rng_from_seed
+from .util import require_finite, rng_from_seed, uniform_ball
 
 MODES = ("full", "auxiliary")
 
@@ -166,10 +165,7 @@ class InitialLaw:
         if self.spatial_kind == "gaussian":
             x = center + self.spread * rng.standard_normal((count, dim))
         elif self.spatial_kind == "ball":
-            directions = rng.standard_normal((count, dim))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            radii = self.spread * rng.uniform(size=count) ** (1.0 / dim)
-            x = center + directions * radii[:, None]
+            x = center + uniform_ball(rng, count, dim, self.spread)
         else:
             x = np.tile(center, (count, 1))
         if self.lambda_hi > self.lambda_lo:
@@ -179,7 +175,7 @@ class InitialLaw:
         return x, lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs; construction validates the combination.
 
@@ -187,6 +183,10 @@ class SimConfig:
     consensus term (sharpness and observable are ignored there). A set
     truncation_radius scales both attraction targets by the first-moment
     cutoff, which is what the a-priori moment envelope assumes.
+
+    A config is frozen, so the checks made here hold for its whole life;
+    dataclasses.replace builds a new one and checks it again. Its
+    consensus_params are built once, here.
     """
 
     d: int
@@ -204,6 +204,7 @@ class SimConfig:
     mode: str = "full"
     truncation_radius: float | None = None
     shared_noise: bool = False
+    consensus_params: ConsensusParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_finite(
@@ -244,38 +245,15 @@ class SimConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise ConfigError("truncation radius must be positive when set")
+        object.__setattr__(
+            self,
+            "consensus_params",
+            ConsensusParams(self.sharpness, self.objective, self.observable),
+        )
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    @property
-    def consensus_params(self) -> ConsensusParams:
-        return ConsensusParams(self.sharpness, self.objective, self.observable)
-
-    @property
-    def drift_params(self) -> DriftParams:
-        return DriftParams(self.drift_gain, self.noise_strength)
-
-    def signature(self, ignore_mode: bool = False) -> tuple:
-        """Value-level identity of the configuration (callables excluded)."""
-        return (
-            self.d,
-            self.n_particles,
-            self.dt,
-            self.t_end,
-            self.seed,
-            self.objective.signature(),
-            self.observable,
-            self.kernel,
-            self.init,
-            self.sharpness,
-            self.drift_gain,
-            self.noise_strength,
-            None if ignore_mode else self.mode,
-            self.truncation_radius,
-            self.shared_noise,
-        )
 
 
 def initial_ensemble(config: SimConfig, rngs: Sequence[np.random.Generator]) -> Ensemble:
@@ -300,11 +278,12 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig):
     if config.mode == "auxiliary":
         f_val = None
     else:
-        params = config.consensus_params
         energies = eval_objective_batch(config.objective, ensemble.x)
         n = xs.shape[1]
         masses = np.full(n, 1.0 / n)
-        f_val = consensus_from_energies(params, xs, masses, energies.reshape(-1, n))
+        f_val = consensus_from_energies(
+            config.consensus_params, xs, masses, energies.reshape(-1, n)
+        )
     if config.truncation_radius is not None:
         m1 = np.linalg.norm(xs, axis=2).mean(axis=1)
         phi = np.array([[cutoff_eta(config.truncation_radius, m)] for m in m1])
@@ -496,29 +475,27 @@ class CoupledRecord:
 
 
 def simulate_pair_coupled(
-    config_full: SimConfig,
-    config_aux: SimConfig,
+    config: SimConfig,
     record_stride: int = 1,
     ball_radii: Sequence[float] = (),
 ) -> CoupledRecord:
     """Run the consensus-driven and consensus-free systems on shared randomness.
 
-    The coupling is same seed, same draws: the two runs step in lockstep,
-    each drawing its initial agents and its noise from its own stream on
-    the common seed, so both see identical initial data and increments.
-    Both configs must agree on everything except mode. The ensemble-average
-    squared position gap is recorded alongside both trajectories; both
-    records carry the joint lambda extremes of the pair. The gap starts
-    at zero (shared initial agents) and stays zero only while the consensus
-    term is inert; once information rates are positive the full drift keeps
-    an extra lambda-weighted consensus pull that the auxiliary flow drops,
-    so a nonzero gap at sharpness 0 is expected, not a coupling bug.
+    The pair is config run in mode "full" and in mode "auxiliary"; the mode
+    config itself carries is not read. The coupling is same seed, same
+    draws: the two runs step in lockstep, each drawing its initial agents
+    and its noise from its own stream on the common seed, so both see
+    identical initial data and increments. The ensemble-average squared
+    position gap is recorded alongside both trajectories; both records
+    carry the joint lambda extremes of the pair. The gap starts at zero
+    (shared initial agents) and stays zero only while the consensus term is
+    inert; once information rates are positive the full drift keeps an
+    extra lambda-weighted consensus pull that the auxiliary flow drops, so
+    a nonzero gap at sharpness 0 is expected, not a coupling bug.
     """
-    if config_full.mode != "full" or config_aux.mode != "auxiliary":
-        raise ConfigError("pass the full-mode config first, auxiliary second")
-    if config_full.signature(ignore_mode=True) != config_aux.signature(ignore_mode=True):
-        raise ConfigError("coupled configs must agree on everything except mode")
-    _check_stride("record_stride", record_stride, config_full.n_steps)
+    config_full = replace(config, mode="full")
+    config_aux = replace(config, mode="auxiliary")
+    _check_stride("record_stride", record_stride, config.n_steps)
     rec_f = _Recorder(config_full, ball_radii, keep_snapshots=False)
     rec_a = _Recorder(config_aux, ball_radii, keep_snapshots=False)
     gaps = []

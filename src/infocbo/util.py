@@ -1,4 +1,5 @@
-"""Shared plumbing: reproducible RNG streams, seed derivation, JSON helpers."""
+"""Shared plumbing: reproducible RNG streams, seed derivation, the uniform
+ball sampler, JSON helpers."""
 
 from __future__ import annotations
 
@@ -31,6 +32,15 @@ def derive_seed(master_seed: int, index: int) -> int:
     ).to_bytes(8, "little")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
+    """count points drawn uniformly from the ball of the given radius around
+    the origin in R^dim: all directions are drawn before all radii."""
+    directions = rng.standard_normal((count, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = radius * rng.uniform(size=count) ** (1.0 / dim)
+    return directions * radii[:, None]
 
 
 def require_finite(error: type[Exception], **values) -> None:

@@ -258,25 +258,28 @@ def test_truncated_run_respects_the_envelope():
 def finite_difference_check(phi, d, seed):
     rng = rng_from_seed(seed)
     h = 1e-6
+
+    def at(x, lam):
+        """parts of phi at the single state (x, lam)"""
+        return [part[0] for part in phi.parts(x[None, :], np.array([lam]))]
+
     for _ in range(10):
         x = rng.standard_normal(d)
         lam = float(rng.uniform(0.05, 0.95))
-        grad = phi.grad_x(x[None, :], np.array([lam]))[0]
-        lap = float(phi.laplacian_x(x[None, :], np.array([lam]))[0])
-        glam = float(phi.grad_lambda(x[None, :], np.array([lam]))[0])
+        _, grad, glam, lap = at(x, lam)
         num_lap = 0.0
         for k in range(d):
             e = np.zeros(d)
             e[k] = h
-            up = float(phi.value((x + e)[None, :], np.array([lam]))[0])
-            dn = float(phi.value((x - e)[None, :], np.array([lam]))[0])
-            mid = float(phi.value(x[None, :], np.array([lam]))[0])
+            up = float(at(x + e, lam)[0])
+            dn = float(at(x - e, lam)[0])
+            mid = float(at(x, lam)[0])
             assert (up - dn) / (2 * h) == pytest.approx(grad[k], abs=1e-5)
             num_lap += (up - 2 * mid + dn) / h**2
-        assert num_lap == pytest.approx(lap, abs=2e-3)
-        up = float(phi.value(x[None, :], np.array([lam + h]))[0])
-        dn = float(phi.value(x[None, :], np.array([lam - h]))[0])
-        assert (up - dn) / (2 * h) == pytest.approx(glam, abs=1e-5)
+        assert num_lap == pytest.approx(float(lap), abs=2e-3)
+        up = float(at(x, lam + h)[0])
+        dn = float(at(x, lam - h)[0])
+        assert (up - dn) / (2 * h) == pytest.approx(float(glam), abs=1e-5)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -293,10 +296,11 @@ def test_constant_test_function_has_vanishing_derivatives():
     phi = constant_test_function()
     x = np.zeros((3, 2))
     lam = np.full(3, 0.5)
-    assert np.all(phi.value(x, lam) == 1.0)
-    assert np.all(phi.grad_x(x, lam) == 0.0)
-    assert np.all(phi.grad_lambda(x, lam) == 0.0)
-    assert np.all(phi.laplacian_x(x, lam) == 0.0)
+    value, grad_x, grad_lambda, laplacian_x = phi.parts(x, lam)
+    assert np.all(value == 1.0)
+    assert np.all(grad_x == 0.0)
+    assert np.all(grad_lambda == 0.0)
+    assert np.all(laplacian_x == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +434,17 @@ def test_sweep_requires_subcritical_noise():
     cfg = full_config(noise_strength=1.2)
     with pytest.raises(DiagnosticsError, match="noise"):
         concentration_sweep(cfg, (1.0,))
+
+
+def test_sweep_noise_hypothesis_is_the_ceiling_contraction_margin():
+    # sigma = 0.5, d = 2: margin 2 - sigma^2 d = 1.5 > 0, and the sweep runs
+    assert second_moment_constant(0.5, 2) == pytest.approx(1.0 + (2.0 + 1.5) / 1.5**2)
+    assert concentration_sweep(full_config(noise_strength=0.5, t_end=0.1), (1.0,))
+    # sigma^2 d = 2 exactly: zero margin is refused by both
+    with pytest.raises(DiagnosticsError, match="noise"):
+        second_moment_constant(1.0, 2)
+    with pytest.raises(DiagnosticsError, match="noise"):
+        concentration_sweep(full_config(noise_strength=1.0), (1.0,))
 
 
 def test_cloud_started_at_the_minimizer_stays_there():

@@ -5,7 +5,6 @@ import pytest
 
 from infocbo.gibbs import (
     ConsensusParams,
-    DriftParams,
     GibbsError,
     consensus_from_energies,
     cutoff_eta,
@@ -321,10 +320,3 @@ def test_truncated_drift_halfway_hand_value():
     params = params_for(0.0)
     out = truncated_drift(1.0, params, uniform([1.5]), np.array([0.0]), 0.0)
     assert out == pytest.approx([0.75])
-
-
-def test_drift_params_validate_contraction_margin():
-    p = DriftParams(drift_gain=1.0, noise_strength=0.5)
-    assert p.contraction_margin(2) == pytest.approx(1.5)
-    with pytest.raises(GibbsError):
-        DriftParams(drift_gain=0.0, noise_strength=0.5)

@@ -536,6 +536,25 @@ def test_cli_nan_parameter_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, code", [
+    ("sim.d", 2),
+    ("sim.N", 2),
+    ("kernel.a", 2),
+    ("init.center", 2),
+    ("run.replicas", 2),
+    ("observers.stride", 2),
+    ("sim.shared_noise", 2),
+    ("sim.truncation_radius", 0),
+])
+def test_cli_null_is_accepted_only_where_the_default_is_null(tmp_path, capsys, key, code):
+    assert (CONFIG_KEYS[key].default is None) == (code == 0)
+    path = write_config(tmp_path, config(**{key: None}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    if code:
+        assert f"config error: config key {key!r} may not be null" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_divergence_exits_4(tmp_path, capsys):
     path = write_config(tmp_path, config(**{"sim.drift_gain": 1e300, "run.replicas": 2}))
     with np.errstate(all="ignore"):

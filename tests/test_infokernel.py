@@ -10,7 +10,6 @@ from infocbo.infokernel import (
     check_kernel_contract,
     eval_kernel,
     logistic_closed_form,
-    max_stable_step,
 )
 from infocbo.util import rng_from_seed
 
@@ -138,16 +137,16 @@ def test_rate_is_positive_at_empty_information_and_nonpositive_at_full(variant, 
 
 
 def test_stable_step_hand_values():
-    assert max_stable_step(KernelSpec(variant="logistic", a=1.0, b=1.0)) == pytest.approx(0.5)
-    assert max_stable_step(KernelSpec(variant="logistic", a=2.0, b=0.0)) == pytest.approx(0.5)
-    assert max_stable_step(KernelSpec(variant="logistic", a=0.1, b=0.0)) == pytest.approx(10.0)
+    assert KernelSpec(variant="logistic", a=1.0, b=1.0).theta == pytest.approx(0.5)
+    assert KernelSpec(variant="logistic", a=2.0, b=0.0).theta == pytest.approx(0.5)
+    assert KernelSpec(variant="logistic", a=0.1, b=0.0).theta == pytest.approx(10.0)
 
 
 def test_explicit_euler_below_the_stable_step_never_leaves_the_interval():
     rng = rng_from_seed(17)
     for variant in ("logistic", "crowd-coupled"):
         k = KernelSpec(variant=variant, a=1.3, b=0.6)
-        h = max_stable_step(k)
+        h = k.theta
         lam = float(rng.uniform(0.0, 1.0))
         for _ in range(10_000):
             s = summary_at(rng.standard_normal(2), m1=float(rng.uniform(0.0, 3.0)))
