@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .infokernel import KernelSpec
 from .objectives import ObservableMap, quadratic, rastrigin_like
-from .sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
+from .sde import ConfigError, InitialLaw, SimConfig, _simulate_batch
 from .trajectory import TrajectoryRecord
 from .util import GENERATOR_NAME, derive_seed, jsonable
 
@@ -134,7 +134,7 @@ class ObserverConfig:
     ball_radii: tuple[float, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)  # so the checks of __post_init__ hold for its whole life
 class ExperimentConfig:
     sim: SimConfig
     observers: ObserverConfig = ObserverConfig()
@@ -253,21 +253,16 @@ def _check_report(name: str, record: TrajectoryRecord, experiment: ExperimentCon
     return {"passed": report.ok, "report": jsonable(report)}
 
 
-def _replica_record(experiment: ExperimentConfig, index: int) -> TrajectoryRecord:
-    sim = replace(experiment.sim, seed=derive_seed(experiment.sim.seed, index))
-    try:
-        return simulate(
-            sim,
-            record_stride=experiment.observers.stride,
-            snapshot_stride=experiment.observers.snapshot_stride,
-            ball_radii=experiment.observers.ball_radii,
-        )
-    except SimulationError as exc:
-        raise SimulationError(f"replica {index}: {exc}") from exc
-
-
-def _replica_record_from_flat(flat: dict, index: int) -> TrajectoryRecord:
-    return _replica_record(parse_flat_config(flat), index)
+def _replica_batch(experiment: ExperimentConfig | dict, start: int, stop: int
+                   ) -> list[TrajectoryRecord]:
+    """Records of replicas start to stop - 1, stepped as one batch; a worker
+    process gets the experiment as its flat document."""
+    if isinstance(experiment, dict):
+        experiment = parse_flat_config(experiment)
+    seeds = [derive_seed(experiment.sim.seed, i) for i in range(start, stop)]
+    obs = experiment.observers
+    return _simulate_batch(experiment.sim, seeds, obs.stride, obs.snapshot_stride,
+                          obs.ball_radii, first_replica=start)
 
 
 def _sha256(path: Path) -> str:
@@ -315,34 +310,30 @@ def run(
     """Execute every replica, write CSVs and check reports, manifest last.
 
     Replica i runs on the derived seed hash(master, i), so replica streams
-    never overlap and adding replicas never perturbs existing ones. With
-    workers > 1 replicas run in separate processes; this requires the config
-    to carry its flat-document form (configs loaded from files always do).
+    never overlap and adding replicas never perturbs existing ones. The
+    replicas step as one batch; workers > 1 splits it into contiguous
+    sub-batches, one per process, which requires the config to carry its
+    flat-document form (configs loaded from files always do).
     """
     outdir = _resolve_output_dir(experiment, output_dir)
     if (outdir / MANIFEST_NAME).exists() and not force:
         raise RunDirectoryError(
             f"{outdir} already holds a completed run; pass force to overwrite"
         )
-    n_workers = worker_count(workers)
+    n_workers = min(worker_count(workers), experiment.replicas)
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.now(timezone.utc).isoformat()
     seeds = [derive_seed(experiment.sim.seed, i) for i in range(experiment.replicas)]
 
     if n_workers > 1 and experiment.flat:
+        bounds = [w * experiment.replicas // n_workers for w in range(n_workers + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(
-                pool.map(
-                    _replica_record_from_flat,
-                    [experiment.flat] * experiment.replicas,
-                    range(experiment.replicas),
-                )
-            )
+            parts = pool.map(_replica_batch, [experiment.flat] * n_workers,
+                             bounds[:-1], bounds[1:])
+            records = [record for part in parts for record in part]
     else:
-        records = [
-            _replica_record(experiment, i) for i in range(experiment.replicas)
-        ]
+        records = _replica_batch(experiment, 0, experiment.replicas)
     # a check that raises leaves an earlier run in the directory untouched
     reports = {
         name: [
@@ -470,4 +461,10 @@ def load_manifest(run_dir: str | Path) -> dict:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise RunDirectoryError(f"{run_dir} has no {MANIFEST_NAME}; run incomplete?")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise RunDirectoryError(f"{path} is not a JSON object")
+    return manifest

@@ -20,6 +20,7 @@ replica's numbers do not depend on the batch it runs in.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -58,13 +59,13 @@ class Ensemble:
     """N agents at a common time, stored as arrays for vector arithmetic.
 
     A batch of R replicas stores replica r in rows r * N to (r + 1) * N - 1
-    of x and lam; clamp_events counts over all rows.
+    of x and lam; clamp_events holds one count per replica.
     """
 
     x: np.ndarray
     lam: np.ndarray
     time: float = 0.0
-    clamp_events: int = 0
+    clamp_events: np.ndarray | int = 0
     replicas: int = 1
 
     def __post_init__(self) -> None:
@@ -78,6 +79,7 @@ class Ensemble:
             raise ConfigError("the rows must split evenly into the replicas")
         if np.any(self.lam < 0) or np.any(self.lam > 1):
             raise ConfigError("agent lambda outside [0, 1]")
+        self.clamp_events = np.broadcast_to(self.clamp_events, self.replicas).astype(int)
 
     @property
     def n_agents(self) -> int:
@@ -333,23 +335,21 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
         amplitude = config.noise_strength * math.sqrt(dt) * np.linalg.norm(v, axis=1)
         new_x = new_x + amplitude[:, None] * _draw_noise(rngs, ensemble, config.shared_noise)
     raw = lam + dt * rate
-    clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
+    outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
     new_lam = np.clip(raw, 0.0, 1.0)
     if not np.isfinite(new_x).all():
-        where = ""
-        if ensemble.replicas > 1:
-            finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
-            where = f" in replica {int(np.argmin(finite))}"
-        raise SimulationError(
-            f"non-finite position{where} leaving t = {ensemble.time:g} (dt = {dt:g})"
-        )
+        finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
+        raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "
+                              f"leaving t = {ensemble.time:g} (dt = {dt:g})")
     return Ensemble(
-        new_x, new_lam, ensemble.time + dt, ensemble.clamp_events + clamped,
-        ensemble.replicas,
+        new_x, new_lam, ensemble.time + dt,
+        ensemble.clamp_events + np.count_nonzero(outside, axis=1), ensemble.replicas,
     )
 
 
 class _Recorder:
+    """(R,) statistics of each recorded state, split per replica by build."""
+
     def __init__(self, config: SimConfig, ball_radii: Sequence[float], keep_snapshots: bool):
         for r in ball_radii:
             require_finite(ConfigError, ball_radius=r)
@@ -358,46 +358,56 @@ class _Recorder:
         self.config = config
         self.radii = sorted(float(r) for r in ball_radii)
         self.times: list[float] = []
-        self.m2_sq: list[float] = []
+        self.m2_sq: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []
-        self.mean_lambda: list[float] = []
-        self.mass: dict[float, list[float]] = {r: [] for r in self.radii}
+        self.mean_lambda: list[np.ndarray] = []
+        self.mass: dict[float, list[np.ndarray]] = {r: [] for r in self.radii}
         self.consensus: list[np.ndarray] = []
-        self.snapshots: list[Snapshot] | None = [] if keep_snapshots else None
+        self.snapshots: dict[int, list[Snapshot]] | None = {} if keep_snapshots else None
 
     def observe(self, ensemble: Ensemble, fields, snapshot: bool) -> None:
-        # a recorded run is a batch of one replica
-        f_val = None if fields[0] is None else fields[0][0]
-        e_val = fields[1][0]
-        norms_sq = np.sum(ensemble.x * ensemble.x, axis=1)
+        f_val, e_val = fields
+        xs, lams = ensemble.views()
+        norms_sq = np.sum(ensemble.x * ensemble.x, axis=1).reshape(lams.shape)
         self.times.append(ensemble.time)
-        self.m2_sq.append(float(norms_sq.mean()))
-        self.mean_x.append(ensemble.x.mean(axis=0))
-        self.mean_lambda.append(float(ensemble.lam.mean()))
+        self.m2_sq.append(norms_sq.mean(axis=1))
+        self.mean_x.append(xs.mean(axis=1))
+        self.mean_lambda.append(lams.mean(axis=1))
         for r in self.radii:
-            self.mass[r].append(float(np.count_nonzero(norms_sq < r * r) / ensemble.n_agents))
+            self.mass[r].append(np.count_nonzero(norms_sq < r * r, axis=1) / ensemble.n_agents)
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
-            self.snapshots.append(Snapshot(ensemble.copy(), f_val, e_val))
+            for r in range(ensemble.replicas):
+                alone = Ensemble(xs[r].copy(), lams[r].copy(), ensemble.time,
+                                 ensemble.clamp_events[r])
+                self.snapshots.setdefault(r, []).append(
+                    Snapshot(alone, None if f_val is None else f_val[r], e_val[r]))
 
-    def build(self, final: Ensemble, lam_min: float, lam_max: float) -> TrajectoryRecord:
-        consensus = (
-            np.asarray(self.consensus) if self.config.mode == "full" else None
+    def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
+              ) -> list[TrajectoryRecord]:
+        # replica-major (R, times, ...) stacks; no consensus in auxiliary mode
+        m2_sq, mean_x, mean_lambda, consensus, *mass = (
+            np.stack(series, axis=1) if series else None
+            for series in (self.m2_sq, self.mean_x, self.mean_lambda, self.consensus,
+                           *self.mass.values())
         )
-        return TrajectoryRecord(
-            times=np.asarray(self.times),
-            m2_sq=np.asarray(self.m2_sq),
-            mean_x=np.asarray(self.mean_x),
-            mean_lambda=np.asarray(self.mean_lambda),
-            mass_ball={r: np.asarray(series) for r, series in self.mass.items()},
-            consensus_point=consensus,
-            clamp_events=final.clamp_events,
-            mode=self.config.mode,
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-            snapshots=self.snapshots,
-        )
+        return [
+            TrajectoryRecord(
+                times=np.asarray(self.times),
+                m2_sq=m2_sq[r],
+                mean_x=mean_x[r],
+                mean_lambda=mean_lambda[r],
+                mass_ball={radius: series[r] for radius, series in zip(self.radii, mass)},
+                consensus_point=None if consensus is None else consensus[r],
+                clamp_events=int(final.clamp_events[r]),
+                mode=self.config.mode,
+                lambda_min=float(lam_min[r]),
+                lambda_max=float(lam_max[r]),
+                snapshots=None if self.snapshots is None else self.snapshots[r],
+            )
+            for r in range(final.replicas)
+        ]
 
 
 def _check_stride(name: str, stride: int, steps: int) -> None:
@@ -405,24 +415,25 @@ def _check_stride(name: str, stride: int, steps: int) -> None:
         raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
 
 
-def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
+def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None,
+                first: int = 0):
     """Step one batch; yield (step, ensemble, fields, lam_min, lam_max) at
     step 0 and every record_stride-th step.
 
     The batch holds one replica per seed (default: the single config.seed).
     fields are the consensus fields of the yielded state, for the caller;
-    em_step computes those of the state it leaves. lam_min / lam_max are
-    running extremes over every row and every state so far, recorded or
+    em_step computes those of the state it leaves. lam_min / lam_max hold
+    each replica's running extremes over every state so far, recorded or
     not. Each replica draws its initial agents and then each step's noise
     from its own stream, so two configs that differ only in mode see the
-    same draws, and a replica's draws do not depend on the batch.
+    same draws, and a replica's draws do not depend on the batch. An error
+    names the failing replica as first + its place in the batch.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
-    lam_min = float(ens.lam.min())
-    lam_max = float(ens.lam.max())
+    lam_min, lam_max = ens.views()[1].min(axis=1), ens.views()[1].max(axis=1)
     yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
     for k in range(1, steps + 1):
         recorded = k % record_stride == 0
@@ -430,26 +441,31 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
             ens = em_step(ens, config, rngs)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
-            raise SimulationError(f"step {k}/{steps}: {exc}") from exc
-        lam_min = min(lam_min, float(ens.lam.min()))
-        lam_max = max(lam_max, float(ens.lam.max()))
+            # name the replica by its index in the run, not its place in this batch
+            cause = re.sub(r"replica (\d+)", lambda m: f"replica {first + int(m[1])}", str(exc))
+            raise SimulationError(f"step {k}/{steps}: {cause}") from exc
+        lam_min = np.minimum(lam_min, ens.views()[1].min(axis=1))
+        lam_max = np.maximum(lam_max, ens.views()[1].max(axis=1))
         if recorded:
             yield k, ens, fields, lam_min, lam_max
 
 
-def simulate(
+def _simulate_batch(
     config: SimConfig,
+    seeds: Sequence[int],
     record_stride: int = 1,
     snapshot_stride: int | None = None,
     ball_radii: Sequence[float] = (),
-) -> TrajectoryRecord:
-    """Integrate one run and return its recorded statistics.
+    first_replica: int = 0,
+) -> list[TrajectoryRecord]:
+    """Integrate one run per seed, stepped as one batch; one record per seed.
 
     Statistics are recorded at t = 0 and every record_stride-th step; full
     ensemble snapshots (with the consensus fields in force) are kept every
     snapshot_stride-th step when requested. Both strides must divide the step
-    count so the final time is always recorded. Identical (config, seed)
-    give identical records, bit for bit.
+    count so the final time is always recorded. Record r equals, bit for bit,
+    the record of replace(config, seed=seeds[r]) run alone. An error names
+    the failing replica as first_replica + its place in seeds.
     """
     steps = config.n_steps
     _check_stride("record_stride", record_stride, steps)
@@ -458,10 +474,16 @@ def simulate(
         if snapshot_stride % record_stride != 0:
             raise ConfigError("snapshot_stride must be a multiple of record_stride")
     rec = _Recorder(config, ball_radii, snapshot_stride is not None)
-    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride):
-        snap = snapshot_stride is not None and k % snapshot_stride == 0
-        rec.observe(ens, fields, snap)
+    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride, seeds,
+                                                         first_replica):
+        rec.observe(ens, fields, snapshot_stride is not None and k % snapshot_stride == 0)
     return rec.build(ens, lam_min, lam_max)
+
+
+def simulate(config: SimConfig, record_stride: int = 1, snapshot_stride: int | None = None,
+             ball_radii: Sequence[float] = ()) -> TrajectoryRecord:
+    """Integrate one run: _simulate_batch of the one seed config.seed."""
+    return _simulate_batch(config, [config.seed], record_stride, snapshot_stride, ball_radii)[0]
 
 
 @dataclass
@@ -506,10 +528,10 @@ def simulate_pair_coupled(
         rec_a.observe(ens_a, fields_a, snapshot=False)
         gap = ens_f.x - ens_a.x
         gaps.append(float(np.sum(gap * gap, axis=1).mean()))
-    lam_lo, lam_hi = min(lo_f, lo_a), max(hi_f, hi_a)
+    lam_lo, lam_hi = np.minimum(lo_f, lo_a), np.maximum(hi_f, hi_a)
     return CoupledRecord(
         times=np.asarray(rec_f.times),
         gap_sq=np.asarray(gaps),
-        full=rec_f.build(ens_f, lam_lo, lam_hi),
-        aux=rec_a.build(ens_a, lam_lo, lam_hi),
+        full=rec_f.build(ens_f, lam_lo, lam_hi)[0],
+        aux=rec_a.build(ens_a, lam_lo, lam_hi)[0],
     )

@@ -7,7 +7,6 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -88,15 +87,12 @@ class TrajectoryRecord:
         return names
 
     def to_csv(self) -> str:
-        radii = sorted(self.mass_ball)
-        out = io.StringIO()
-        out.write(",".join(self.column_names()) + "\n")
-        for i in range(len(self.times)):
-            row = [self.times[i], self.m2_sq[i]]
-            row += list(self.mean_x[i])
-            row.append(self.mean_lambda[i])
-            row += [self.mass_ball[r][i] for r in radii]
-            if self.consensus_point is not None:
-                row += list(self.consensus_point[i])
-            out.write(",".join(format_float(v) for v in row) + "\n")
-        return out.getvalue()
+        columns = [self.times, self.m2_sq, self.mean_x, self.mean_lambda]
+        columns += [self.mass_ball[r] for r in sorted(self.mass_ball)]
+        if self.consensus_point is not None:
+            columns.append(self.consensus_point)
+        table = np.column_stack(columns)
+        # the format of util.format_float, once per row
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        rows = "".join(row % tuple(values) for values in table.tolist())
+        return ",".join(self.column_names()) + "\n" + rows

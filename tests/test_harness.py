@@ -4,6 +4,7 @@ Everything here drives tiny ensembles (N = 8, a handful of steps) so the
 file stays fast; physics-scale runs live in test_acceptance.py.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from infocbo.harness import (
     ExperimentConfig,
     ObserverConfig,
     RunDirectoryError,
+    _replica_batch,
     load_config_file,
     load_manifest,
     parse_flat_config,
@@ -29,7 +31,7 @@ from infocbo.harness import (
     sweep,
     worker_count,
 )
-from infocbo.sde import ConfigError
+from infocbo.sde import ConfigError, SimulationError
 from infocbo.util import derive_seed
 
 BASE = {
@@ -205,6 +207,14 @@ def test_parse_replicas_must_be_positive():
         parse_flat_config(config(**{"run.replicas": 0}))
 
 
+def test_a_checked_experiment_cannot_be_changed():
+    experiment = parse_flat_config(config())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        experiment.replicas = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        experiment.checks = ("nonsense",)
+
+
 def test_load_config_file_roundtrip(tmp_path):
     path = write_config(tmp_path, config())
     assert load_config_file(path).flat == config()
@@ -340,11 +350,28 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_worker_pool_matches_serial(tmp_path):
+    # three workers get one replica each; two get an uneven split
     doc = config(**{"sim.noise_strength": 0.25, "run.replicas": 3})
     exp = parse_flat_config(doc)
-    serial = run(exp, output_dir=tmp_path / "serial", workers=1)
-    parallel = run(exp, output_dir=tmp_path / "parallel", workers=2)
-    assert serial.manifest["files"] == parallel.manifest["files"]
+    serial = run(exp, output_dir=tmp_path / "1", workers=1)
+    for workers in (2, 3):
+        parallel = run(exp, output_dir=tmp_path / str(workers), workers=workers)
+        assert serial.manifest["files"] == parallel.manifest["files"]
+        for name in serial.manifest["files"]:
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / str(workers) / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode, message", [
+    # the consensus of the first state reached sees only infinite energies
+    ("full", r"step 1/10: every atom has infinite energy.*\(replica 2\)$"),
+    # the consensus-free flow overflows one step later
+    ("auxiliary", r"step 2/10: non-finite position in replica 2 leaving"),
+])
+def test_a_sub_batch_names_the_run_replica_and_the_step(mode, message):
+    doc = config(**{"sim.drift_gain": 1e300, "sim.mode": mode, "run.replicas": 4})
+    with np.errstate(all="ignore"), pytest.raises(SimulationError, match=f"^{message}"):
+        _replica_batch(doc, 2, 4)
 
 
 def test_worker_pool_needs_flat_document(tmp_path):
@@ -561,7 +588,8 @@ def test_cli_divergence_exits_4(tmp_path, capsys):
         code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED == 4
     err = capsys.readouterr().err
-    assert "simulation diverged: replica 0: step 1/10:" in err
+    # both replicas reach infinite energies at step 1; the first is named
+    assert re.search(r"^simulation diverged: step 1/10: .*\(replica 0\)$", err, re.M)
     with pytest.raises(RunDirectoryError):
         load_manifest(tmp_path / "out")
 
@@ -638,6 +666,13 @@ def test_cli_report_json_roundtrip(tmp_path, capsys):
 
 def test_cli_report_missing_run_exits_3(tmp_path):
     assert main(["report", str(tmp_path / "nothing")]) == 3
+
+
+@pytest.mark.parametrize("text", ['{"files": ', "[1, 2]"])
+def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
+    (tmp_path / MANIFEST_NAME).write_text(text)
+    assert main(["report", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_validate_suite(capsys):

@@ -26,11 +26,10 @@ def brute_force_w1(xs, ys):
     if xs.ndim == 1:
         xs = xs[:, None]
         ys = ys[:, None]
-    best = math.inf
-    for perm in itertools.permutations(range(len(ys))):
-        cost = np.mean(np.linalg.norm(xs - ys[list(perm)], axis=1))
-        best = min(best, cost)
-    return best
+    perms = np.array(list(itertools.permutations(range(len(ys)))))
+    # cost of every pairing at once: (permutations, atoms)
+    cost = np.linalg.norm(xs[None, :, :] - ys[perms], axis=2)
+    return float(cost.mean(axis=1).min())
 
 
 def uniform(points):

@@ -236,6 +236,14 @@ def test_ensemble_views_are_replica_major():
     assert np.shares_memory(xs, ens.x)
 
 
+def test_clamp_events_are_counted_per_replica():
+    ens = Ensemble(x=np.zeros((4, 1)), lam=np.full(4, 0.5), clamp_events=[2, 5], replicas=2)
+    assert Ensemble(x=np.zeros((2, 1)), lam=np.full(2, 0.5)).clamp_events.tolist() == [0]
+    out = em_step(ens, make_config(), [rng_from_seed(0), rng_from_seed(1)])
+    assert out.clamp_events.tolist() == [2, 5]
+    assert ens.copy().clamp_events.tolist() == [2, 5]
+
+
 def test_ensemble_copy_is_independent():
     ens = two_atom_ensemble([-1.0, 1.0], 0.5)
     dup = ens.copy()
@@ -594,6 +602,24 @@ def test_batched_trajectory_steps_each_replica_as_if_alone(case):
                 assert (batched is None) == (own is None)
                 if own is not None:
                     assert np.array_equal(batched[r], own[0])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_batch_records_equal_single_runs_bit_for_bit(case):
+    overrides, sim_kwargs, _ = GOLDEN_CASES[case]
+    cfg = golden_config(**overrides)
+    seeds = [3, 1, 4]
+    def scalars(rec):
+        snapshots = [(s.ensemble.time, s.ensemble.clamp_events.tolist())
+                     for s in rec.snapshots or ()]
+        return rec.clamp_events, rec.lambda_min, rec.lambda_max, snapshots
+
+    batch = sde._simulate_batch(cfg, seeds, ball_radii=(1.0,), **sim_kwargs)
+    for record, seed in zip(batch, seeds, strict=True):
+        alone = simulate(dataclasses.replace(cfg, seed=seed), ball_radii=(1.0,), **sim_kwargs)
+        assert record_digest(record) == record_digest(alone)
+        assert scalars(record) == scalars(alone)
+        assert type(record.clamp_events) is int and type(record.lambda_max) is float
 
 
 def test_coupled_pair_matches_two_single_runs():
