@@ -24,7 +24,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed
+from .util import derive_seed, row_sum
 
 MIN_STUDY_REPLICAS = 30
 
@@ -71,7 +71,7 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
     s2 = scale * scale
 
     def parts(x, lam):
-        norm_sq = np.sum(x * x, axis=1)
+        norm_sq = row_sum(x * x)
         radial = np.exp(-norm_sq / (2.0 * s2))
         value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
         return (
@@ -328,9 +328,9 @@ def _generator_average(
     per replica, shape (R,), under the consensus fields in force."""
     v, rate = drift_and_rate(ensemble, config, fields)
     _, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
-    terms = config.drift_gain * np.sum(v * grad_x, axis=1)
+    terms = config.drift_gain * row_sum(v * grad_x)
     terms += rate * grad_lambda
-    terms += 0.5 * config.noise_strength**2 * np.sum(v * v, axis=1) * laplacian_x
+    terms += 0.5 * config.noise_strength**2 * row_sum(v * v) * laplacian_x
     return _replica_means(ensemble, terms)
 
 

@@ -265,6 +265,16 @@ def _replica_batch(experiment: ExperimentConfig | dict, start: int, stop: int
                           obs.ball_radii, first_replica=start)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path.tmp and move it in, so path never holds part of it."""
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(text, newline="\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return f"sha256:{digest}"
@@ -354,7 +364,7 @@ def run(
     files: dict[str, str] = {}
     for i, record in enumerate(records):
         csv_path = outdir / f"replica_{i:03d}.csv"
-        csv_path.write_text(record.to_csv(), newline="\n")
+        _write_atomic(csv_path, record.to_csv())
         files[csv_path.name] = _sha256(csv_path)
 
     failed: list[str] = []
@@ -363,11 +373,9 @@ def run(
         if not passed:
             failed.append(name)
         check_path = outdir / f"check_{name}.json"
-        check_path.write_text(
-            json.dumps({"check": name, "passed": passed, "replicas": per_replica},
-                       indent=2, sort_keys=True)
-            + "\n"
-        )
+        _write_atomic(check_path, json.dumps(
+            {"check": name, "passed": passed, "replicas": per_replica},
+            indent=2, sort_keys=True) + "\n")
         files[check_path.name] = _sha256(check_path)
 
     manifest = {
@@ -383,9 +391,7 @@ def run(
         "checks_passed": not failed if experiment.checks else None,
         "files": files,
     }
-    partial = manifest_path.with_name(MANIFEST_NAME + ".tmp")
-    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(partial, manifest_path)
+    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return RunResult(
         directory=outdir,
         manifest=manifest,
@@ -399,8 +405,8 @@ def _earlier_artifacts(outdir: Path) -> list[Path]:
     replica CSV and check report, listed or not."""
     paths = {*outdir.glob("replica_*.csv"), *outdir.glob("check_*.json")}
     try:
-        listed = json.loads((outdir / MANIFEST_NAME).read_text()).get("files", {})
-    except (OSError, ValueError, AttributeError):
+        listed = load_manifest(outdir).get("files", {})
+    except OSError:  # no manifest, or a damaged one
         listed = {}
     # a listed name is a file of the run directory itself, never a path
     paths.update(outdir / name for name in listed if Path(name).name == name)
@@ -453,7 +459,7 @@ def sweep(
         entries.append({"value": value, "dir": name})
     index = {"axis": axis, "points": entries}
     root.mkdir(parents=True, exist_ok=True)
-    (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    _write_atomic(root / "index.json", json.dumps(index, indent=2, sort_keys=True) + "\n")
     return results
 
 
@@ -467,4 +473,9 @@ def load_manifest(run_dir: str | Path) -> dict:
         raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise RunDirectoryError(f"{path} is not a JSON object")
+    files = manifest.get("files", {})
+    if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+        raise RunDirectoryError(f"{path}: files must map names to digest strings")
+    if not isinstance(manifest.get("generator", {}), dict):
+        raise RunDirectoryError(f"{path}: generator must be a JSON object")
     return manifest

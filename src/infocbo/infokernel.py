@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import require_finite, rng_from_seed
+from .util import agent_mean, require_finite, rng_from_seed, row_sum
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -77,13 +77,13 @@ class PopulationSummary:
 
     @classmethod
     def from_arrays(cls, x: np.ndarray, lam: np.ndarray) -> "PopulationSummary":
-        return cls(mean_x=x.mean(axis=-2), arrays=(x, lam))
+        return cls(mean_x=agent_mean(x), arrays=(x, lam))
 
     @property
     def m1(self):
         if self._m1 is None:
             x, lam = self._arrays
-            joint = np.sqrt(np.sum(x * x, axis=-1) + lam * lam).mean(axis=-1)
+            joint = np.sqrt(row_sum(x * x) + lam * lam).mean(axis=-1)
             self._m1 = float(joint) if joint.ndim == 0 else joint
         return self._m1
 
@@ -102,7 +102,7 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     if mean_x.ndim > 1:  # one mean per stacked batch
         mean_x = mean_x[..., None, :]
     gap = x - mean_x
-    dist = np.linalg.norm(gap, axis=-1)
+    dist = np.sqrt(row_sum(gap * gap))
     rate = (1.0 - lam_arr) * kernel.a / (1.0 + dist) - kernel.b * lam_arr
     return float(rate) if lam_arr.ndim == 0 else rate
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import require_finite, rng_from_seed, uniform_ball
+from .util import require_finite, rng_from_seed, row_sum, uniform_ball
 
 GROWTH_RTOL = 1e-9
 
@@ -64,7 +64,7 @@ def quadratic(dimension: int) -> ObjectiveSpec:
         c2=1.0,
         c3=1.0,
         growth_exponent=2.0,
-        fn=lambda pts: np.sum(pts * pts, axis=-1),
+        fn=lambda pts: row_sum(pts * pts),
     )
 
 
@@ -80,9 +80,7 @@ def rastrigin_like(dimension: int) -> ObjectiveSpec:
         c2=1.0,
         c3=1.0 + 20.0 * dimension,
         growth_exponent=2.0,
-        fn=lambda pts: np.sum(
-            pts * pts + 10.0 * (1.0 - np.cos(2.0 * np.pi * pts)), axis=-1
-        ),
+        fn=lambda pts: row_sum(pts * pts + 10.0 * (1.0 - np.cos(2.0 * np.pi * pts))),
     )
 
 

@@ -41,7 +41,7 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import require_finite, rng_from_seed, uniform_ball
+from .util import agent_mean, require_finite, rng_from_seed, row_sum, uniform_ball
 
 MODES = ("full", "auxiliary")
 
@@ -276,7 +276,7 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig):
     so a step costs O(N d) per replica regardless of sharpness.
     """
     xs, _ = ensemble.views()
-    e_val = xs.mean(axis=1)
+    e_val = agent_mean(xs)
     if config.mode == "auxiliary":
         f_val = None
     else:
@@ -287,7 +287,7 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig):
             config.consensus_params, xs, masses, energies.reshape(-1, n)
         )
     if config.truncation_radius is not None:
-        m1 = np.linalg.norm(xs, axis=2).mean(axis=1)
+        m1 = np.sqrt(row_sum(xs * xs)).mean(axis=1)
         phi = np.array([[cutoff_eta(config.truncation_radius, m)] for m in m1])
         e_val = phi * e_val
         if f_val is not None:
@@ -332,7 +332,7 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
     v, rate = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
     new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
-        amplitude = config.noise_strength * math.sqrt(dt) * np.linalg.norm(v, axis=1)
+        amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(row_sum(v * v))
         new_x = new_x + amplitude[:, None] * _draw_noise(rngs, ensemble, config.shared_noise)
     raw = lam + dt * rate
     outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
@@ -368,10 +368,10 @@ class _Recorder:
     def observe(self, ensemble: Ensemble, fields, snapshot: bool) -> None:
         f_val, e_val = fields
         xs, lams = ensemble.views()
-        norms_sq = np.sum(ensemble.x * ensemble.x, axis=1).reshape(lams.shape)
+        norms_sq = row_sum(ensemble.x * ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
         self.m2_sq.append(norms_sq.mean(axis=1))
-        self.mean_x.append(xs.mean(axis=1))
+        self.mean_x.append(agent_mean(xs))
         self.mean_lambda.append(lams.mean(axis=1))
         for r in self.radii:
             self.mass[r].append(np.count_nonzero(norms_sq < r * r, axis=1) / ensemble.n_agents)
@@ -527,7 +527,7 @@ def simulate_pair_coupled(
         rec_f.observe(ens_f, fields_f, snapshot=False)
         rec_a.observe(ens_a, fields_a, snapshot=False)
         gap = ens_f.x - ens_a.x
-        gaps.append(float(np.sum(gap * gap, axis=1).mean()))
+        gaps.append(float(row_sum(gap * gap).mean()))
     lam_lo, lam_hi = np.minimum(lo_f, lo_a), np.maximum(hi_f, hi_a)
     return CoupledRecord(
         times=np.asarray(rec_f.times),

@@ -1,5 +1,5 @@
 """Shared plumbing: reproducible RNG streams, seed derivation, the uniform
-ball sampler, JSON helpers."""
+ball sampler, bit-identical fast reductions, JSON helpers."""
 
 from __future__ import annotations
 
@@ -41,6 +41,38 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=count) ** (1.0 / dim)
     return directions * radii[:, None]
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1), bit for bit, as column adds where that is faster.
+
+    For 1 <= d <= 7 float64 columns numpy adds left to right from 0.0 (so an
+    all -0.0 row sums to +0.0); from d = 8 its unrolled pairwise order
+    differs, so those shapes, d = 0 and other dtypes go to np.sum.
+    np.linalg.norm(a, axis=-1) is np.sqrt(row_sum(a * a)), bit for bit.
+    """
+    d = a.shape[-1]
+    if not 1 <= d <= 7 or a.dtype != np.float64:
+        return np.sum(a, axis=-1)
+    total = a[..., 0] + 0.0
+    for k in range(1, d):
+        total += a[..., k]
+    return total
+
+
+def agent_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-2), bit for bit, for (N, d) rows or (R, N, d) stacks.
+
+    On a C-contiguous float64 array with d >= 2, numpy sums the agent axis
+    row by row from 0.0, which is cumsum's order plus a final + 0.0 (that
+    only turns a -0.0 total into +0.0). With d < 2 the agent axis is the
+    contiguous one and numpy sums it pairwise, so that, N = 0, other layouts
+    and other dtypes go to a.mean.
+    """
+    n, d = a.shape[-2:]
+    if d < 2 or n == 0 or not a.flags.c_contiguous or a.dtype != np.float64:
+        return a.mean(axis=-2)
+    return (np.cumsum(a, axis=-2)[..., -1, :] + 0.0) / n
 
 
 def require_finite(error: type[Exception], **values) -> None:

@@ -284,7 +284,7 @@ def test_failed_forced_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     csv_writes = []
 
     def failing_second_csv(self, *args, **kwargs):
-        if self.suffix == ".csv":
+        if self.name.endswith(".csv.tmp"):  # each CSV is written beside its final name
             csv_writes.append(self.name)
             if len(csv_writes) == 2:
                 raise OSError("injected write failure")
@@ -295,9 +295,25 @@ def test_failed_forced_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="injected"):
         run(rerun, output_dir=outdir, force=True)
     # replica_000.csv now holds the new run, so the old manifest would lie
-    assert csv_writes == ["replica_000.csv", "replica_001.csv"]
+    assert csv_writes == ["replica_000.csv.tmp", "replica_001.csv.tmp"]
     with pytest.raises(RunDirectoryError):
         load_manifest(outdir)
+
+
+def test_a_failed_csv_write_leaves_no_partial_csv_and_no_manifest(tmp_path, monkeypatch):
+    outdir = tmp_path / "out"
+    real_write_text = Path.write_text
+
+    def disk_full_in_second_csv(self, text, *args, **kwargs):
+        if self.name.startswith("replica_001"):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("injected: no space left on device")
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full_in_second_csv)
+    with pytest.raises(OSError, match="injected"):
+        run(parse_flat_config(config(**{"run.replicas": 3})), output_dir=outdir)
+    assert sorted(p.name for p in outdir.iterdir()) == ["replica_000.csv"]
 
 
 def test_check_that_raises_leaves_the_earlier_run_intact(tmp_path):
@@ -336,6 +352,14 @@ def test_forced_rerun_deletes_only_listed_names_inside_the_run_directory(tmp_pat
     (outdir / MANIFEST_NAME).write_text(json.dumps(manifest))
     run(parse_flat_config(config()), output_dir=outdir, force=True)
     assert outside.exists()
+
+
+def test_forced_rerun_over_a_manifest_with_a_bad_files_field(tmp_path):
+    outdir = tmp_path / "out"
+    run(parse_flat_config(config()), output_dir=outdir)
+    (outdir / MANIFEST_NAME).write_text('{"files": [1, 2]}')
+    result = run(parse_flat_config(config()), output_dir=outdir, force=True)
+    assert sorted(result.manifest["files"]) == ["replica_000.csv"]
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -668,7 +692,8 @@ def test_cli_report_missing_run_exits_3(tmp_path):
     assert main(["report", str(tmp_path / "nothing")]) == 3
 
 
-@pytest.mark.parametrize("text", ['{"files": ', "[1, 2]"])
+@pytest.mark.parametrize("text", ['{"files": ', "[1, 2]", '{"files": [1, 2]}',
+                                  '{"files": {"replica_000.csv": 1}}', '{"generator": "x"}'])
 def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
     (tmp_path / MANIFEST_NAME).write_text(text)
     assert main(["report", str(tmp_path)]) == 3

@@ -5,6 +5,7 @@ deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,7 +15,7 @@ from infocbo.gibbs import ConsensusParams, consensus_from_energies
 from infocbo.infokernel import VARIANTS, KernelSpec
 from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import Ensemble, InitialLaw, SimConfig, em_step
-from infocbo.util import derive_seed, rng_from_seed
+from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum
 
 unit = st.floats(0.0, 1.0)
 coordinate = st.floats(-10.0, 10.0)
@@ -147,3 +148,53 @@ def test_a_replica_residual_does_not_depend_on_its_batch(replica, master, varian
     batch = g_phi_replica_residuals(cfg, seeds, phi, stride)
     alone = g_phi_replica_residuals(cfg, [seeds[replica]], phi, stride)
     assert batch[replica].tobytes() == alone[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fast reductions: numpy's own bits
+
+
+@st.composite
+def stacks(draw):
+    """(N, d) rows or (R, N, d) stacks, d in 1..12, with magnitudes from 1e-8
+    to 1e8 and some signed zeros, in C, Fortran or strided layout."""
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (
+        draw(st.integers(1, 300)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    low = draw(st.integers(-8, 8))
+    high = draw(st.integers(low, 8))
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(low, high, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0, None]))
+    a[zeros] = np.copysign(0.0, rng.standard_normal(shape)[zeros] if sign is None else sign)
+    layout = draw(st.sampled_from(["C", "F", "strided columns", "strided rows"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided columns":
+        return np.repeat(a, 2, axis=-1)[..., ::2]
+    if layout == "strided rows":
+        return np.repeat(a, 2, axis=-2)[..., ::2, :]
+    return a
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes())
+
+
+@given(a=stacks())
+def test_row_sum_and_its_norm_are_numpys_bit_for_bit(a):
+    assert same_bits(row_sum(a), np.sum(a, axis=-1))
+    assert same_bits(np.sqrt(row_sum(a * a)), np.linalg.norm(a, axis=-1))
+
+
+@given(a=stacks())
+def test_agent_mean_is_numpys_bit_for_bit(a):
+    assert same_bits(agent_mean(a), a.mean(axis=-2))
+
+
+@pytest.mark.parametrize("shape", [(100_000, 1), (100_000, 2), (1, 100_000, 2),
+                                   (2, 50_000, 3), (1, 100_000, 8)])
+def test_agent_mean_is_numpys_bit_for_bit_on_large_ensembles(shape):
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert same_bits(agent_mean(a), a.mean(axis=-2))
