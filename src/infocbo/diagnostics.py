@@ -422,18 +422,21 @@ def g_phi_scaling_study(
         raise DiagnosticsError(
             f"need at least {MIN_STUDY_REPLICAS} replicas, got {replica_count}"
         )
+    sizes = [int(n) for n in n_list]
+    if len(set(sizes)) < len(sizes):  # one result per size
+        raise DiagnosticsError(f"ensemble size N = {max(sizes, key=sizes.count)} is given twice")
     out: dict[int, GPhiStats] = {}
-    for idx, n_particles in enumerate(n_list):
+    for idx, n_particles in enumerate(sizes):
         size_seed = derive_seed(config.seed, idx)
         values = g_phi_replica_residuals(
-            replace(config, n_particles=int(n_particles)),
+            replace(config, n_particles=n_particles),
             [derive_seed(size_seed, rep) for rep in range(replica_count)],
             phi,
             snapshot_stride,
         )
         variance = float(values.var(ddof=1))
-        out[int(n_particles)] = GPhiStats(
-            n_particles=int(n_particles),
+        out[n_particles] = GPhiStats(
+            n_particles=n_particles,
             replicas=replica_count,
             mean=float(values.mean()),
             variance=variance,

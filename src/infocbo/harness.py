@@ -10,12 +10,11 @@ SWEEP_AXES (the sim keys a sweep may vary) and CHECKS (every check).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -141,7 +140,6 @@ class ExperimentConfig:
     output_dir: str | None = None
     replicas: int = 1
     checks: tuple[str, ...] = ()
-    flat: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # the hypotheses of every requested check, before any replica runs
@@ -227,9 +225,28 @@ def parse_flat_config(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(
         sim=sim,
         observers=ObserverConfig(**fields("observers")),
-        flat=dict(mapping),
         **fields("run"),
     )
+
+
+def flat_document(experiment: ExperimentConfig) -> dict:
+    """The flat document that parse_flat_config turns into experiment, with
+    every key the run reads, defaults included. An experiment that no
+    document states (an objective outside OBJECTIVES, say) is a ConfigError.
+    """
+    sim = experiment.sim
+    owners = {"sim": sim, "observable": sim.observable, "kernel": sim.kernel,
+              "init": sim.init, "observers": experiment.observers, "run": experiment}
+    doc = {key: getattr(owners[key.split(".")[0]], row.field)
+           for key, row in CONFIG_KEYS.items() if row.field is not None}
+    doc["objective.name"] = sim.objective.name
+    lo, hi = sim.init.lambda_lo, sim.init.lambda_hi
+    doc.update({"init.lambda": "const", "init.lambda_value": lo} if lo == hi else
+               {"init.lambda": "uniform", "init.lambda_min": lo, "init.lambda_max": hi})
+    doc = jsonable(doc)
+    if parse_flat_config(doc) != experiment:
+        raise ConfigError("no flat document states this experiment: its own parses differently")
+    return doc
 
 
 def load_config_file(path: str | Path) -> ExperimentConfig:
@@ -253,12 +270,10 @@ def _check_report(name: str, record: TrajectoryRecord, experiment: ExperimentCon
     return {"passed": report.ok, "report": jsonable(report)}
 
 
-def _replica_batch(experiment: ExperimentConfig | dict, start: int, stop: int
-                   ) -> list[TrajectoryRecord]:
-    """Records of replicas start to stop - 1, stepped as one batch; a worker
-    process gets the experiment as its flat document."""
-    if isinstance(experiment, dict):
-        experiment = parse_flat_config(experiment)
+def _replica_batch(document: dict, start: int, stop: int) -> list[TrajectoryRecord]:
+    """Records of replicas start to stop - 1 of the experiment a flat
+    document states, stepped as one batch."""
+    experiment = parse_flat_config(document)
     seeds = [derive_seed(experiment.sim.seed, i) for i in range(start, stop)]
     obs = experiment.observers
     return _simulate_batch(experiment.sim, seeds, obs.stride, obs.snapshot_stride,
@@ -322,9 +337,10 @@ def run(
     Replica i runs on the derived seed hash(master, i), so replica streams
     never overlap and adding replicas never perturbs existing ones. The
     replicas step as one batch; workers > 1 splits it into contiguous
-    sub-batches, one per process, which requires the config to carry its
-    flat-document form (configs loaded from files always do).
+    sub-batches, one per process. Every batch executes, and the manifest
+    records, the flat document rendered from experiment.
     """
+    document = flat_document(experiment)
     outdir = _resolve_output_dir(experiment, output_dir)
     if (outdir / MANIFEST_NAME).exists() and not force:
         raise RunDirectoryError(
@@ -336,14 +352,14 @@ def run(
     started = datetime.now(timezone.utc).isoformat()
     seeds = [derive_seed(experiment.sim.seed, i) for i in range(experiment.replicas)]
 
-    if n_workers > 1 and experiment.flat:
+    if n_workers > 1:
         bounds = [w * experiment.replicas // n_workers for w in range(n_workers + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = pool.map(_replica_batch, [experiment.flat] * n_workers,
+            parts = pool.map(_replica_batch, [document] * n_workers,
                              bounds[:-1], bounds[1:])
             records = [record for part in parts for record in part]
     else:
-        records = _replica_batch(experiment, 0, experiment.replicas)
+        records = _replica_batch(document, 0, experiment.replicas)
     # a check that raises leaves an earlier run in the directory untouched
     reports = {
         name: [
@@ -384,7 +400,7 @@ def run(
         "generator": {"name": GENERATOR_NAME, "numpy": np.__version__},
         "started_utc": started,
         "completed_utc": datetime.now(timezone.utc).isoformat(),
-        "config": jsonable(experiment.flat) if experiment.flat else None,
+        "config": document,
         "replicas": experiment.replicas,
         "replica_seeds": seeds,
         "checks": list(experiment.checks),
@@ -437,21 +453,18 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(SWEEP_AXES)}")
     key = f"sim.{axis}"
+    document = flat_document(experiment)
     root = _resolve_output_dir(experiment, output_dir)
     points: dict[str, tuple[object, ExperimentConfig]] = {}
     for raw in values:
-        value = _coerce(key, raw)
+        point = parse_flat_config({**document, key: raw, "run.output_dir": None})
+        value = getattr(point.sim, CONFIG_KEYS[key].field)
         name = _point_dir_name(axis, value)
         if name in points:
             raise ConfigError(
                 f"sweep values {points[name][0]!r} and {value!r} share the directory {name}"
             )
-        points[name] = value, replace(
-            experiment,
-            sim=replace(experiment.sim, **{CONFIG_KEYS[key].field: value}),
-            output_dir=None,
-            flat={**experiment.flat, key: value} if experiment.flat else {},
-        )
+        points[name] = value, point
     results = []
     entries = []
     for name, (value, point) in points.items():

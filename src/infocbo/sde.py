@@ -357,6 +357,9 @@ class _Recorder:
                 raise ConfigError("ball radii must be positive")
         self.config = config
         self.radii = sorted(float(r) for r in ball_radii)
+        if len(set(self.radii)) < len(self.radii):  # one mass series per radius
+            repeated = max(self.radii, key=self.radii.count)
+            raise ConfigError(f"ball radius {repeated!r} is given twice")
         self.times: list[float] = []
         self.m2_sq: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []

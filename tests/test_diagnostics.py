@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from infocbo import diagnostics
 from infocbo.diagnostics import (
     DiagnosticsError,
     constant_test_function,
@@ -341,6 +342,15 @@ def test_noise_free_residual_shrinks_linearly_with_the_step():
 def test_scaling_study_requires_enough_replicas():
     with pytest.raises(DiagnosticsError):
         g_phi_scaling_study(full_config(), (50,), 5, gaussian_bump())
+
+
+def test_scaling_study_refuses_a_size_given_twice_before_any_replica_steps(monkeypatch):
+    stepped = []
+    monkeypatch.setattr(diagnostics, "g_phi_replica_residuals",
+                        lambda config, *args: stepped.append(config.n_particles))
+    with pytest.raises(DiagnosticsError, match="^ensemble size N = 250 is given twice$"):
+        g_phi_scaling_study(full_config(), (50, 250, 250.0), 30, gaussian_bump())
+    assert stepped == []
 
 
 def test_noise_free_point_start_has_zero_replica_variance():

@@ -9,11 +9,13 @@ import hashlib
 import json
 import math
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from infocbo import harness
 from infocbo.cli import EXIT_DIVERGED, main
 from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
@@ -24,6 +26,7 @@ from infocbo.harness import (
     ObserverConfig,
     RunDirectoryError,
     _replica_batch,
+    flat_document,
     load_config_file,
     load_manifest,
     parse_flat_config,
@@ -31,8 +34,9 @@ from infocbo.harness import (
     sweep,
     worker_count,
 )
-from infocbo.sde import ConfigError, SimulationError
-from infocbo.util import derive_seed
+from infocbo.objectives import ObjectiveSpec, quadratic
+from infocbo.sde import ConfigError, SimulationError, simulate
+from infocbo.util import derive_seed, row_sum
 
 BASE = {
     "sim.d": 2,
@@ -102,7 +106,7 @@ def test_parse_minimal_fills_defaults():
     assert exp.observers == ObserverConfig(stride=1, snapshot_stride=None, ball_radii=())
     assert exp.replicas == 1
     assert exp.checks == ()
-    assert exp.flat == config()
+    assert parse_flat_config(flat_document(exp)) == exp
 
 
 def test_parse_uniform_lambda_window():
@@ -217,7 +221,7 @@ def test_a_checked_experiment_cannot_be_changed():
 
 def test_load_config_file_roundtrip(tmp_path):
     path = write_config(tmp_path, config())
-    assert load_config_file(path).flat == config()
+    assert load_config_file(path) == parse_flat_config(config())
 
 
 def test_load_config_file_errors(tmp_path):
@@ -251,7 +255,8 @@ def test_run_writes_replicas_checks_and_manifest(tmp_path):
     assert result.failed_checks == ()
     manifest = load_manifest(tmp_path / "out")
     assert manifest["replica_seeds"] == [derive_seed(77, 0), derive_seed(77, 1)]
-    assert manifest["config"] == doc
+    assert manifest["config"] == flat_document(parse_flat_config(doc))
+    assert parse_flat_config(manifest["config"]) == parse_flat_config(doc)
     assert manifest["checks"] == ["lambda_persistence"]
     assert manifest["checks_passed"] is True
 
@@ -398,14 +403,82 @@ def test_a_sub_batch_names_the_run_replica_and_the_step(mode, message):
         _replica_batch(doc, 2, 4)
 
 
-def test_worker_pool_needs_flat_document(tmp_path):
-    # hand-built configs carry no flat form, so they run serially and the
-    # manifest records no config document
+def assert_same_files(a, b):
+    assert a.manifest["files"]
+    assert a.manifest["files"] == b.manifest["files"]
+    for name in a.manifest["files"]:
+        assert (a.directory / name).read_bytes() == (b.directory / name).read_bytes()
+
+
+def test_hand_built_config_runs_through_the_worker_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    sim = parse_flat_config(config(**{"sim.noise_strength": 0.25})).sim
+    bare = ExperimentConfig(sim=sim, observers=ObserverConfig(ball_radii=(1.0,)), replicas=3)
+    serial = run(bare, output_dir=tmp_path / "1", workers=1)
+    parallel = run(bare, output_dir=tmp_path / "2", workers=2)
+    assert pools == [2]
+    assert_same_files(serial, parallel)
+    assert parse_flat_config(parallel.manifest["config"]) == bare
+
+
+def test_a_replaced_config_runs_and_records_what_it_states(tmp_path):
+    # the stepped, the recorded and the worker-parsed experiment are one
+    exp = parse_flat_config(config(**{"sim.noise_strength": 0.25, "run.replicas": 2}))
+    changed = dataclasses.replace(exp, sim=dataclasses.replace(exp.sim, seed=99, n_particles=5))
+    serial = run(changed, output_dir=tmp_path / "1", workers=1)
+    parallel = run(changed, output_dir=tmp_path / "2", workers=2)
+    assert_same_files(serial, parallel)
+    for result in (serial, parallel):
+        assert result.manifest["replica_seeds"] == [derive_seed(99, 0), derive_seed(99, 1)]
+        assert parse_flat_config(result.manifest["config"]) == changed
+    alone = simulate(dataclasses.replace(changed.sim, seed=derive_seed(99, 0)))
+    assert (tmp_path / "1" / "replica_000.csv").read_text() == alone.to_csv()
+
+
+def test_the_manifest_config_reproduces_the_run(tmp_path):
+    doc = config(**{"sim.noise_strength": 0.3, "init.lambda": "uniform",
+                    "init.lambda_min": 0.1, "init.lambda_max": 0.7,
+                    "observers.ball_radii": [0.5, 2.0], "run.replicas": 2,
+                    "run.checks": ["lambda_persistence"]})
+    first = tmp_path / "first"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(first)]) == 0
+    recorded = load_manifest(first)["config"]
+    again = tmp_path / "again"
+    path = write_config(tmp_path, recorded, name="recorded.json")
+    assert main(["run", str(path), "--out", str(again)]) == 0
+    assert load_manifest(again)["config"] == recorded
+    files = load_manifest(first)["files"]
+    assert files == load_manifest(again)["files"]
+    for name in files:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def _elsewhere(points):
+    return 10.0 * row_sum(points * points)
+
+
+@pytest.mark.parametrize("objective, match", [
+    (ObjectiveSpec("scaled", 2, 10.0, 10.0, 2.0, _elsewhere), "unknown objective 'scaled'"),
+    # a name OBJECTIVES knows, with constants its objective does not have
+    (ObjectiveSpec("quadratic", 2, 10.0, 10.0, 2.0, _elsewhere), "no flat document states"),
+])
+def test_an_experiment_without_a_document_is_refused_before_writing(tmp_path, objective, match):
     exp = parse_flat_config(config())
-    bare = ExperimentConfig(sim=exp.sim, observers=exp.observers)
-    result = run(bare, output_dir=tmp_path / "out", workers=4)
-    assert result.manifest["config"] is None
-    assert (tmp_path / "out" / "replica_000.csv").exists()
+    unstated = dataclasses.replace(exp, sim=dataclasses.replace(exp.sim, objective=objective))
+    assert dataclasses.replace(unstated.sim, objective=quadratic(2)) == exp.sim
+    with pytest.raises(ConfigError, match=match):
+        run(unstated, output_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match=match):
+        sweep(unstated, axis="n", values=[1.0, 2.0], output_dir=tmp_path / "sw")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "sw").exists()
 
 
 def test_zero_horizon_run_records_a_single_row(tmp_path):
@@ -616,6 +689,16 @@ def test_cli_divergence_exits_4(tmp_path, capsys):
     assert re.search(r"^simulation diverged: step 1/10: .*\(replica 0\)$", err, re.M)
     with pytest.raises(RunDirectoryError):
         load_manifest(tmp_path / "out")
+
+
+@pytest.mark.parametrize("radii, repeated", [([1.0, 1.0], 1.0), ([2, 0.5, 2.0], 2.0)])
+def test_cli_ball_radius_given_twice_exits_2_before_any_csv(tmp_path, capsys, radii, repeated):
+    path = write_config(tmp_path, config(**{"observers.ball_radii": radii,
+                                            "run.replicas": 2}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: ball radius {repeated} is given twice" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/replica_*.csv"))
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
 
 def test_cli_wrong_mode_check_exits_2(tmp_path):

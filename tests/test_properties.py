@@ -4,6 +4,8 @@ The profile in conftest.py derandomizes the draws, so the suite stays
 deterministic.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
 from infocbo.gibbs import ConsensusParams, consensus_from_energies
+from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec
 from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import Ensemble, InitialLaw, SimConfig, em_step
@@ -198,3 +201,79 @@ def test_agent_mean_is_numpys_bit_for_bit(a):
 def test_agent_mean_is_numpys_bit_for_bit_on_large_ensembles(shape):
     a = np.random.default_rng(sum(shape)).standard_normal(shape)
     assert same_bits(agent_mean(a), a.mean(axis=-2))
+
+
+# ---------------------------------------------------------------------------
+# config documents
+
+
+def optional(strategy):
+    """A key left out of the document, or set by strategy."""
+    return st.one_of(st.just(None), strategy)
+
+
+@st.composite
+def flat_documents(draw):
+    """Valid flat config documents: both lambda laws, every spatial kind and
+    kernel, theta and the truncation radius set or not, and every check whose
+    hypotheses the drawn parameters meet."""
+    d = draw(st.integers(1, 3))
+    a, b = draw(st.floats(0.01, 20.0)), draw(st.floats(0.0, 20.0))
+    theta = draw(optional(st.floats(0.01, 1.0).map(lambda f: f / (a + b))))
+    dt = draw(st.floats(0.01, 1.0)) * (1.0 / (a + b) if theta is None else theta)
+    mode = draw(st.sampled_from(["full", "auxiliary"]))
+    noise = draw(st.floats(0.0, 2.0))
+    spatial = draw(st.sampled_from(["gaussian", "ball", "point"]))
+    saturated = draw(st.booleans())
+    doc = {
+        "sim.d": d,
+        "sim.N": draw(st.integers(1, 50)),
+        "sim.n": draw(st.floats(0.0, 100.0)),
+        "sim.drift_gain": draw(st.floats(0.01, 10.0)),
+        "sim.noise_strength": noise,
+        "sim.dt": dt,
+        "sim.t_end": draw(st.integers(0, 20)) * dt,
+        "sim.seed": draw(st.integers(0, 2**63)),
+        "sim.mode": mode,
+        "sim.truncation_radius": draw(optional(st.floats(0.01, 100.0))),
+        "sim.shared_noise": draw(st.booleans()),
+        "objective.name": draw(st.sampled_from(["quadratic", "rastrigin"])),
+        "observable.variant": "saturated" if saturated else "identity",
+        "observable.m_g": draw(st.floats(0.01, 10.0)) if saturated else 1.0,
+        "kernel.variant": draw(st.sampled_from(VARIANTS)),
+        "kernel.a": a,
+        "kernel.b": b,
+        "kernel.theta": theta,
+        "init.spatial": spatial,
+        "init.center": draw(st.lists(coordinate, min_size=d, max_size=d)),
+        "init.spread": draw(st.floats(0.0 if spatial == "point" else 0.01, 10.0)),
+        "observers.stride": draw(st.integers(1, 5)),
+        "observers.snapshot_stride": draw(optional(st.integers(1, 5))),
+        "observers.ball_radii": draw(st.lists(st.floats(0.01, 100.0), unique=True,
+                                              max_size=3)),
+        "run.output_dir": draw(optional(st.sampled_from(["out", "runs/a"]))),
+        "run.replicas": draw(st.integers(1, 4)),
+    }
+    if draw(st.booleans()):
+        doc["init.lambda_value"] = draw(unit)
+    else:
+        low, high = sorted((draw(unit), draw(unit)))
+        doc.update({"init.lambda": "uniform", "init.lambda_min": low, "init.lambda_max": high})
+    checks = ["lambda_persistence"]
+    if mode == "auxiliary":
+        checks.append("mean_decay")
+        if noise * noise * d < 2.0:
+            checks.append("second_moment_bound")
+    if doc["observers.snapshot_stride"] is not None and doc["observers.ball_radii"]:
+        checks.append("mass_bound")
+    doc["run.checks"] = draw(st.lists(st.sampled_from(checks), unique=True))
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@given(doc=flat_documents())
+def test_a_rendered_document_states_its_experiment(doc):
+    experiment = parse_flat_config(doc)
+    rendered = flat_document(experiment)
+    assert parse_flat_config(rendered) == experiment
+    assert parse_flat_config(json.loads(json.dumps(rendered))) == experiment
+    assert flat_document(experiment) == rendered

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from infocbo import sde
-from infocbo.gibbs import ConsensusParams, consensus_from_energies
+from infocbo import sde, validation
+from infocbo.gibbs import (
+    ConsensusParams,
+    consensus_from_energies,
+    cutoff_phi_measure,
+    truncated_drift,
+)
 from infocbo.infokernel import KernelSpec
+from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import (
     ConfigError,
@@ -17,6 +23,7 @@ from infocbo.sde import (
     SimConfig,
     SimulationError,
     consensus_fields,
+    drift_and_rate,
     em_step,
     simulate,
     simulate_pair_coupled,
@@ -403,6 +410,16 @@ def test_nonfinite_ball_radius_is_rejected(radius):
         simulate(make_config(), ball_radii=(radius,))
 
 
+@pytest.mark.parametrize("radii, repeated", [((0.5, 0.5), 0.5), ((1, 2.0, 1.0), 1.0)])
+def test_a_ball_radius_given_twice_is_rejected_before_the_first_step(
+        radii, repeated, monkeypatch):
+    steps = []
+    monkeypatch.setattr(sde, "em_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=f"^ball radius {repeated} is given twice$"):
+        simulate(make_config(), ball_radii=radii)
+    assert steps == []
+
+
 def test_mass_ball_series_are_recorded_per_radius():
     cfg = make_config(n_particles=40, noise_strength=0.3)
     rec = simulate(cfg, ball_radii=(0.5, 2.0))
@@ -426,6 +443,22 @@ def test_consensus_is_computed_per_step_and_per_recorded_state(stride, monkeypat
     # em_step computes the fields of each state it leaves; the recorder
     # computes those of each recorded state (t = 0 and every stride-th step)
     assert len(calls) == cfg.n_steps + cfg.n_steps // stride + 1
+
+
+def test_truncated_drift_of_a_batch_agrees_with_gibbs_truncated_drift():
+    # the truncated targets are stated twice, in consensus_fields and in
+    # gibbs.truncated_drift; a radius inside the cutoff's ramp tests both
+    radius = 1.2
+    cfg = dataclasses.replace(validation._truncated_run()[0], truncation_radius=radius)
+    x, lam = zip(*(cfg.init.sample(rng_from_seed(seed), cfg.n_particles) for seed in (1, 2)))
+    ens = Ensemble(np.concatenate(x), np.concatenate(lam), replicas=2)
+    v, _ = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
+    xs, lams = ens.views()
+    for r in range(2):
+        measure = EmpiricalMeasure.uniform(xs[r])
+        assert 0.0 < cutoff_phi_measure(radius, measure) < 1.0
+        want = truncated_drift(radius, cfg.consensus_params, measure, xs[r], lams[r])
+        np.testing.assert_allclose(v.reshape(xs.shape)[r], want, rtol=0.0, atol=1e-12)
 
 
 def test_divergence_is_reported_with_the_step_index():
