@@ -132,6 +132,10 @@ class ObserverConfig:
     snapshot_stride: int | None = None
     ball_radii: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the form parse_flat_config builds, so a hand-built config equals it
+        object.__setattr__(self, "ball_radii", tuple(float(r) for r in self.ball_radii))
+
 
 @dataclass(frozen=True)  # so the checks of __post_init__ hold for its whole life
 class ExperimentConfig:
@@ -142,6 +146,10 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # the forms parse_flat_config builds, so a hand-built config equals it
+        object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
+        if self.output_dir is not None:
+            object.__setattr__(self, "output_dir", str(self.output_dir))
         # the hypotheses of every requested check, before any replica runs
         if self.replicas < 1:
             raise ConfigError("replicas must be at least 1")
@@ -244,8 +252,15 @@ def flat_document(experiment: ExperimentConfig) -> dict:
     doc.update({"init.lambda": "const", "init.lambda_value": lo} if lo == hi else
                {"init.lambda": "uniform", "init.lambda_min": lo, "init.lambda_max": hi})
     doc = jsonable(doc)
-    if parse_flat_config(doc) != experiment:
-        raise ConfigError("no flat document states this experiment: its own parses differently")
+    parsed = parse_flat_config(doc)
+    # ObjectiveSpec leaves fn out of ==; each library objective builds its fn
+    # from one code object
+    library, own = parsed.sim.objective, sim.objective
+    if library != own or getattr(own.fn, "__code__", None) is not library.fn.__code__:
+        raise ConfigError(f"no flat document states this experiment: its objective "
+                          f"{library.name!r} is not the library objective of that name")
+    if parsed != experiment:
+        raise ConfigError("no flat document states this experiment: it reads back differently")
     return doc
 
 

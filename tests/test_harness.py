@@ -428,6 +428,19 @@ def test_hand_built_config_runs_through_the_worker_pool(tmp_path, monkeypatch):
     assert parse_flat_config(parallel.manifest["config"]) == bare
 
 
+def test_hand_built_list_and_path_fields_read_back_as_parsed(tmp_path):
+    sim = parse_flat_config(config()).sim
+    observers = ObserverConfig(snapshot_stride=10, ball_radii=[1, 3.0])
+    exp = ExperimentConfig(sim=sim, observers=observers, output_dir=tmp_path / "out",
+                           checks=["mass_bound"])
+    assert exp.observers.ball_radii == (1.0, 3.0)
+    assert exp.checks == ("mass_bound",)
+    assert exp.output_dir == str(tmp_path / "out")
+    result = run(exp)
+    assert parse_flat_config(result.manifest["config"]) == exp
+    assert result.manifest["config"]["run.output_dir"] == str(tmp_path / "out")
+
+
 def test_a_replaced_config_runs_and_records_what_it_states(tmp_path):
     # the stepped, the recorded and the worker-parsed experiment are one
     exp = parse_flat_config(config(**{"sim.noise_strength": 0.25, "run.replicas": 2}))
@@ -468,6 +481,8 @@ def _elsewhere(points):
     (ObjectiveSpec("scaled", 2, 10.0, 10.0, 2.0, _elsewhere), "unknown objective 'scaled'"),
     # a name OBJECTIVES knows, with constants its objective does not have
     (ObjectiveSpec("quadratic", 2, 10.0, 10.0, 2.0, _elsewhere), "no flat document states"),
+    # the library's name and constants, but an objective of its own: == ignores fn
+    (ObjectiveSpec("quadratic", 2, 1.0, 1.0, 2.0, _elsewhere), "not the library objective"),
 ])
 def test_an_experiment_without_a_document_is_refused_before_writing(tmp_path, objective, match):
     exp = parse_flat_config(config())
