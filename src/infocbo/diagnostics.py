@@ -422,6 +422,9 @@ def g_phi_scaling_study(
         raise DiagnosticsError(
             f"need at least {MIN_STUDY_REPLICAS} replicas, got {replica_count}"
         )
+    for n in n_list:  # int() would run 6.7 as N = 6 and report it under 6
+        if not (float(n).is_integer() and n >= 1):
+            raise DiagnosticsError(f"ensemble size N = {n!r} is not a whole number >= 1")
     sizes = [int(n) for n in n_list]
     if len(set(sizes)) < len(sizes):  # one result per size
         raise DiagnosticsError(f"ensemble size N = {max(sizes, key=sizes.count)} is given twice")

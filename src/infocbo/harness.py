@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,11 +33,10 @@ from .diagnostics import (
 )
 from .infokernel import KernelSpec
 from .objectives import ObservableMap, quadratic, rastrigin_like
-from .sde import ConfigError, InitialLaw, SimConfig, _simulate_batch
+from .sde import ConfigError, InitialLaw, SimConfig, SimulationError, _simulate_batch
 from .trajectory import TrajectoryRecord
 from .util import GENERATOR_NAME, derive_seed, jsonable
 
-ENV_WORKERS = "INFOCBO_WORKERS"
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
 MANIFEST_NAME = "manifest.json"
@@ -285,29 +285,36 @@ def _check_report(name: str, record: TrajectoryRecord, experiment: ExperimentCon
     return {"passed": report.ok, "report": jsonable(report)}
 
 
+def _replica_seeds(master: int, start: int, stop: int) -> list[int]:
+    """Derived seeds of replicas start to stop - 1 of a run on seed master."""
+    return [derive_seed(master, i) for i in range(start, stop)]
+
+
 def _replica_batch(document: dict, start: int, stop: int) -> list[TrajectoryRecord]:
     """Records of replicas start to stop - 1 of the experiment a flat
-    document states, stepped as one batch."""
+    document states, stepped as one batch. An error names the failing
+    replica by its index in the run."""
     experiment = parse_flat_config(document)
-    seeds = [derive_seed(experiment.sim.seed, i) for i in range(start, stop)]
     obs = experiment.observers
-    return _simulate_batch(experiment.sim, seeds, obs.stride, obs.snapshot_stride,
-                          obs.ball_radii, first_replica=start)
+    try:
+        return _simulate_batch(experiment.sim, _replica_seeds(experiment.sim.seed, start, stop),
+                               obs.stride, obs.snapshot_stride, obs.ball_radii)
+    except SimulationError as exc:
+        # sde names replica k of this batch; the run knows it as start + k
+        message = re.sub(r"replica (\d+)", lambda m: f"replica {start + int(m[1])}", str(exc))
+        raise SimulationError(message) from exc
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to path.tmp and move it in, so path never holds part of it."""
+def _write_atomic(path: Path, text: str) -> str:
+    """Write text to path.tmp and move it in, so path never holds part of it.
+    Returns the sha256 digest of the bytes written."""
     partial = path.with_name(path.name + ".tmp")
     try:
-        partial.write_text(text, newline="\n")
+        partial.write_text(text, encoding="utf-8", newline="\n")
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return f"sha256:{digest}"
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -330,15 +337,8 @@ def _resolve_output_dir(experiment: ExperimentConfig, output_dir) -> Path:
 
 
 def worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(ENV_WORKERS)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"{ENV_WORKERS} must be an integer, got {env!r}") from None
+    """Worker processes for a run: one by default, never fewer than one."""
+    return 1 if workers is None else max(1, int(workers))
 
 
 def run(
@@ -365,8 +365,6 @@ def run(
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.now(timezone.utc).isoformat()
-    seeds = [derive_seed(experiment.sim.seed, i) for i in range(experiment.replicas)]
-
     if n_workers > 1:
         bounds = [w * experiment.replicas // n_workers for w in range(n_workers + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -386,28 +384,25 @@ def run(
 
     # from here on the directory is mid-rewrite; a manifest left from an
     # earlier run would list hashes of files about to change, and files of
-    # that run which this one does not write would outlive it
+    # that run which this one does not write would outlive it. Those are
+    # the names a run writes; every other file stays.
     manifest_path = outdir / MANIFEST_NAME
-    stale = _earlier_artifacts(outdir)
     manifest_path.unlink(missing_ok=True)
-    for path in stale:
+    for path in [*outdir.glob("replica_*.csv"), *outdir.glob("check_*.json")]:
         path.unlink(missing_ok=True)
     files: dict[str, str] = {}
     for i, record in enumerate(records):
-        csv_path = outdir / f"replica_{i:03d}.csv"
-        _write_atomic(csv_path, record.to_csv())
-        files[csv_path.name] = _sha256(csv_path)
+        csv_name = f"replica_{i:03d}.csv"
+        files[csv_name] = _write_atomic(outdir / csv_name, record.to_csv())
 
     failed: list[str] = []
     for name, per_replica in reports.items():
         passed = all(r["passed"] for r in per_replica)
         if not passed:
             failed.append(name)
-        check_path = outdir / f"check_{name}.json"
-        _write_atomic(check_path, json.dumps(
-            {"check": name, "passed": passed, "replicas": per_replica},
-            indent=2, sort_keys=True) + "\n")
-        files[check_path.name] = _sha256(check_path)
+        report = {"check": name, "passed": passed, "replicas": per_replica}
+        files[f"check_{name}.json"] = _write_atomic(
+            outdir / f"check_{name}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     manifest = {
         "schema_version": 1,
@@ -417,7 +412,7 @@ def run(
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "config": document,
         "replicas": experiment.replicas,
-        "replica_seeds": seeds,
+        "replica_seeds": _replica_seeds(experiment.sim.seed, 0, experiment.replicas),
         "checks": list(experiment.checks),
         "checks_passed": not failed if experiment.checks else None,
         "files": files,
@@ -429,19 +424,6 @@ def run(
         checks_passed=not failed,
         failed_checks=tuple(failed),
     )
-
-
-def _earlier_artifacts(outdir: Path) -> list[Path]:
-    """Files an earlier run left: those its manifest lists, and every
-    replica CSV and check report, listed or not."""
-    paths = {*outdir.glob("replica_*.csv"), *outdir.glob("check_*.json")}
-    try:
-        listed = load_manifest(outdir).get("files", {})
-    except OSError:  # no manifest, or a damaged one
-        listed = {}
-    # a listed name is a file of the run directory itself, never a path
-    paths.update(outdir / name for name in listed if Path(name).name == name)
-    return sorted(paths)
 
 
 def _point_dir_name(axis: str, value) -> str:

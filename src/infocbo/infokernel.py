@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import agent_mean, require_finite, rng_from_seed, row_sum
+from .util import agent_mean, in_unit_interval, require_finite, rng_from_seed, row_sum
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -92,7 +92,7 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     """Rate at one state (x: (d,), lam scalar), a batch (x: (N, d), lam: (N,)),
     or a stack of batches (x: (R, N, d), lam: (R, N)) summarized per batch."""
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr < 0) or np.any(lam_arr > 1):
+    if not in_unit_interval(lam_arr):
         raise KernelError("lambda outside [0, 1]")
     x = np.asarray(x, dtype=float)
     if kernel.variant == "logistic":

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .util import rng_from_seed
 
@@ -120,6 +118,10 @@ def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
         raise MeasureError(
             "exact W1 in d >= 2 needs uniform masses on both sides; use w1_sliced"
         )
+    # imported here so that importing the package does not load scipy
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(mu1.atoms, mu2.atoms)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

@@ -20,7 +20,6 @@ replica's numbers do not depend on the batch it runs in.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -41,7 +40,8 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import agent_mean, require_finite, rng_from_seed, row_sum, uniform_ball
+from .util import (agent_mean, in_unit_interval, require_finite, rng_from_seed, row_sum,
+                   uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -77,7 +77,7 @@ class Ensemble:
             raise ConfigError("lambda vector must match the agent count")
         if self.replicas < 1 or self.x.shape[0] % self.replicas:
             raise ConfigError("the rows must split evenly into the replicas")
-        if np.any(self.lam < 0) or np.any(self.lam > 1):
+        if not in_unit_interval(self.lam):
             raise ConfigError("agent lambda outside [0, 1]")
         self.clamp_events = np.broadcast_to(self.clamp_events, self.replicas).astype(int)
 
@@ -418,8 +418,7 @@ def _check_stride(name: str, stride: int, steps: int) -> None:
         raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
 
 
-def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None,
-                first: int = 0):
+def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
     """Step one batch; yield (step, ensemble, fields, lam_min, lam_max) at
     step 0 and every record_stride-th step.
 
@@ -430,7 +429,7 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     not. Each replica draws its initial agents and then each step's noise
     from its own stream, so two configs that differ only in mode see the
     same draws, and a replica's draws do not depend on the batch. An error
-    names the failing replica as first + its place in the batch.
+    names the failing replica by its place in the batch.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
@@ -444,9 +443,7 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
             ens = em_step(ens, config, rngs)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
-            # name the replica by its index in the run, not its place in this batch
-            cause = re.sub(r"replica (\d+)", lambda m: f"replica {first + int(m[1])}", str(exc))
-            raise SimulationError(f"step {k}/{steps}: {cause}") from exc
+            raise SimulationError(f"step {k}/{steps}: {exc}") from exc
         lam_min = np.minimum(lam_min, ens.views()[1].min(axis=1))
         lam_max = np.maximum(lam_max, ens.views()[1].max(axis=1))
         if recorded:
@@ -459,7 +456,6 @@ def _simulate_batch(
     record_stride: int = 1,
     snapshot_stride: int | None = None,
     ball_radii: Sequence[float] = (),
-    first_replica: int = 0,
 ) -> list[TrajectoryRecord]:
     """Integrate one run per seed, stepped as one batch; one record per seed.
 
@@ -468,7 +464,7 @@ def _simulate_batch(
     snapshot_stride-th step when requested. Both strides must divide the step
     count so the final time is always recorded. Record r equals, bit for bit,
     the record of replace(config, seed=seeds[r]) run alone. An error names
-    the failing replica as first_replica + its place in seeds.
+    the failing replica by its place in seeds.
     """
     steps = config.n_steps
     _check_stride("record_stride", record_stride, steps)
@@ -477,8 +473,7 @@ def _simulate_batch(
         if snapshot_stride % record_stride != 0:
             raise ConfigError("snapshot_stride must be a multiple of record_stride")
     rec = _Recorder(config, ball_radii, snapshot_stride is not None)
-    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride, seeds,
-                                                         first_replica):
+    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride, seeds):
         rec.observe(ens, fields, snapshot_stride is not None and k % snapshot_stride == 0)
     return rec.build(ens, lam_min, lam_max)
 

@@ -75,6 +75,12 @@ def agent_mean(a: np.ndarray) -> np.ndarray:
     return (np.cumsum(a, axis=-2)[..., -1, :] + 0.0) / n
 
 
+def in_unit_interval(a: np.ndarray) -> bool:
+    """Whether every entry of a lies in [0, 1]. A NaN entry makes both min
+    and max NaN, so it fails, where `any(a < 0) or any(a > 1)` lets it pass."""
+    return a.size == 0 or bool(a.min() >= 0 and a.max() <= 1)
+
+
 def require_finite(error: type[Exception], **values) -> None:
     """Raise error naming the first value that is set but not a finite real.
 

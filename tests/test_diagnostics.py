@@ -353,6 +353,18 @@ def test_scaling_study_refuses_a_size_given_twice_before_any_replica_steps(monke
     assert stepped == []
 
 
+@pytest.mark.parametrize("size", [6.7, 0, -3, math.nan])
+def test_scaling_study_refuses_a_size_that_is_not_a_whole_number_before_any_replica_steps(
+        monkeypatch, size):
+    stepped = []
+    monkeypatch.setattr(diagnostics, "g_phi_replica_residuals",
+                        lambda config, *args: stepped.append(config.n_particles))
+    with pytest.raises(DiagnosticsError,
+                       match=rf"^ensemble size N = {size!r} is not a whole number >= 1$"):
+        g_phi_scaling_study(full_config(), (50, size), 30, gaussian_bump())
+    assert stepped == []
+
+
 def test_noise_free_point_start_has_zero_replica_variance():
     cfg = full_config(noise_strength=0.0, t_end=0.5, n_particles=20,
                       init=InitialLaw.point(center=(1.0, 1.0), lambda_lo=0.2))

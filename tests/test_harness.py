@@ -347,6 +347,17 @@ def test_forced_rerun_removes_files_the_new_run_does_not_write(tmp_path):
         MANIFEST_NAME, "notes.txt", "replica_000.csv"]
 
 
+def test_forced_rerun_keeps_a_user_file_the_old_manifest_lists(tmp_path):
+    outdir = tmp_path / "out"
+    run(parse_flat_config(config()), output_dir=outdir)
+    (outdir / "notes.txt").write_text("kept\n")
+    manifest = json.loads((outdir / MANIFEST_NAME).read_text())
+    manifest["files"]["notes.txt"] = "sha256:0"
+    (outdir / MANIFEST_NAME).write_text(json.dumps(manifest))
+    run(parse_flat_config(config()), output_dir=outdir, force=True)
+    assert (outdir / "notes.txt").read_text() == "kept\n"
+
+
 def test_forced_rerun_deletes_only_listed_names_inside_the_run_directory(tmp_path):
     outdir = tmp_path / "out"
     outside = tmp_path / "outside.txt"
@@ -554,17 +565,10 @@ def test_output_root_env_leaves_absolute_dirs_alone(tmp_path, monkeypatch):
     assert (outdir / MANIFEST_NAME).exists()
 
 
-def test_worker_count_precedence(monkeypatch):
-    monkeypatch.delenv("INFOCBO_WORKERS", raising=False)
+def test_worker_count_precedence():
     assert worker_count(None) == 1
     assert worker_count(3) == 3
     assert worker_count(0) == 1  # floored at one process
-    monkeypatch.setenv("INFOCBO_WORKERS", "5")
-    assert worker_count(None) == 5
-    assert worker_count(2) == 2  # explicit argument wins over the env
-    monkeypatch.setenv("INFOCBO_WORKERS", "two")
-    with pytest.raises(ConfigError, match="INFOCBO_WORKERS must be an integer, got 'two'"):
-        worker_count(None)
 
 
 def test_load_manifest_requires_completed_run(tmp_path):
@@ -732,14 +736,6 @@ def test_cli_forced_rerun_with_a_wrong_mode_check_keeps_the_earlier_run(tmp_path
     path = write_config(tmp_path, config(**{"run.checks": ["mean_decay"]}), name="decay.json")
     assert main(["run", str(path), "--out", out, "--force"]) == 2
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
-
-
-def test_cli_non_integer_workers_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("INFOCBO_WORKERS", "two")
-    path = write_config(tmp_path, config())
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "INFOCBO_WORKERS" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_existing_dir_exits_3_without_force(tmp_path, capsys):

@@ -116,6 +116,10 @@ def test_information_outside_unit_interval_is_rejected():
         eval_kernel(k, ORIGIN_SUMMARY, np.zeros(2), 1.2)
     with pytest.raises(KernelError):
         eval_kernel(k, ORIGIN_SUMMARY, np.zeros(2), -0.2)
+    with pytest.raises(KernelError, match="lambda outside"):
+        eval_kernel(k, ORIGIN_SUMMARY, np.zeros(2), math.nan)
+    with pytest.raises(KernelError, match="lambda outside"):
+        eval_kernel(k, ORIGIN_SUMMARY, np.zeros((2, 2)), np.array([0.5, math.nan]))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,18 @@ from infocbo.measures import (
     w1_sliced,
 )
 from infocbo.util import rng_from_seed
+
+
+def test_importing_the_package_does_not_load_scipy_assignment():
+    # only w1_exact's assignment path needs scipy, so it imports it there
+    code = ("import sys, infocbo.cli, infocbo.diagnostics, infocbo.validation; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def brute_force_w1(xs, ys):

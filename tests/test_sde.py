@@ -222,6 +222,9 @@ def test_information_bounds_are_validated():
 def test_ensemble_rejects_information_outside_unit_interval():
     with pytest.raises(ConfigError):
         Ensemble(x=np.zeros((2, 1)), lam=np.array([0.5, 1.5]))
+    # NaN fails both `< 0` and `> 1`, so only a NaN-proof check sees it
+    with pytest.raises(ConfigError, match="lambda outside"):
+        Ensemble(x=np.ones((2, 2)), lam=[math.nan, 0.5])
 
 
 def test_ensemble_rejects_mismatched_lengths():
