@@ -18,7 +18,7 @@ from .sde import (
     Ensemble,
     SimConfig,
     SimulationError,
-    _check_stride,
+    _observer_radii,
     _trajectory,
     drift_and_rate,
     simulate,
@@ -108,6 +108,14 @@ def coordinate_window() -> TestFunction:
 # moment and decay checks
 
 
+def require_consensus_free(mode: str) -> None:
+    """The hypothesis of the mean decay law and the second-moment ceiling:
+    both are proved for the consensus-free (auxiliary-mode) flow only."""
+    if mode != "auxiliary":
+        raise DiagnosticsError('needs sim.mode "auxiliary"; its law holds for the '
+                               "consensus-free flow only")
+
+
 def second_moment_constant(noise_strength: float, d: int) -> float:
     """Ceiling constant C with sup_t m2^2(t) <= C * m2^2(0) for the
     consensus-free system; requires noise_strength^2 * d < 2.
@@ -138,12 +146,11 @@ class MeanDecayReport:
 def mean_decay_check(record: TrajectoryRecord) -> MeanDecayReport:
     """Compare ||mean_x(t)|| with ||mean_x(0)|| * exp(-int_0^t mean_lambda).
 
-    Only meaningful for auxiliary-mode records: with the consensus term
-    present the mean obeys no closed decay law, so full-mode input raises.
-    The integral uses trapezoids on the recorded grid.
+    With the consensus term present the mean obeys no closed decay law, so
+    a record outside require_consensus_free raises. The integral uses
+    trapezoids on the recorded grid.
     """
-    if record.mode != "auxiliary":
-        raise DiagnosticsError("mean decay law applies to auxiliary-mode records only")
+    require_consensus_free(record.mode)
     t = record.times
     lam = record.mean_lambda
     increments = 0.5 * (lam[1:] + lam[:-1]) * np.diff(t)
@@ -178,11 +185,7 @@ def second_moment_bound_check(
     record: TrajectoryRecord, config: SimConfig, slack: float = 1.1
 ) -> SecondMomentReport:
     """Assert m2_sq(t) <= slack * C * m2_sq(0) on an auxiliary-mode record."""
-    if record.mode != "auxiliary":
-        raise DiagnosticsError(
-            "second-moment ceiling is proved for the consensus-free system; "
-            "pass an auxiliary-mode record"
-        )
+    require_consensus_free(record.mode)
     ceiling = second_moment_constant(config.noise_strength, config.d)
     base = float(record.m2_sq[0])
     if base <= 0:
@@ -379,7 +382,7 @@ def g_phi_replica_residuals(
     snapshot_stride=snapshot_stride): the generator average of each recorded
     state is taken while the batch steps, so no snapshot is kept.
     """
-    _check_stride("snapshot_stride", snapshot_stride, config.n_steps)
+    _observer_radii(config.n_steps, snapshot_stride, names=("snapshot_stride",))
     if config.n_steps == 0:
         raise DiagnosticsError("need at least one step for the residual")
     times, generator = [], []
@@ -422,6 +425,9 @@ def g_phi_scaling_study(
         raise DiagnosticsError(
             f"need at least {MIN_STUDY_REPLICAS} replicas, got {replica_count}"
         )
+    if not float(replica_count).is_integer():
+        raise DiagnosticsError(f"replica count {replica_count!r} is not a whole number")
+    replica_count = int(replica_count)
     for n in n_list:  # int() would run 6.7 as N = 6 and report it under 6
         if not (float(n).is_integer() and n >= 1):
             raise DiagnosticsError(f"ensemble size N = {n!r} is not a whole number >= 1")
@@ -477,12 +483,14 @@ def concentration_sweep(
     """Terminal m2_sq per sharpness value, all runs on the same seed.
 
     Sharing the seed couples the sweep: differences across sharpness are not
-    confounded by the noise realization.
+    confounded by the noise realization. Every point is built, and a
+    sharpness given twice is refused, before any run starts.
     """
     _require_concentration_hypotheses(base_config)
-    table: dict[float, float] = {}
-    for sharpness in sharpness_list:
-        cfg = replace(base_config, sharpness=float(sharpness))
-        record = simulate(cfg, record_stride=record_stride)
-        table[float(sharpness)] = float(record.m2_sq[-1])
-    return table
+    configs: dict[float, SimConfig] = {}
+    for sharpness in map(float, sharpness_list):
+        if sharpness in configs:  # one result per sharpness
+            raise DiagnosticsError(f"sharpness {sharpness!r} is given twice")
+        configs[sharpness] = replace(base_config, sharpness=sharpness)
+    return {sharpness: float(simulate(cfg, record_stride=record_stride).m2_sq[-1])
+            for sharpness, cfg in configs.items()}

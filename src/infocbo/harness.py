@@ -28,12 +28,14 @@ from .diagnostics import (
     lambda_persistence_check,
     mass_bound_fit,
     mean_decay_check,
+    require_consensus_free,
     second_moment_bound_check,
     second_moment_constant,
 )
 from .infokernel import KernelSpec
 from .objectives import ObservableMap, quadratic, rastrigin_like
-from .sde import ConfigError, InitialLaw, SimConfig, SimulationError, _simulate_batch
+from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
+                  _simulate_batch)
 from .trajectory import TrajectoryRecord
 from .util import GENERATOR_NAME, derive_seed, jsonable
 
@@ -156,20 +158,22 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        for name in ("mean_decay", "second_moment_bound"):
-            if name in self.checks and self.sim.mode != "auxiliary":
-                raise ConfigError(f'{name} check: needs sim.mode "auxiliary"; its law '
-                                  "holds for the consensus-free flow only")
-        if "second_moment_bound" in self.checks:
-            try:
-                second_moment_constant(self.sim.noise_strength, self.sim.d)
-            except DiagnosticsError as exc:
-                raise ConfigError(f"second_moment_bound check: {exc}") from exc
+        try:
+            for name in self.checks:
+                if name in ("mean_decay", "second_moment_bound"):
+                    require_consensus_free(self.sim.mode)
+                if name == "second_moment_bound":
+                    second_moment_constant(self.sim.noise_strength, self.sim.d)
+        except DiagnosticsError as exc:
+            raise ConfigError(f"{name} check: {exc}") from exc
         if "mass_bound" in self.checks:
             if self.observers.snapshot_stride is None:
                 raise ConfigError("mass_bound check needs observers.snapshot_stride")
             if not self.observers.ball_radii:
                 raise ConfigError("mass_bound check needs observers.ball_radii")
+        obs = self.observers  # its rules hold before anything is written
+        _observer_radii(self.sim.n_steps, obs.stride, obs.snapshot_stride, obs.ball_radii,
+                        names=("observers.stride", "observers.snapshot_stride"))
 
 
 def _coerce(key: str, value):

@@ -10,6 +10,7 @@ probes them numerically anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,26 +67,30 @@ class PopulationSummary:
 
     from_arrays takes one population (x: (N, d), lam: (N,)) or a stack of R
     (x: (R, N, d), lam: (R, N)), which gets one mean_x row and one m1 per
-    population. No shipped kernel reads m1, so a summary built from arrays
-    computes it when it is first read.
+    population. A summary built from arrays computes each statistic when a
+    kernel first reads it; the logistic kernel reads neither.
     """
 
-    def __init__(self, mean_x: np.ndarray, m1=None, *, arrays=None):
-        self.mean_x = mean_x
-        self._m1 = m1
+    def __init__(self, mean_x: np.ndarray | None = None, m1=None, *, arrays=None):
         self._arrays = arrays
+        if mean_x is not None:  # a given value takes the place of the cached one
+            self.mean_x = mean_x
+        if m1 is not None:
+            self.m1 = m1
 
     @classmethod
     def from_arrays(cls, x: np.ndarray, lam: np.ndarray) -> "PopulationSummary":
-        return cls(mean_x=agent_mean(x), arrays=(x, lam))
+        return cls(arrays=(x, lam))
 
-    @property
+    @cached_property
+    def mean_x(self) -> np.ndarray:
+        return agent_mean(self._arrays[0])
+
+    @cached_property
     def m1(self):
-        if self._m1 is None:
-            x, lam = self._arrays
-            joint = np.sqrt(row_sum(x * x) + lam * lam).mean(axis=-1)
-            self._m1 = float(joint) if joint.ndim == 0 else joint
-        return self._m1
+        x, lam = self._arrays
+        joint = np.sqrt(row_sum(x * x) + lam * lam).mean(axis=-1)
+        return float(joint) if joint.ndim == 0 else joint
 
 
 def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, lam):

@@ -341,25 +341,22 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
         finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
         raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "
                               f"leaving t = {ensemble.time:g} (dt = {dt:g})")
-    return Ensemble(
-        new_x, new_lam, ensemble.time + dt,
-        ensemble.clamp_events + np.count_nonzero(outside, axis=1), ensemble.replicas,
-    )
+    # built without Ensemble.__post_init__, whose checks hold by construction:
+    # lam is clipped into [0, 1], x checked finite, the layout the predecessor's
+    successor = object.__new__(Ensemble)
+    vars(successor).update(x=new_x, lam=new_lam, time=ensemble.time + dt,
+                           clamp_events=ensemble.clamp_events + np.count_nonzero(outside, axis=1),
+                           replicas=ensemble.replicas)
+    return successor
 
 
 class _Recorder:
-    """(R,) statistics of each recorded state, split per replica by build."""
+    """(R,) statistics of each recorded state, split per replica by build;
+    radii as _observer_radii returns them."""
 
-    def __init__(self, config: SimConfig, ball_radii: Sequence[float], keep_snapshots: bool):
-        for r in ball_radii:
-            require_finite(ConfigError, ball_radius=r)
-            if r <= 0:
-                raise ConfigError("ball radii must be positive")
+    def __init__(self, config: SimConfig, radii: list[float], keep_snapshots: bool):
         self.config = config
-        self.radii = sorted(float(r) for r in ball_radii)
-        if len(set(self.radii)) < len(self.radii):  # one mass series per radius
-            repeated = max(self.radii, key=self.radii.count)
-            raise ConfigError(f"ball radius {repeated!r} is given twice")
+        self.radii = radii
         self.times: list[float] = []
         self.m2_sq: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []
@@ -413,9 +410,25 @@ class _Recorder:
         ]
 
 
-def _check_stride(name: str, stride: int, steps: int) -> None:
-    if stride < 1 or steps % stride != 0:
-        raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
+def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None = None,
+                    ball_radii=(), names=("record_stride", "snapshot_stride")) -> list[float]:
+    """The observer rules, stated once: each stride is at least 1 and divides
+    steps (the final time is recorded), the snapshot stride is a multiple of
+    the record stride, and each ball radius is finite, positive and given
+    once. Returns the radii sorted; an error calls the strides by names."""
+    for name, stride in zip(names, (record_stride, snapshot_stride)):
+        if stride is not None and (stride < 1 or steps % stride != 0):
+            raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
+    if snapshot_stride is not None and snapshot_stride % record_stride != 0:
+        raise ConfigError(f"{names[1]} must be a multiple of {names[0]}")
+    for r in ball_radii:
+        require_finite(ConfigError, ball_radius=r)
+        if r <= 0:
+            raise ConfigError("ball radii must be positive")
+    radii = sorted(float(r) for r in ball_radii)
+    if len(set(radii)) < len(radii):
+        raise ConfigError(f"ball radius {max(radii, key=radii.count)!r} is given twice")
+    return radii
 
 
 def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
@@ -461,18 +474,13 @@ def _simulate_batch(
 
     Statistics are recorded at t = 0 and every record_stride-th step; full
     ensemble snapshots (with the consensus fields in force) are kept every
-    snapshot_stride-th step when requested. Both strides must divide the step
-    count so the final time is always recorded. Record r equals, bit for bit,
+    snapshot_stride-th step when requested; the strides and ball_radii keep
+    the rules of _observer_radii. Record r equals, bit for bit,
     the record of replace(config, seed=seeds[r]) run alone. An error names
     the failing replica by its place in seeds.
     """
-    steps = config.n_steps
-    _check_stride("record_stride", record_stride, steps)
-    if snapshot_stride is not None:
-        _check_stride("snapshot_stride", snapshot_stride, steps)
-        if snapshot_stride % record_stride != 0:
-            raise ConfigError("snapshot_stride must be a multiple of record_stride")
-    rec = _Recorder(config, ball_radii, snapshot_stride is not None)
+    radii = _observer_radii(config.n_steps, record_stride, snapshot_stride, ball_radii)
+    rec = _Recorder(config, radii, snapshot_stride is not None)
     for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride, seeds):
         rec.observe(ens, fields, snapshot_stride is not None and k % snapshot_stride == 0)
     return rec.build(ens, lam_min, lam_max)
@@ -515,9 +523,9 @@ def simulate_pair_coupled(
     """
     config_full = replace(config, mode="full")
     config_aux = replace(config, mode="auxiliary")
-    _check_stride("record_stride", record_stride, config.n_steps)
-    rec_f = _Recorder(config_full, ball_radii, keep_snapshots=False)
-    rec_a = _Recorder(config_aux, ball_radii, keep_snapshots=False)
+    radii = _observer_radii(config.n_steps, record_stride, ball_radii=ball_radii)
+    rec_f = _Recorder(config_full, radii, keep_snapshots=False)
+    rec_a = _Recorder(config_aux, radii, keep_snapshots=False)
     gaps = []
     for (_, ens_f, fields_f, lo_f, hi_f), (_, ens_a, fields_a, lo_a, hi_a) in zip(
         _trajectory(config_full, record_stride), _trajectory(config_aux, record_stride)

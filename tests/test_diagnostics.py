@@ -25,7 +25,7 @@ from infocbo.diagnostics import (
 )
 from infocbo.infokernel import KernelSpec, logistic_closed_form
 from infocbo.objectives import ObservableMap, quadratic
-from infocbo.sde import InitialLaw, SimConfig, SimulationError, simulate
+from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.trajectory import TrajectoryRecord
 from infocbo.util import derive_seed, rng_from_seed
 
@@ -365,6 +365,18 @@ def test_scaling_study_refuses_a_size_that_is_not_a_whole_number_before_any_repl
     assert stepped == []
 
 
+def test_scaling_study_refuses_a_fractional_replica_count_before_any_replica_steps(monkeypatch):
+    stepped = []
+    monkeypatch.setattr(diagnostics, "g_phi_replica_residuals",
+                        lambda config, seeds, *args: stepped.append(seeds) or np.zeros(len(seeds)))
+    with pytest.raises(DiagnosticsError, match=r"^replica count 30\.5 is not a whole number$"):
+        g_phi_scaling_study(full_config(), (50,), 30.5, gaussian_bump())
+    assert stepped == []
+    stats = g_phi_scaling_study(full_config(), (50,), 30.0, gaussian_bump())
+    assert stats[50].replicas == 30 and type(stats[50].replicas) is int
+    assert len(stepped[0]) == 30
+
+
 def test_noise_free_point_start_has_zero_replica_variance():
     cfg = full_config(noise_strength=0.0, t_end=0.5, n_particles=20,
                       init=InitialLaw.point(center=(1.0, 1.0), lambda_lo=0.2))
@@ -456,6 +468,18 @@ def test_sweep_requires_subcritical_noise():
     cfg = full_config(noise_strength=1.2)
     with pytest.raises(DiagnosticsError, match="noise"):
         concentration_sweep(cfg, (1.0,))
+
+
+@pytest.mark.parametrize("sharpness_list, error, match", [
+    ((1.0, 4.0, 1), DiagnosticsError, "^sharpness 1.0 is given twice$"),
+    ((1.0, -1.0), ConfigError, "sharpness must be nonnegative"),
+], ids=["repeated", "negative"])
+def test_sweep_builds_every_point_before_the_first_run(monkeypatch, sharpness_list, error, match):
+    runs = []
+    monkeypatch.setattr(diagnostics, "simulate", lambda config, **kwargs: runs.append(config))
+    with pytest.raises(error, match=match):
+        concentration_sweep(full_config(), sharpness_list)
+    assert runs == []
 
 
 def test_sweep_noise_hypothesis_is_the_ceiling_contraction_margin():

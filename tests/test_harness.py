@@ -628,6 +628,15 @@ def test_sweep_refuses_points_that_break_a_check_hypothesis_before_any_run(tmp_p
     assert not (tmp_path / "sw").exists()
 
 
+def test_sweep_refuses_a_point_its_stride_does_not_divide_before_any_run(tmp_path):
+    # dt = 0.01 runs 100 steps, which a stride of 4 divides; dt = 0.02 runs 50
+    exp = parse_flat_config(config(**{"sim.dt": 0.01, "observers.stride": 4}))
+    with pytest.raises(ConfigError,
+                       match="^observers.stride = 4 must be positive and divide 50 steps$"):
+        sweep(exp, axis="dt", values=[0.01, 0.02], output_dir=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_unknown_axis(tmp_path):
     with pytest.raises(ConfigError, match="unknown sweep axis"):
         sweep(parse_flat_config(config()), axis="theta", values=[1.0],
@@ -710,14 +719,17 @@ def test_cli_divergence_exits_4(tmp_path, capsys):
         load_manifest(tmp_path / "out")
 
 
-@pytest.mark.parametrize("radii, repeated", [([1.0, 1.0], 1.0), ([2, 0.5, 2.0], 2.0)])
-def test_cli_ball_radius_given_twice_exits_2_before_any_csv(tmp_path, capsys, radii, repeated):
-    path = write_config(tmp_path, config(**{"observers.ball_radii": radii,
-                                            "run.replicas": 2}))
+@pytest.mark.parametrize("overrides, message", [
+    ({"observers.ball_radii": [1.0, 1.0]}, "ball radius 1.0 is given twice"),
+    ({"observers.ball_radii": [2, 0.5, 2.0]}, "ball radius 2.0 is given twice"),
+    ({"observers.ball_radii": [-1.0]}, "ball radii must be positive"),
+    ({"observers.stride": 4}, "observers.stride = 4 must be positive and divide 10 steps"),
+], ids=["radius_twice", "radius_twice_int_and_float", "negative_radius", "stride_not_dividing"])
+def test_cli_ball_radius_given_twice_exits_2_before_any_csv(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, config(**overrides, **{"run.replicas": 2}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"config error: ball radius {repeated} is given twice" in capsys.readouterr().err
-    assert not list(tmp_path.glob("out/replica_*.csv"))
-    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_wrong_mode_check_exits_2(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from infocbo import infokernel
 from infocbo.infokernel import (
     KernelError,
     KernelSpec,
@@ -86,14 +87,22 @@ def test_logistic_rate_ignores_the_population():
     assert near == far
 
 
-def test_summary_from_arrays_computes_m1_only_when_read():
+def test_summary_from_arrays_computes_m1_only_when_read(monkeypatch):
     rng = rng_from_seed(3)
     x = rng.standard_normal((7, 2))
     lam = rng.uniform(size=7)
+    reductions = []
+    for name in ("agent_mean", "row_sum"):
+        def counted(a, reduce=getattr(infokernel, name), name=name):
+            reductions.append(name)
+            return reduce(a)
+        monkeypatch.setattr(infokernel, name, counted)
     summary = PopulationSummary.from_arrays(x, lam)
-    assert summary._m1 is None
+    assert reductions == []  # nothing is computed before a read
     assert summary.m1 == float(np.sqrt(np.sum(x * x, axis=1) + lam * lam).mean())
     assert np.array_equal(summary.mean_x, x.mean(axis=0))
+    assert summary.m1 == summary.m1 and np.array_equal(summary.mean_x, summary.mean_x)
+    assert reductions == ["row_sum", "agent_mean"]  # each once, on its first read
 
 
 def test_stacked_summary_and_rate_match_each_population_alone():

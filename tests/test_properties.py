@@ -225,6 +225,10 @@ def flat_documents(draw):
     noise = draw(st.floats(0.0, 2.0))
     spatial = draw(st.sampled_from(["gaussian", "ball", "point"]))
     saturated = draw(st.booleans())
+    steps = draw(st.integers(0, 20))
+    # the observer rules: strides divide the step count, snapshots fall on records
+    divisors = [k for k in range(1, max(steps, 5) + 1) if steps % k == 0]
+    stride = draw(st.sampled_from(divisors))
     doc = {
         "sim.d": d,
         "sim.N": draw(st.integers(1, 50)),
@@ -232,7 +236,7 @@ def flat_documents(draw):
         "sim.drift_gain": draw(st.floats(0.01, 10.0)),
         "sim.noise_strength": noise,
         "sim.dt": dt,
-        "sim.t_end": draw(st.integers(0, 20)) * dt,
+        "sim.t_end": steps * dt,
         "sim.seed": draw(st.integers(0, 2**63)),
         "sim.mode": mode,
         "sim.truncation_radius": draw(optional(st.floats(0.01, 100.0))),
@@ -247,8 +251,9 @@ def flat_documents(draw):
         "init.spatial": spatial,
         "init.center": draw(st.lists(coordinate, min_size=d, max_size=d)),
         "init.spread": draw(st.floats(0.0 if spatial == "point" else 0.01, 10.0)),
-        "observers.stride": draw(st.integers(1, 5)),
-        "observers.snapshot_stride": draw(optional(st.integers(1, 5))),
+        "observers.stride": stride,
+        "observers.snapshot_stride": draw(optional(
+            st.sampled_from([k for k in divisors if k % stride == 0]))),
         "observers.ball_radii": draw(st.lists(st.floats(0.01, 100.0), unique=True,
                                               max_size=3)),
         "run.output_dir": draw(optional(st.sampled_from(["out", "runs/a"]))),

@@ -407,6 +407,17 @@ def test_full_records_carry_the_consensus_series():
     assert rec.consensus_point.shape == (len(rec.times), 1)
 
 
+def test_a_run_checks_its_ensemble_once_where_it_enters(monkeypatch):
+    checked = []
+    check = Ensemble.__post_init__
+    monkeypatch.setattr(Ensemble, "__post_init__",
+                        lambda self: checked.append(self) or check(self))
+    cfg = make_config(mode="auxiliary", kernel=CROWD_KERNEL, noise_strength=0.3)
+    record = simulate(cfg, ball_radii=(1.0,))
+    assert cfg.n_steps == 10 and len(checked) == 1  # initial_ensemble's, not one per step
+    assert record.clamp_events == 0 and len(record.times) == 11
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_nonfinite_ball_radius_is_rejected(radius):
     with pytest.raises(ConfigError, match="ball_radius must be finite"):
