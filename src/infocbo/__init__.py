@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 from .gibbs import (
     ConsensusParams,
     cutoff_eta,
-    cutoff_phi_measure,
     drift,
     gibbs_weights,
-    truncated_drift,
     weighted_consensus,
 )
 from .infokernel import (

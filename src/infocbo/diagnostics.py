@@ -24,7 +24,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed, row_sum
+from .util import derive_seed, row_sum, scale_rows
 
 MIN_STUDY_REPLICAS = 30
 
@@ -76,7 +76,7 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
         value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
         return (
             value,
-            (-value / s2)[:, None] * x,
+            scale_rows(-value / s2, x),
             radial * (-0.5 * np.pi * np.sin(np.pi * lam)),
             value * (norm_sq / (s2 * s2) - x.shape[1] / s2),
         )
@@ -96,7 +96,7 @@ def coordinate_window() -> TestFunction:
         value = np.prod(1.0 / w_inv, axis=1)
         return (
             value,
-            value[:, None] * (-2.0 * x / w_inv),
+            scale_rows(value, -2.0 * x / w_inv),
             np.zeros(x.shape[0]),
             value * np.sum((6.0 * x * x - 2.0) / w_inv**2, axis=1),
         )

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, mean_point, moment_p
+from .measures import EmpiricalMeasure, mean_point
 from .objectives import (
     ObjectiveSpec,
     ObservableMap,
     eval_objective_batch,
     eval_observable_batch,
 )
+from .util import require_finite
 
 __all__ = [
     "GibbsError",
@@ -31,8 +32,6 @@ __all__ = [
     "mean_point",
     "drift",
     "cutoff_eta",
-    "cutoff_phi_measure",
-    "truncated_drift",
 ]
 
 
@@ -49,8 +48,9 @@ class ConsensusParams:
     observable: ObservableMap
 
     def __post_init__(self) -> None:
-        if not (self.sharpness >= 0) or not math.isfinite(self.sharpness):
-            raise GibbsError("sharpness must be a finite nonnegative real")
+        require_finite(GibbsError, sharpness=self.sharpness)
+        if self.sharpness < 0:
+            raise GibbsError("sharpness must be nonnegative")
 
 
 def _require_per_population(ok: np.ndarray, message: str) -> None:
@@ -126,7 +126,10 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     f_val None drops the consensus term, which gives the consensus-free
     (auxiliary) field -x + (1 - lam) * e. Accepts a single point (x: (d,),
     lam scalar), a batch (x: (N, d), lam: (N,)) or a stack of batches
-    (x: (R, N, d), lam: (R, N)) with targets of shape (R, 1, d).
+    (x: (R, N, d), lam: (R, N)) with targets of shape (R, 1, d); the
+    targets and lam broadcast against x, whose shape the result has. Each
+    coordinate column is computed on its own, with the IEEE operations of
+    the broadcast expression in its order, so the bits are numpy's.
     """
     x = np.asarray(x, dtype=float)
     f_val = None if f_val is None else np.asarray(f_val, dtype=float)
@@ -135,10 +138,12 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     if e_val.shape[-1:] != (d,) or (f_val is not None and f_val.shape[-1:] != (d,)):
         raise GibbsError("consensus and mean points must match the state dimension")
     lam = np.asarray(lam, dtype=float)
-    if x.ndim > 1:
-        lam = lam[..., None]
-    pull = -x if f_val is None else -x + lam * f_val
-    return pull + (1.0 - lam) * e_val
+    stay = 1.0 - lam
+    out = np.empty(x.shape)
+    for k in range(d):  # per column: numpy is slow to broadcast along a short axis
+        pull = -x[..., k] if f_val is None else -x[..., k] + lam * f_val[..., k]
+        np.add(pull, stay * e_val[..., k], out=out[..., k])
+    return out
 
 
 def _bump_tail(t: float) -> float:
@@ -161,22 +166,3 @@ def cutoff_eta(radius: float, z: float) -> float:
     up = _bump_tail(radius + 1.0 - z)
     down = _bump_tail(z - radius)
     return up / (up + down)
-
-
-def cutoff_phi_measure(radius: float, measure: EmpiricalMeasure) -> float:
-    """Cutoff evaluated at the first moment of the measure."""
-    return cutoff_eta(radius, moment_p(measure, 1))
-
-
-def truncated_drift(
-    radius: float,
-    params: ConsensusParams,
-    measure: EmpiricalMeasure,
-    x: np.ndarray,
-    lam,
-) -> np.ndarray:
-    """Drift with both attraction targets scaled by the measure cutoff."""
-    phi = cutoff_phi_measure(radius, measure)
-    f_val = phi * weighted_consensus(params, measure)
-    e_val = phi * mean_point(measure)
-    return drift(x, lam, f_val, e_val)

@@ -106,7 +106,9 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     mean_x = np.asarray(summary.mean_x, dtype=float)
     if mean_x.ndim > 1:  # one mean per stacked batch
         mean_x = mean_x[..., None, :]
-    gap = x - mean_x
+    gap = np.empty(x.shape)
+    for k in range(x.shape[-1]):  # x - mean_x per column, as in gibbs.drift
+        np.subtract(x[..., k], mean_x[..., k], out=gap[..., k])
     dist = np.sqrt(row_sum(gap * gap))
     rate = (1.0 - lam_arr) * kernel.a / (1.0 + dist) - kernel.b * lam_arr
     return float(rate) if lam_arr.ndim == 0 else rate

@@ -41,7 +41,7 @@ from .objectives import (
 )
 from .trajectory import Snapshot, TrajectoryRecord
 from .util import (agent_mean, in_unit_interval, require_finite, rng_from_seed, row_sum,
-                   uniform_ball)
+                   scale_rows, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -213,7 +213,6 @@ class SimConfig:
             ConfigError,
             dt=self.dt,
             t_end=self.t_end,
-            sharpness=self.sharpness,
             drift_gain=self.drift_gain,
             noise_strength=self.noise_strength,
             truncation_radius=self.truncation_radius,
@@ -237,8 +236,6 @@ class SimConfig:
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError("t_end must be an integer multiple of dt")
-        if self.sharpness < 0:
-            raise ConfigError("sharpness must be nonnegative")
         if self.drift_gain <= 0:
             raise ConfigError("drift gain must be positive")
         if self.noise_strength < 0:
@@ -247,11 +244,11 @@ class SimConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise ConfigError("truncation radius must be positive when set")
-        object.__setattr__(
-            self,
-            "consensus_params",
-            ConsensusParams(self.sharpness, self.objective, self.observable),
-        )
+        try:  # ConsensusParams states the sharpness rule
+            params = ConsensusParams(self.sharpness, self.objective, self.observable)
+        except GibbsError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "consensus_params", params)
 
     @property
     def n_steps(self) -> int:
@@ -333,7 +330,7 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
     new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(row_sum(v * v))
-        new_x = new_x + amplitude[:, None] * _draw_noise(rngs, ensemble, config.shared_noise)
+        new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
     raw = lam + dt * rate
     outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
     new_lam = np.clip(raw, 0.0, 1.0)
@@ -345,7 +342,7 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
     # lam is clipped into [0, 1], x checked finite, the layout the predecessor's
     successor = object.__new__(Ensemble)
     vars(successor).update(x=new_x, lam=new_lam, time=ensemble.time + dt,
-                           clamp_events=ensemble.clamp_events + np.count_nonzero(outside, axis=1),
+                           clamp_events=ensemble.clamp_events + outside.sum(axis=1),
                            replicas=ensemble.replicas)
     return successor
 
@@ -374,7 +371,7 @@ class _Recorder:
         self.mean_x.append(agent_mean(xs))
         self.mean_lambda.append(lams.mean(axis=1))
         for r in self.radii:
-            self.mass[r].append(np.count_nonzero(norms_sq < r * r, axis=1) / ensemble.n_agents)
+            self.mass[r].append((norms_sq < r * r).sum(axis=1) / ensemble.n_agents)
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
@@ -412,11 +409,14 @@ class _Recorder:
 
 def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None = None,
                     ball_radii=(), names=("record_stride", "snapshot_stride")) -> list[float]:
-    """The observer rules, stated once: each stride is at least 1 and divides
-    steps (the final time is recorded), the snapshot stride is a multiple of
-    the record stride, and each ball radius is finite, positive and given
-    once. Returns the radii sorted; an error calls the strides by names."""
+    """The observer rules, stated once: each stride is a whole number (2.0
+    counts as 2), at least 1 and divides steps (the final time is recorded),
+    the snapshot stride is a multiple of the record stride, and each ball
+    radius is finite, positive and given once. Returns the radii sorted; an
+    error calls the strides by names."""
     for name, stride in zip(names, (record_stride, snapshot_stride)):
+        if stride is not None and not float(stride).is_integer():
+            raise ConfigError(f"{name} = {stride} is not a whole number")
         if stride is not None and (stride < 1 or steps % stride != 0):
             raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
     if snapshot_stride is not None and snapshot_stride % record_stride != 0:

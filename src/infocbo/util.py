@@ -1,5 +1,5 @@
 """Shared plumbing: reproducible RNG streams, seed derivation, the uniform
-ball sampler, bit-identical fast reductions, JSON helpers."""
+ball sampler, bit-identical fast reductions and row scaling, JSON helpers."""
 
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
     directions = rng.standard_normal((count, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=count) ** (1.0 / dim)
-    return directions * radii[:, None]
+    return scale_rows(radii, directions)
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
@@ -58,6 +58,18 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     for k in range(1, d):
         total += a[..., k]
     return total
+
+
+def scale_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1].
+
+    Computed one column at a time: numpy's broadcast along a short last axis
+    runs its inner loop d elements at a time, which is several times slower.
+    """
+    out = np.empty(a.shape, np.result_type(s, a))
+    for k in range(a.shape[-1]):
+        np.multiply(s, a[..., k], out=out[..., k])
+    return out
 
 
 def agent_mean(a: np.ndarray) -> np.ndarray:

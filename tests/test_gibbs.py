@@ -8,15 +8,14 @@ from infocbo.gibbs import (
     GibbsError,
     consensus_from_energies,
     cutoff_eta,
-    cutoff_phi_measure,
     drift,
     gibbs_weights,
-    truncated_drift,
     weighted_consensus,
 )
 from infocbo.measures import EmpiricalMeasure, moment_p, w1_exact
 from infocbo.objectives import ObservableMap, eval_objective_batch, eval_observable_batch, quadratic
 from infocbo.util import rng_from_seed
+from truncation_oracle import cutoff_phi_measure, truncated_drift
 
 
 def params_for(sharpness, d=1, observable=None):

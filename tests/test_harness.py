@@ -724,7 +724,9 @@ def test_cli_divergence_exits_4(tmp_path, capsys):
     ({"observers.ball_radii": [2, 0.5, 2.0]}, "ball radius 2.0 is given twice"),
     ({"observers.ball_radii": [-1.0]}, "ball radii must be positive"),
     ({"observers.stride": 4}, "observers.stride = 4 must be positive and divide 10 steps"),
-], ids=["radius_twice", "radius_twice_int_and_float", "negative_radius", "stride_not_dividing"])
+    ({"sim.n": -1.0}, "sharpness must be nonnegative"),
+], ids=["radius_twice", "radius_twice_int_and_float", "negative_radius", "stride_not_dividing",
+        "negative_sharpness"])
 def test_cli_ball_radius_given_twice_exits_2_before_any_csv(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, config(**overrides, **{"run.replicas": 2}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
-from infocbo.gibbs import ConsensusParams, consensus_from_energies
+from infocbo.gibbs import ConsensusParams, consensus_from_energies, drift
 from infocbo.harness import flat_document, parse_flat_config
-from infocbo.infokernel import VARIANTS, KernelSpec
+from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
 from infocbo.objectives import ObservableMap, quadratic
-from infocbo.sde import Ensemble, InitialLaw, SimConfig, em_step
-from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum
+from infocbo.sde import Ensemble, InitialLaw, SimConfig, _simulate_batch, em_step, initial_ensemble
+from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows
 
 unit = st.floats(0.0, 1.0)
 coordinate = st.floats(-10.0, 10.0)
@@ -157,6 +157,18 @@ def test_a_replica_residual_does_not_depend_on_its_batch(replica, master, varian
 # fast reductions: numpy's own bits
 
 
+def signed_values(draw, rng, shape):
+    """Normal draws scaled by magnitudes from 1e-8 to 1e8, with some signed
+    zeros."""
+    low = draw(st.integers(-8, 8))
+    high = draw(st.integers(low, 8))
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(low, high, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0, None]))
+    a[zeros] = np.copysign(0.0, rng.standard_normal(shape)[zeros] if sign is None else sign)
+    return a
+
+
 @st.composite
 def stacks(draw):
     """(N, d) rows or (R, N, d) stacks, d in 1..12, with magnitudes from 1e-8
@@ -164,12 +176,7 @@ def stacks(draw):
     shape = draw(st.sampled_from([(), (1,), (3,)])) + (
         draw(st.integers(1, 300)), draw(st.integers(1, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    low = draw(st.integers(-8, 8))
-    high = draw(st.integers(low, 8))
-    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(low, high, shape)
-    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    sign = draw(st.sampled_from([-1.0, 1.0, None]))
-    a[zeros] = np.copysign(0.0, rng.standard_normal(shape)[zeros] if sign is None else sign)
+    a = signed_values(draw, rng, shape)
     layout = draw(st.sampled_from(["C", "F", "strided columns", "strided rows"]))
     if layout == "F":
         return np.asfortranarray(a)
@@ -201,6 +208,83 @@ def test_agent_mean_is_numpys_bit_for_bit(a):
 def test_agent_mean_is_numpys_bit_for_bit_on_large_ensembles(shape):
     a = np.random.default_rng(sum(shape)).standard_normal(shape)
     assert same_bits(agent_mean(a), a.mean(axis=-2))
+
+
+# ---------------------------------------------------------------------------
+# column-wise broadcasts: numpy's own bits
+
+
+def per_agent(draw, rng, shape):
+    """lam in [0, 1], some entries exactly 0 or 1, contiguous or strided."""
+    lam = np.where(rng.random(shape) < 0.3, rng.integers(0, 2, shape), rng.random(shape))
+    if shape and draw(st.booleans()):
+        lam = np.repeat(lam, 2, axis=-1)[..., ::2]
+    return lam
+
+
+def broadcast_drift(x, lam, f_val, e_val):
+    """The drift as numpy's broadcast along the coordinate axis computes it."""
+    if x.ndim > 1:
+        lam = lam[..., None]
+    pull = -x if f_val is None else -x + lam * f_val
+    return pull + (1.0 - lam) * e_val
+
+
+@given(x=stacks(), data=st.data())
+def test_column_wise_drift_is_the_broadcast_bit_for_bit(x, data):
+    if data.draw(st.booleans(), label="point"):
+        x = x[(0,) * (x.ndim - 1)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    lam = per_agent(data.draw, rng, x.shape[:-1])
+    targets = (x.shape[0], 1, x.shape[-1]) if x.ndim == 3 else x.shape[-1:]
+    e_val = signed_values(data.draw, rng, targets)
+    f_val = None if data.draw(st.booleans(), label="auxiliary") else (
+        signed_values(data.draw, rng, targets))
+    assert same_bits(drift(x, lam, f_val, e_val), broadcast_drift(x, lam, f_val, e_val))
+
+
+@given(a=stacks(), data=st.data())
+def test_scale_rows_is_the_broadcast_bit_for_bit(a, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    s = signed_values(data.draw, rng, a.shape[:-1])
+    if data.draw(st.booleans(), label="strided"):
+        s = np.repeat(s, 2, axis=-1)[..., ::2]
+    assert same_bits(scale_rows(s, a), s[..., None] * a)
+
+
+@given(x=stacks(), data=st.data())
+def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
+    kernel = KernelSpec("crowd-coupled", a=2.0, b=0.5)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans(), label="point"):
+        x = x[(0,) * (x.ndim - 1)]
+    lam = per_agent(data.draw, rng, x.shape[:-1])
+    summary = PopulationSummary.from_arrays(x, lam) if x.ndim > 1 else (
+        PopulationSummary(mean_x=signed_values(data.draw, rng, x.shape)))
+    mean_x = summary.mean_x[..., None, :] if x.ndim == 3 else summary.mean_x
+    gap = x - mean_x
+    want = (1.0 - lam) * kernel.a / (1.0 + np.sqrt(row_sum(gap * gap))) - kernel.b * lam
+    assert same_bits(np.asarray(eval_kernel(kernel, summary, x, lam)), want)
+
+
+@settings(max_examples=12)
+@given(
+    replicas=st.integers(1, 3),
+    radius=st.floats(0.1, 3.0),
+    variant=st.sampled_from(VARIANTS),
+    master=st.integers(0, 2**63),
+)
+def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, variant, master):
+    cfg = sim_config(2, 7, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, t_end=0.25)
+    seeds = [derive_seed(master, r) for r in range(replicas)]
+    for rec in _simulate_batch(cfg, seeds, snapshot_stride=1, ball_radii=[radius]):
+        inside = [np.count_nonzero(row_sum(s.ensemble.x * s.ensemble.x) < radius * radius)
+                  for s in rec.snapshots]
+        assert rec.mass_ball[radius].dtype == np.float64
+        assert rec.mass_ball[radius].tolist() == [count / 7 for count in inside]
+    rngs = [rng_from_seed(seed) for seed in seeds]
+    clamps = em_step(initial_ensemble(cfg, rngs), cfg, rngs).clamp_events
+    assert clamps.dtype == np.dtype(int) and clamps.tolist() == [0] * replicas
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from infocbo import sde, validation
-from infocbo.gibbs import (
-    ConsensusParams,
-    consensus_from_energies,
-    cutoff_phi_measure,
-    truncated_drift,
-)
+from infocbo.gibbs import ConsensusParams, GibbsError, consensus_from_energies
 from infocbo.infokernel import KernelSpec
 from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, quadratic
@@ -30,6 +25,7 @@ from infocbo.sde import (
 )
 from infocbo.trajectory import RecordError, TrajectoryRecord
 from infocbo.util import rng_from_seed
+from truncation_oracle import cutoff_phi_measure, truncated_drift
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)  # lambda = 1 is a fixed point
@@ -131,6 +127,16 @@ def test_consensus_params_are_built_once_per_config(monkeypatch):
     assert sharper.consensus_params is not cfg.consensus_params
     assert sharper.consensus_params.sharpness == 3.0
     assert sharper.consensus_params.objective is cfg.objective
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_the_sharpness_rule_is_stated_once(value):
+    # a config refuses a sharpness with the consensus parameters' own words
+    with pytest.raises(GibbsError) as stated:
+        ConsensusParams(value, quadratic(1), ObservableMap())
+    with pytest.raises(ConfigError) as refused:
+        make_config(sharpness=value)
+    assert str(refused.value) == str(stated.value)
 
 
 @pytest.mark.parametrize("field", [
@@ -382,6 +388,17 @@ def test_record_stride_must_divide_the_step_count():
         simulate(make_config(), record_stride=3)
 
 
+def test_a_stride_must_be_a_whole_number():
+    # 10 % 2.5 == 0, so the division rule alone let 2.5 record every 5th step
+    cfg = make_config()
+    with pytest.raises(ConfigError, match=r"^record_stride = 2.5 is not a whole number$"):
+        simulate(cfg, record_stride=2.5)
+    with pytest.raises(ConfigError, match=r"^snapshot_stride = 2.5 is not a whole number$"):
+        simulate(cfg, snapshot_stride=2.5)
+    assert simulate(cfg, record_stride=2.0).times.tolist() == (
+        simulate(cfg, record_stride=2).times.tolist())
+
+
 def test_snapshot_stride_must_be_a_multiple_of_the_record_stride():
     with pytest.raises(ConfigError):
         simulate(make_config(), record_stride=2, snapshot_stride=5)
@@ -460,8 +477,8 @@ def test_consensus_is_computed_per_step_and_per_recorded_state(stride, monkeypat
 
 
 def test_truncated_drift_of_a_batch_agrees_with_gibbs_truncated_drift():
-    # the truncated targets are stated twice, in consensus_fields and in
-    # gibbs.truncated_drift; a radius inside the cutoff's ramp tests both
+    # consensus_fields against the per-measure oracle of the truncated drift
+    # (tests/truncation_oracle.py); a radius inside the cutoff's ramp tests both
     radius = 1.2
     cfg = dataclasses.replace(validation._truncated_run()[0], truncation_radius=radius)
     x, lam = zip(*(cfg.init.sample(rng_from_seed(seed), cfg.n_particles) for seed in (1, 2)))
