@@ -27,7 +27,6 @@ from .infokernel import (
 )
 from .measures import (
     EmpiricalMeasure,
-    alpha_r,
     mass_in_ball,
     mean_point,
     moment_p,
@@ -39,8 +38,6 @@ from .objectives import (
     ObjectiveSpec,
     ObservableMap,
     custom_objective,
-    eval_objective,
-    eval_observable,
     quadratic,
     rastrigin_like,
     verify_growth,
@@ -53,7 +50,6 @@ from .sde import (
     SimulationError,
     em_step,
     simulate,
-    simulate_pair_coupled,
 )
 from .trajectory import Snapshot, TrajectoryRecord
 from .diagnostics import (
@@ -72,5 +68,3 @@ from .diagnostics import (
     second_moment_bound_check,
     second_moment_constant,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, phi_r_expectation
+from .measures import phi_r_expectation
 from .sde import (
     Ensemble,
     SimConfig,
@@ -24,7 +24,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed, row_sum, scale_rows
+from .util import derive_seed, is_whole, row_sum, scale_rows
 
 MIN_STUDY_REPLICAS = 30
 
@@ -421,15 +421,15 @@ def g_phi_scaling_study(
     Fewer than MIN_STUDY_REPLICAS replicas is a refusal, not a warning:
     variance ratios on less are noise.
     """
+    if not is_whole(replica_count):
+        raise DiagnosticsError(f"replica count {replica_count!r} is not a whole number")
     if replica_count < MIN_STUDY_REPLICAS:
         raise DiagnosticsError(
             f"need at least {MIN_STUDY_REPLICAS} replicas, got {replica_count}"
         )
-    if not float(replica_count).is_integer():
-        raise DiagnosticsError(f"replica count {replica_count!r} is not a whole number")
     replica_count = int(replica_count)
     for n in n_list:  # int() would run 6.7 as N = 6 and report it under 6
-        if not (float(n).is_integer() and n >= 1):
+        if not (is_whole(n) and n >= 1):
             raise DiagnosticsError(f"ensemble size N = {n!r} is not a whole number >= 1")
     sizes = [int(n) for n in n_list]
     if len(set(sizes)) < len(sizes):  # one result per size

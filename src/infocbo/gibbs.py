@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, mean_point
+from .measures import EmpiricalMeasure
 from .objectives import (
     ObjectiveSpec,
     ObservableMap,
@@ -29,7 +29,6 @@ __all__ = [
     "gibbs_weights",
     "weighted_consensus",
     "consensus_from_energies",
-    "mean_point",
     "drift",
     "cutoff_eta",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +38,7 @@ from .objectives import ObservableMap, quadratic, rastrigin_like
 from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
                   _simulate_batch)
 from .trajectory import TrajectoryRecord
-from .util import GENERATOR_NAME, derive_seed, jsonable
+from .util import GENERATOR_NAME, derive_seed, is_whole, jsonable
 
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
@@ -47,9 +48,21 @@ OBJECTIVES = {"quadratic": quadratic, "rastrigin": rastrigin_like}
 
 
 def _integer(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if not is_whole(value):
         raise ValueError("not an integer")
     return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
 
 
 def _bool(value) -> bool:
@@ -58,8 +71,13 @@ def _bool(value) -> bool:
     return value
 
 
-def _floats(value) -> tuple[float, ...]:
-    return tuple(float(v) for v in value)
+def _list_of(item: Callable) -> Callable:
+    """Coercion of a list each of whose entries coerces by item."""
+    def coerce(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError("not a list")
+        return tuple(item(v) for v in value)
+    return coerce
 
 
 REQUIRED = object()
@@ -79,35 +97,35 @@ class Key(NamedTuple):
 CONFIG_KEYS: dict[str, Key] = {
     "sim.d": Key(_integer, REQUIRED, "d"),
     "sim.N": Key(_integer, REQUIRED, "n_particles"),
-    "sim.n": Key(float, 1.0, "sharpness"),
-    "sim.drift_gain": Key(float, 1.0, "drift_gain"),
-    "sim.noise_strength": Key(float, 0.0, "noise_strength"),
-    "sim.dt": Key(float, REQUIRED, "dt"),
-    "sim.t_end": Key(float, REQUIRED, "t_end"),
+    "sim.n": Key(_real, 1.0, "sharpness"),
+    "sim.drift_gain": Key(_real, 1.0, "drift_gain"),
+    "sim.noise_strength": Key(_real, 0.0, "noise_strength"),
+    "sim.dt": Key(_real, REQUIRED, "dt"),
+    "sim.t_end": Key(_real, REQUIRED, "t_end"),
     "sim.seed": Key(_integer, REQUIRED, "seed"),
-    "sim.mode": Key(str, "full", "mode"),
-    "sim.truncation_radius": Key(float, None, "truncation_radius"),
+    "sim.mode": Key(_text, "full", "mode"),
+    "sim.truncation_radius": Key(_real, None, "truncation_radius"),
     "sim.shared_noise": Key(_bool, False, "shared_noise"),
-    "objective.name": Key(str, REQUIRED, None),
-    "observable.variant": Key(str, "identity", "variant"),
-    "observable.m_g": Key(float, 1.0, "m_g"),
-    "kernel.variant": Key(str, REQUIRED, "variant"),
-    "kernel.a": Key(float, REQUIRED, "a"),
-    "kernel.b": Key(float, 0.0, "b"),
-    "kernel.theta": Key(float, None, "theta"),
-    "init.spatial": Key(str, REQUIRED, "spatial_kind"),
-    "init.center": Key(_floats, REQUIRED, "center"),
-    "init.spread": Key(float, 0.0, "spread"),
-    "init.lambda": Key(str, "const", None),
-    "init.lambda_value": Key(float, 0.5, None),
-    "init.lambda_min": Key(float, None, None),
-    "init.lambda_max": Key(float, None, None),
+    "objective.name": Key(_text, REQUIRED, None),
+    "observable.variant": Key(_text, "identity", "variant"),
+    "observable.m_g": Key(_real, 1.0, "m_g"),
+    "kernel.variant": Key(_text, REQUIRED, "variant"),
+    "kernel.a": Key(_real, REQUIRED, "a"),
+    "kernel.b": Key(_real, 0.0, "b"),
+    "kernel.theta": Key(_real, None, "theta"),
+    "init.spatial": Key(_text, REQUIRED, "spatial_kind"),
+    "init.center": Key(_list_of(_real), REQUIRED, "center"),
+    "init.spread": Key(_real, 0.0, "spread"),
+    "init.lambda": Key(_text, "const", None),
+    "init.lambda_value": Key(_real, 0.5, None),
+    "init.lambda_min": Key(_real, None, None),
+    "init.lambda_max": Key(_real, None, None),
     "observers.stride": Key(_integer, 1, "stride"),
     "observers.snapshot_stride": Key(_integer, None, "snapshot_stride"),
-    "observers.ball_radii": Key(_floats, (), "ball_radii"),
-    "run.output_dir": Key(str, None, "output_dir"),
+    "observers.ball_radii": Key(_list_of(_real), (), "ball_radii"),
+    "run.output_dir": Key(_text, None, "output_dir"),
     "run.replicas": Key(_integer, 1, "replicas"),
-    "run.checks": Key(lambda value: tuple(str(v) for v in value), (), "checks"),
+    "run.checks": Key(_list_of(_text), (), "checks"),
 }
 
 # axis a sets the key sim.a

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import rng_from_seed
+from .util import rng_from_seed, row_sum
 
 MASS_TOL = 1e-12
 
@@ -95,7 +95,8 @@ def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
 
     d = 1: quantile (sorted CDF) coupling, any atom counts and masses.
     d >= 2: optimal assignment, equal atom counts <= ASSIGNMENT_LIMIT with
-    uniform masses on both sides. Anything else raises; use w1_sliced there.
+    uniform masses on both sides, and scipy (the extra infocbo[exact]).
+    Anything else raises; use w1_sliced there.
     """
     if mu1.dimension != mu2.dimension:
         raise MeasureError("measures live in different dimensions")
@@ -118,9 +119,12 @@ def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
         raise MeasureError(
             "exact W1 in d >= 2 needs uniform masses on both sides; use w1_sliced"
         )
-    # imported here so that importing the package does not load scipy
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
+    try:  # imported here: the package itself needs no scipy and loads none
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+    except ImportError as exc:
+        raise MeasureError("exact W1 in d >= 2 needs scipy, which the extra "
+                           "infocbo[exact] installs; or use w1_sliced") from exc
 
     cost = cdist(mu1.atoms, mu2.atoms)
     rows, cols = linear_sum_assignment(cost)
@@ -168,26 +172,16 @@ def w1_sliced(
 
 
 def _alpha_profile(r: float, t: np.ndarray) -> np.ndarray:
+    """Radial mollifier profile exp(1 - r^2/(r^2 - t^2)) for t < r, else 0:
+    1 at t = 0, decaying smoothly to 0 at t = r."""
     out = np.zeros_like(t, dtype=float)
     inside = t < r
     out[inside] = np.exp(1.0 - r * r / (r * r - t[inside] ** 2))
     return out
 
 
-def alpha_r(r: float, t: float) -> float:
-    """Radial mollifier profile: exp(1 - r^2/(r^2 - t^2)) for t < r, else 0.
-
-    Equals 1 at t = 0 and decays smoothly to 0 at t = r.
-    """
-    if r <= 0:
-        raise MeasureError("mollifier radius must be positive")
-    if t < 0:
-        raise MeasureError("profile argument must be nonnegative")
-    return float(_alpha_profile(r, np.asarray([t], dtype=float))[0])
-
-
 def phi_r_expectation(r: float, measure: EmpiricalMeasure) -> float:
-    """Expectation of the mollified indicator x -> alpha_r(||x||)."""
+    """Expectation of the mollified indicator x -> _alpha_profile(r, ||x||)."""
     if r <= 0:
         raise MeasureError("mollifier radius must be positive")
     norms = np.linalg.norm(measure.atoms, axis=1)
@@ -195,8 +189,9 @@ def phi_r_expectation(r: float, measure: EmpiricalMeasure) -> float:
 
 
 def mass_in_ball(measure: EmpiricalMeasure, r: float) -> float:
-    """Mass of the open ball {||x|| < r}."""
+    """Mass of the open ball {||x|| < r}, decided as ||x||^2 < r * r on
+    squared norms: the rule the trajectory recorder counts by."""
     if r <= 0:
         raise MeasureError("ball radius must be positive")
-    norms = np.linalg.norm(measure.atoms, axis=1)
-    return float(measure.masses[norms < r].sum())
+    norms_sq = row_sum(measure.atoms * measure.atoms)
+    return float(measure.masses[norms_sq < r * r].sum())

@@ -117,15 +117,6 @@ def custom_objective(
     )
 
 
-def eval_objective(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dimension,):
-        raise ObjectiveError(
-            f"point has shape {x.shape}, expected ({spec.dimension},)"
-        )
-    return float(np.asarray(spec.fn(x[None, :])).reshape(-1)[0])
-
-
 def eval_objective_batch(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.dimension:
@@ -212,9 +203,3 @@ def eval_observable_batch(obs: ObservableMap, points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(points, axis=1, keepdims=True)
     return obs.m_g * points / (1.0 + norms)
 
-
-def eval_observable(obs: ObservableMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ObjectiveError("observable point must be a vector")
-    return eval_observable_batch(obs, x[None, :])[0]

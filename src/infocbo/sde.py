@@ -20,7 +20,7 @@ replica's numbers do not depend on the batch it runs in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +40,8 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import (agent_mean, in_unit_interval, require_finite, rng_from_seed, row_sum,
-                   scale_rows, uniform_ball)
+from .util import (agent_mean, in_unit_interval, is_whole, require_finite, rng_from_seed,
+                   row_sum, scale_rows, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -415,7 +415,7 @@ def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None 
     radius is finite, positive and given once. Returns the radii sorted; an
     error calls the strides by names."""
     for name, stride in zip(names, (record_stride, snapshot_stride)):
-        if stride is not None and not float(stride).is_integer():
+        if stride is not None and not is_whole(stride):
             raise ConfigError(f"{name} = {stride} is not a whole number")
         if stride is not None and (stride < 1 or steps % stride != 0):
             raise ConfigError(f"{name} = {stride} must be positive and divide {steps} steps")
@@ -491,53 +491,3 @@ def simulate(config: SimConfig, record_stride: int = 1, snapshot_stride: int | N
     """Integrate one run: _simulate_batch of the one seed config.seed."""
     return _simulate_batch(config, [config.seed], record_stride, snapshot_stride, ball_radii)[0]
 
-
-@dataclass
-class CoupledRecord:
-    """Synchronously coupled full/auxiliary pair sharing noise and initial data."""
-
-    times: np.ndarray
-    gap_sq: np.ndarray
-    full: TrajectoryRecord
-    aux: TrajectoryRecord
-
-
-def simulate_pair_coupled(
-    config: SimConfig,
-    record_stride: int = 1,
-    ball_radii: Sequence[float] = (),
-) -> CoupledRecord:
-    """Run the consensus-driven and consensus-free systems on shared randomness.
-
-    The pair is config run in mode "full" and in mode "auxiliary"; the mode
-    config itself carries is not read. The coupling is same seed, same
-    draws: the two runs step in lockstep, each drawing its initial agents
-    and its noise from its own stream on the common seed, so both see
-    identical initial data and increments. The ensemble-average squared
-    position gap is recorded alongside both trajectories; both records
-    carry the joint lambda extremes of the pair. The gap starts at zero
-    (shared initial agents) and stays zero only while the consensus term is
-    inert; once information rates are positive the full drift keeps an
-    extra lambda-weighted consensus pull that the auxiliary flow drops, so
-    a nonzero gap at sharpness 0 is expected, not a coupling bug.
-    """
-    config_full = replace(config, mode="full")
-    config_aux = replace(config, mode="auxiliary")
-    radii = _observer_radii(config.n_steps, record_stride, ball_radii=ball_radii)
-    rec_f = _Recorder(config_full, radii, keep_snapshots=False)
-    rec_a = _Recorder(config_aux, radii, keep_snapshots=False)
-    gaps = []
-    for (_, ens_f, fields_f, lo_f, hi_f), (_, ens_a, fields_a, lo_a, hi_a) in zip(
-        _trajectory(config_full, record_stride), _trajectory(config_aux, record_stride)
-    ):
-        rec_f.observe(ens_f, fields_f, snapshot=False)
-        rec_a.observe(ens_a, fields_a, snapshot=False)
-        gap = ens_f.x - ens_a.x
-        gaps.append(float(row_sum(gap * gap).mean()))
-    lam_lo, lam_hi = np.minimum(lo_f, lo_a), np.maximum(hi_f, hi_a)
-    return CoupledRecord(
-        times=np.asarray(rec_f.times),
-        gap_sq=np.asarray(gaps),
-        full=rec_f.build(ens_f, lam_lo, lam_hi)[0],
-        aux=rec_a.build(ens_a, lam_lo, lam_hi)[0],
-    )

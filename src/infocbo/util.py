@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from typing import Any
 
 import numpy as np
@@ -103,6 +104,14 @@ def require_finite(error: type[Exception], **values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise error(f"{name} must be finite, got {value!r}")
+
+
+def is_whole(value) -> bool:
+    """The whole-number rule: an int or an integral float (2.0 counts as 2),
+    never a bool, a string or a non-finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def format_float(x: float) -> str:

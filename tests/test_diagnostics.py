@@ -353,7 +353,7 @@ def test_scaling_study_refuses_a_size_given_twice_before_any_replica_steps(monke
     assert stepped == []
 
 
-@pytest.mark.parametrize("size", [6.7, 0, -3, math.nan])
+@pytest.mark.parametrize("size", [6.7, 0, -3, math.nan, True])
 def test_scaling_study_refuses_a_size_that_is_not_a_whole_number_before_any_replica_steps(
         monkeypatch, size):
     stepped = []
@@ -371,6 +371,8 @@ def test_scaling_study_refuses_a_fractional_replica_count_before_any_replica_ste
                         lambda config, seeds, *args: stepped.append(seeds) or np.zeros(len(seeds)))
     with pytest.raises(DiagnosticsError, match=r"^replica count 30\.5 is not a whole number$"):
         g_phi_scaling_study(full_config(), (50,), 30.5, gaussian_bump())
+    with pytest.raises(DiagnosticsError, match=r"^replica count '30' is not a whole number$"):
+        g_phi_scaling_study(full_config(), (50,), "30", gaussian_bump())
     assert stepped == []
     stats = g_phi_scaling_study(full_config(), (50,), 30.0, gaussian_bump())
     assert stats[50].replicas == 30 and type(stats[50].replicas) is int

@@ -137,10 +137,24 @@ def test_parse_missing_required_key(missing):
         ("sim.dt", "fast"),
         ("sim.shared_noise", 1),  # truthiness is not a bool
         ("init.center", 3.0),     # must be a sequence of floats
+        # a number key takes no bool and no numeral string
+        ("sim.N", True),
+        ("sim.N", "8"),
+        ("sim.dt", "0.1"),
+        ("kernel.a", False),
+        # a list key takes no string, whose characters would be its entries
+        ("init.center", "12"),
+        ("observers.ball_radii", "5"),
+        ("run.checks", "mean_decay"),
+        ("init.center", [1.0, "2"]),
+        # a string key takes nothing else
+        ("sim.mode", 1),
+        ("objective.name", ["quadratic"]),
+        ("run.checks", ["mean_decay", 1]),
     ],
 )
 def test_parse_bad_values(key, value):
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ConfigError, match=f"^config key '{re.escape(key)}': bad value"):
         parse_flat_config(config(**{key: value}))
 
 

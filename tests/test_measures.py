@@ -12,7 +12,6 @@ from scipy.stats import wasserstein_distance
 from infocbo.measures import (
     EmpiricalMeasure,
     MeasureError,
-    alpha_r,
     mass_in_ball,
     mean_point,
     moment_p,
@@ -23,16 +22,47 @@ from infocbo.measures import (
 from infocbo.util import rng_from_seed
 
 
-def test_importing_the_package_does_not_load_scipy_assignment():
-    # only w1_exact's assignment path needs scipy, so it imports it there
-    code = ("import sys, infocbo.cli, infocbo.diagnostics, infocbo.validation; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+def run_python(code):
+    """stdout of code run in a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_package_does_not_load_scipy_assignment():
+    # only w1_exact's assignment path needs scipy, so it imports it there
+    out = run_python(
+        "import sys, infocbo.cli, infocbo.diagnostics, infocbo.validation; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+def test_without_scipy_only_the_assignment_path_is_refused():
+    out = run_python("""
+import sys
+sys.modules["scipy"] = None  # every scipy import now fails, as on a numpy-only install
+from infocbo import (EmpiricalMeasure, InitialLaw, KernelSpec, ObservableMap, SimConfig,
+                     quadratic, simulate, w1_exact)
+from infocbo.measures import MeasureError
+pair = EmpiricalMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
+try:
+    w1_exact(pair, pair)
+except MeasureError as exc:
+    print(exc)
+print(w1_exact(EmpiricalMeasure.uniform([0.0]), EmpiricalMeasure.uniform([2.0])))
+cfg = SimConfig(d=2, n_particles=8, dt=0.1, t_end=0.5, seed=1, objective=quadratic(2),
+                observable=ObservableMap(), kernel=KernelSpec("logistic", a=1.0),
+                init=InitialLaw.gaussian((1.0, 1.0), 1.0))
+print(simulate(cfg).times.size)
+""")
+    assert out.splitlines() == [
+        "exact W1 in d >= 2 needs scipy, which the extra infocbo[exact] installs; "
+        "or use w1_sliced",
+        "2.0",
+        "6",
+    ]
 
 
 def brute_force_w1(xs, ys):
@@ -201,20 +231,21 @@ def test_sliced_w1_unit_separation_in_2d_averages_two_over_pi():
 
 
 def test_bump_profile_is_one_at_origin():
-    assert alpha_r(2.0, 0.0) == 1.0
+    assert phi_r_expectation(2.0, uniform([[0.0]])) == 1.0
 
 
 @pytest.mark.parametrize("t", [1.0, 1.5, 10.0])
 def test_bump_profile_vanishes_outside_radius(t):
-    assert alpha_r(1.0, t) == 0.0
+    assert phi_r_expectation(1.0, uniform([[t]])) == 0.0
 
 
 def test_bump_profile_interior_value():
-    assert alpha_r(1.0, 1.0 / math.sqrt(2.0)) == pytest.approx(math.exp(-1.0))
+    t = 1.0 / math.sqrt(2.0)
+    assert phi_r_expectation(1.0, uniform([[t]])) == pytest.approx(math.exp(-1.0))
 
 
 def test_bump_profile_is_continuous_at_the_edge():
-    assert alpha_r(1.0, 1.0 - 1e-9) < 1e-12
+    assert phi_r_expectation(1.0, uniform([[1.0 - 1e-9]])) < 1e-12
 
 
 def test_smoothed_mass_of_origin_point_mass_is_one():

@@ -7,9 +7,7 @@ from infocbo.objectives import (
     ObjectiveError,
     ObservableMap,
     custom_objective,
-    eval_objective,
     eval_objective_batch,
-    eval_observable,
     eval_observable_batch,
     quadratic,
     rastrigin_like,
@@ -20,16 +18,16 @@ from infocbo.util import rng_from_seed
 
 def test_quadratic_is_squared_norm():
     spec = quadratic(2)
-    assert eval_objective(spec, np.array([3.0, 4.0])) == 25.0
-    assert eval_objective(spec, np.zeros(2)) == 0.0
+    assert eval_objective_batch(spec, np.array([[3.0, 4.0]]))[0] == 25.0
+    assert eval_objective_batch(spec, np.zeros((1, 2)))[0] == 0.0
     assert (spec.c2, spec.c3, spec.growth_exponent) == (1.0, 1.0, 2.0)
 
 
 def test_rastrigin_like_hand_values():
     spec = rastrigin_like(1)
-    assert eval_objective(spec, np.zeros(1)) == 0.0
+    assert eval_objective_batch(spec, np.zeros((1, 1)))[0] == 0.0
     # t^2 + 10(1 - cos 2 pi t) at t = 1/2
-    assert eval_objective(spec, np.array([0.5])) == pytest.approx(20.25)
+    assert eval_objective_batch(spec, np.array([[0.5]]))[0] == pytest.approx(20.25)
     assert spec.c3 == 1.0 + 20.0
 
 
@@ -39,7 +37,7 @@ def test_rastrigin_like_declares_dimension_dependent_upper_constant():
 
 def test_objectives_vanish_at_zero_exactly():
     for spec in (quadratic(1), quadratic(4), rastrigin_like(2), rastrigin_like(5)):
-        assert eval_objective(spec, np.zeros(spec.dimension)) == 0.0
+        assert eval_objective_batch(spec, np.zeros((1, spec.dimension)))[0] == 0.0
 
 
 def test_batch_evaluation_matches_pointwise():
@@ -47,7 +45,7 @@ def test_batch_evaluation_matches_pointwise():
     pts = rng.standard_normal((40, 3))
     for spec in (quadratic(3), rastrigin_like(3)):
         batch = eval_objective_batch(spec, pts)
-        single = np.array([eval_objective(spec, p) for p in pts])
+        single = np.array([eval_objective_batch(spec, p[None])[0] for p in pts])
         assert np.allclose(batch, single, rtol=0, atol=0)
 
 
@@ -102,13 +100,13 @@ def test_custom_pointwise_function_is_vectorized_by_wrapper():
 def test_identity_observable_returns_input():
     obs = ObservableMap()
     x = np.array([1.0, 2.0])
-    assert np.array_equal(eval_observable(obs, x), x)
+    assert np.array_equal(eval_observable_batch(obs, x[None])[0], x)
 
 
 def test_saturated_observable_hand_values():
     obs = ObservableMap(variant="saturated", m_g=2.0)
-    assert np.array_equal(eval_observable(obs, np.zeros(2)), np.zeros(2))
-    assert eval_observable(obs, np.array([3.0, 0.0])) == pytest.approx([1.5, 0.0])
+    assert np.array_equal(eval_observable_batch(obs, np.zeros((1, 2)))[0], np.zeros(2))
+    assert eval_observable_batch(obs, np.array([[3.0, 0.0]]))[0] == pytest.approx([1.5, 0.0])
 
 
 def test_saturated_observable_norm_stays_below_its_cap():
@@ -139,5 +137,5 @@ def test_observable_batch_matches_pointwise():
     obs = ObservableMap(variant="saturated", m_g=1.5)
     pts = rng_from_seed(6).standard_normal((20, 4))
     batch = eval_observable_batch(obs, pts)
-    single = np.stack([eval_observable(obs, p) for p in pts])
+    single = np.stack([eval_observable_batch(obs, p[None])[0] for p in pts])
     assert np.allclose(batch, single, rtol=0, atol=0)

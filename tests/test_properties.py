@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from infocbo import sde
 from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
 from infocbo.gibbs import ConsensusParams, consensus_from_energies, drift
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
+from infocbo.measures import EmpiricalMeasure, mass_in_ball
 from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import Ensemble, InitialLaw, SimConfig, _simulate_batch, em_step, initial_ensemble
 from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows
@@ -285,6 +287,29 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
     rngs = [rng_from_seed(seed) for seed in seeds]
     clamps = em_step(initial_ensemble(cfg, rngs), cfg, rngs).clamp_events
     assert clamps.dtype == np.dtype(int) and clamps.tolist() == [0] * replicas
+
+
+# ---------------------------------------------------------------------------
+# ball mass
+
+
+@given(
+    d=st.integers(1, 7),
+    n=st.integers(1, 40),
+    radius=st.sampled_from([0.3, 0.7, 1.3]),
+    seed=st.integers(0, 2**32),
+)
+def test_mass_in_ball_counts_what_the_recorder_counts(d, n, radius, seed):
+    # within a few ulps of the sphere, norm(x) < r and row_sum(x * x) < r * r
+    # disagree on some 10% of the points; both must take the second
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    x = scale_rows(radius + rng.integers(-4, 5, n) * np.spacing(radius), directions)
+    recorder = sde._Recorder(None, [radius], keep_snapshots=False)
+    recorder.observe(Ensemble(x, np.full(n, 0.5)), (None, None), snapshot=False)
+    count = recorder.mass[radius][0][0] * n
+    assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == round(count)
 
 
 # ---------------------------------------------------------------------------

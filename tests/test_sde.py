@@ -21,10 +21,9 @@ from infocbo.sde import (
     drift_and_rate,
     em_step,
     simulate,
-    simulate_pair_coupled,
 )
 from infocbo.trajectory import RecordError, TrajectoryRecord
-from infocbo.util import rng_from_seed
+from infocbo.util import rng_from_seed, row_sum
 from truncation_oracle import cutoff_phi_measure, truncated_drift
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
@@ -395,6 +394,8 @@ def test_a_stride_must_be_a_whole_number():
         simulate(cfg, record_stride=2.5)
     with pytest.raises(ConfigError, match=r"^snapshot_stride = 2.5 is not a whole number$"):
         simulate(cfg, snapshot_stride=2.5)
+    with pytest.raises(ConfigError, match=r"^record_stride = True is not a whole number$"):
+        simulate(cfg, record_stride=True)
     assert simulate(cfg, record_stride=2.0).times.tolist() == (
         simulate(cfg, record_stride=2).times.tolist())
 
@@ -602,7 +603,7 @@ GOLDEN_CASES = {
     ),
 }
 
-# simulate_pair_coupled on golden_config(**COUPLED_OVERRIDES), per record stride
+# coupled_pair on golden_config(**COUPLED_OVERRIDES), per record stride
 COUPLED_OVERRIDES = dict(
     kernel=CROWD_KERNEL,
     init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.1, lambda_hi=0.6),
@@ -640,14 +641,14 @@ def test_golden_statistics_hash_is_stable(case):
 
 @pytest.mark.parametrize("stride", sorted(COUPLED_SHA256))
 def test_coupled_pair_hash_is_stable(stride):
-    full = golden_config(**COUPLED_OVERRIDES)
-    pair = simulate_pair_coupled(full, record_stride=stride, ball_radii=(1.0,))
-    digest = hashlib.sha256(pair.times.tobytes())
-    digest.update(pair.gap_sq.tobytes())
-    for rec in (pair.full, pair.aux):
+    records, gap_sq = coupled_pair(golden_config(**COUPLED_OVERRIDES), stride, (1.0,))
+    digest = hashlib.sha256(records[0].times.tobytes())
+    digest.update(gap_sq.tobytes())
+    # both records carry the joint lambda extremes of the pair
+    lam = [min(r.lambda_min for r in records), max(r.lambda_max for r in records)]
+    for rec in records:
         digest.update(rec.to_csv().encode())
-        digest.update(np.array([rec.lambda_min, rec.lambda_max, rec.clamp_events],
-                               dtype=float).tobytes())
+        digest.update(np.array([*lam, rec.clamp_events], dtype=float).tobytes())
     assert digest.hexdigest() == COUPLED_SHA256[stride]
 
 
@@ -686,20 +687,19 @@ def test_batch_records_equal_single_runs_bit_for_bit(case):
         assert type(record.clamp_events) is int and type(record.lambda_max) is float
 
 
-def test_coupled_pair_matches_two_single_runs():
-    full = golden_config(**COUPLED_OVERRIDES)
-    aux = dataclasses.replace(full, mode="auxiliary")
-    pair = simulate_pair_coupled(full, ball_radii=(1.0,))
-    alone_f = simulate(full, ball_radii=(1.0,))
-    alone_a = simulate(aux, ball_radii=(1.0,))
-    assert pair.full.to_csv() == alone_f.to_csv()
-    assert pair.aux.to_csv() == alone_a.to_csv()
-    assert pair.full.lambda_min == min(alone_f.lambda_min, alone_a.lambda_min)
-    assert pair.aux.lambda_max == max(alone_f.lambda_max, alone_a.lambda_max)
-
-
 # ---------------------------------------------------------------------------
 # coupled pair
+
+
+def coupled_pair(full, stride=1, ball_radii=()):
+    """The consensus-driven run of full and its consensus-free twin, and the
+    mean squared position gap at each recorded state. Sharing the seed, the
+    two draw the same initial agents and the same noise."""
+    records = [simulate(cfg, stride, stride, ball_radii)
+               for cfg in (full, dataclasses.replace(full, mode="auxiliary"))]
+    gap_sq = [float(row_sum((f.ensemble.x - a.ensemble.x) ** 2).mean())
+              for f, a in zip(records[0].snapshots, records[1].snapshots, strict=True)]
+    return records, np.array(gap_sq)
 
 
 def coupled_config(**overrides):
@@ -710,31 +710,22 @@ def coupled_config(**overrides):
 
 
 def test_coupled_pair_shares_initial_agents():
-    pair = simulate_pair_coupled(coupled_config())
-    assert pair.gap_sq[0] == 0.0
-    assert np.array_equal(pair.full.mean_x[0], pair.aux.mean_x[0])
+    (full, aux), gap_sq = coupled_pair(coupled_config())
+    assert gap_sq[0] == 0.0
+    assert np.array_equal(full.mean_x[0], aux.mean_x[0])
 
 
 def test_coupled_pair_with_zero_horizon_has_zero_gap():
-    pair = simulate_pair_coupled(coupled_config(t_end=0.0))
-    assert pair.gap_sq.tolist() == [0.0]
-
-
-def test_coupled_pair_does_not_read_the_mode_it_is_given():
-    full = coupled_config()
-    from_full = simulate_pair_coupled(full, record_stride=2, ball_radii=(1.0,))
-    from_aux = simulate_pair_coupled(dataclasses.replace(full, mode="auxiliary"),
-                                     record_stride=2, ball_radii=(1.0,))
-    assert from_aux.full.mode == "full" and from_aux.aux.mode == "auxiliary"
-    assert from_aux.full.to_csv() == from_full.full.to_csv()
-    assert from_aux.aux.to_csv() == from_full.aux.to_csv()
-    assert np.array_equal(from_aux.gap_sq, from_full.gap_sq)
+    _, gap_sq = coupled_pair(coupled_config(t_end=0.0))
+    assert gap_sq.tolist() == [0.0]
 
 
 def test_coupled_gap_shrinks_as_the_consensus_sharpens():
+    # once information rates are positive the full drift keeps a
+    # lambda-weighted consensus pull that the auxiliary flow drops, so the
+    # gap is not zero even at sharpness 0; it falls as the consensus sharpens
     terminal = []
     for n in (1.0, 4.0, 16.0, 64.0):
         cfg = coupled_config(n_particles=200, t_end=2.0, dt=1e-2, seed=11, sharpness=n)
-        pair = simulate_pair_coupled(cfg, record_stride=cfg.n_steps)
-        terminal.append(pair.gap_sq[-1])
+        terminal.append(coupled_pair(cfg, stride=cfg.n_steps)[1][-1])
     assert all(a > b for a, b in zip(terminal, terminal[1:]))

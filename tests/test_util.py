@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from infocbo.util import GENERATOR_NAME, derive_seed, format_float, jsonable, rng_from_seed
+from infocbo.util import (GENERATOR_NAME, derive_seed, format_float, is_whole, jsonable,
+                          rng_from_seed)
 
 
 def test_generator_name_matches_bit_generator():
@@ -56,3 +57,12 @@ def test_jsonable_handles_numpy_and_nested_containers():
     blob = jsonable({"a": np.float64(0.5), "b": np.arange(3), "c": (np.int64(2), [np.True_])})
     text = json.dumps(blob)
     assert json.loads(text) == {"a": 0.5, "b": [0, 1, 2], "c": [2, [True]]}
+
+
+@pytest.mark.parametrize("value, whole", [
+    (2, True), (2.0, True), (-3, True), (np.int64(4), True), (np.float64(5.0), True),
+    (2.5, False), (math.inf, False), (math.nan, False), (True, False), (np.True_, False),
+    ("2", False), (None, False),
+])
+def test_whole_numbers_are_ints_and_integral_floats_never_bools(value, whole):
+    assert is_whole(value) is whole
