@@ -16,6 +16,7 @@ import numpy as np
 from .measures import phi_r_expectation
 from .sde import (
     Ensemble,
+    Fields,
     SimConfig,
     SimulationError,
     _observer_radii,
@@ -367,7 +368,8 @@ def g_phi_residual(
         [s.ensemble.time for s in snapshots],
         _phi_average(snapshots[0].ensemble, phi),
         _phi_average(snapshots[-1].ensemble, phi),
-        [_generator_average(s.ensemble, (s.f_val, s.e_val), config, phi) for s in snapshots],
+        [_generator_average(s.ensemble, Fields(s.f_val, s.e_val, None), config, phi)
+         for s in snapshots],
     )
     return float(residual[0])
 

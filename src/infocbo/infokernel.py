@@ -68,7 +68,8 @@ class PopulationSummary:
     from_arrays takes one population (x: (N, d), lam: (N,)) or a stack of R
     (x: (R, N, d), lam: (R, N)), which gets one mean_x row and one m1 per
     population. A summary built from arrays computes each statistic when a
-    kernel first reads it; the logistic kernel reads neither.
+    kernel first reads it, unless given (the stepping loop passes the crowd
+    mean its consensus computed); the logistic kernel reads neither.
     """
 
     def __init__(self, mean_x: np.ndarray | None = None, m1=None, *, arrays=None):
@@ -79,8 +80,8 @@ class PopulationSummary:
             self.m1 = m1
 
     @classmethod
-    def from_arrays(cls, x: np.ndarray, lam: np.ndarray) -> "PopulationSummary":
-        return cls(arrays=(x, lam))
+    def from_arrays(cls, x: np.ndarray, lam: np.ndarray, mean_x=None) -> "PopulationSummary":
+        return cls(mean_x, arrays=(x, lam))
 
     @cached_property
     def mean_x(self) -> np.ndarray:

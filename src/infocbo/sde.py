@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,15 +265,21 @@ def initial_ensemble(config: SimConfig, rngs: Sequence[np.random.Generator]) -> 
     )
 
 
-def consensus_fields(ensemble: Ensemble, config: SimConfig):
-    """(f, e) targets of each replica, as (R, d) arrays; f is None in
-    auxiliary mode.
+class Fields(NamedTuple):
+    """One state's (R, d) targets f (None in auxiliary mode) and e, scaled by
+    the cutoff under truncation, and its raw crowd mean mean_x, which the rate
+    kernel and the recorder read (None: the summary computes it)."""
 
-    Both are computed once per step and shared by all agents of a replica,
-    so a step costs O(N d) per replica regardless of sharpness.
-    """
+    f: np.ndarray | None
+    e: np.ndarray
+    mean_x: np.ndarray | None
+
+
+def consensus_fields(ensemble: Ensemble, config: SimConfig) -> Fields:
+    """The Fields of each replica, computed once per state and shared by all
+    its agents, so a step costs O(N d) per replica regardless of sharpness."""
     xs, _ = ensemble.views()
-    e_val = agent_mean(xs)
+    e_val = mean_x = agent_mean(xs)
     if config.mode == "auxiliary":
         f_val = None
     else:
@@ -289,19 +295,20 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig):
         e_val = phi * e_val
         if f_val is not None:
             f_val = phi * f_val
-    return f_val, e_val
+    return Fields(f_val, e_val, mean_x)
 
 
-def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields):
+def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields: Fields):
     """Drift v (rows, d) and information rate T (rows,) of every agent, each
     replica pulled toward its own consensus fields: (R, d) arrays as returned
     by consensus_fields, or (d,) arrays for a single replica."""
-    f_val, e_val = fields
+    f_val, e_val, mean_x = fields
     xs, lams = ensemble.views()
     targets = (xs.shape[0], 1, xs.shape[2])
     f_val = None if f_val is None else f_val.reshape(targets)
     v = drift(xs, lams, f_val, e_val.reshape(targets))
-    rate = eval_kernel(config.kernel, PopulationSummary.from_arrays(xs, lams), xs, lams)
+    summary = PopulationSummary.from_arrays(xs, lams, mean_x=mean_x)
+    rate = eval_kernel(config.kernel, summary, xs, lams)
     return v.reshape(ensemble.x.shape), rate.reshape(-1)
 
 
@@ -362,16 +369,17 @@ class _Recorder:
         self.consensus: list[np.ndarray] = []
         self.snapshots: dict[int, list[Snapshot]] | None = {} if keep_snapshots else None
 
-    def observe(self, ensemble: Ensemble, fields, snapshot: bool) -> None:
-        f_val, e_val = fields
+    def observe(self, ensemble: Ensemble, fields: Fields, snapshot: bool) -> None:
+        f_val, e_val, mean_x = fields
         xs, lams = ensemble.views()
+        n = ensemble.n_agents
         norms_sq = row_sum(ensemble.x * ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
-        self.m2_sq.append(norms_sq.mean(axis=1))
-        self.mean_x.append(agent_mean(xs))
-        self.mean_lambda.append(lams.mean(axis=1))
+        self.m2_sq.append(np.add.reduce(norms_sq, axis=1) / n)
+        self.mean_x.append(mean_x)
+        self.mean_lambda.append(np.add.reduce(lams, axis=1) / n)
         for r in self.radii:
-            self.mass[r].append((norms_sq < r * r).sum(axis=1) / ensemble.n_agents)
+            self.mass[r].append(np.add.reduce(norms_sq < r * r, axis=1) / n)
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:

@@ -307,7 +307,9 @@ def test_mass_in_ball_counts_what_the_recorder_counts(d, n, radius, seed):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     x = scale_rows(radius + rng.integers(-4, 5, n) * np.spacing(radius), directions)
     recorder = sde._Recorder(None, [radius], keep_snapshots=False)
-    recorder.observe(Ensemble(x, np.full(n, 0.5)), (None, None), snapshot=False)
+    ensemble = Ensemble(x, np.full(n, 0.5))
+    auxiliary = sim_config(d, n, KernelSpec("logistic", a=1.0), dt=0.1, mode="auxiliary")
+    recorder.observe(ensemble, sde.consensus_fields(ensemble, auxiliary), snapshot=False)
     count = recorder.mass[radius][0][0] * n
     assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == round(count)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from infocbo import sde, validation
+from infocbo import infokernel, sde, validation
 from infocbo.gibbs import ConsensusParams, GibbsError, consensus_from_energies
 from infocbo.infokernel import KernelSpec
 from infocbo.measures import EmpiricalMeasure
@@ -463,18 +463,26 @@ def test_mass_ball_series_are_recorded_per_radius():
 
 @pytest.mark.parametrize("stride", [1, 5])
 def test_consensus_is_computed_per_step_and_per_recorded_state(stride, monkeypatch):
-    calls = []
+    calls, means = [], []
 
     def counted(ensemble, config):
         calls.append(ensemble.time)
         return consensus_fields(ensemble, config)
 
+    def counted_mean(a, mean=sde.agent_mean):
+        means.append(a.shape)
+        return mean(a)
+
     monkeypatch.setattr(sde, "consensus_fields", counted)
-    cfg = make_config(n_particles=6, noise_strength=0.5)
+    monkeypatch.setattr(sde, "agent_mean", counted_mean)
+    monkeypatch.setattr(infokernel, "agent_mean", counted_mean)
+    cfg = make_config(n_particles=6, noise_strength=0.5, kernel=CROWD_KERNEL)
     simulate(cfg, record_stride=stride, snapshot_stride=2 * stride)
     # em_step computes the fields of each state it leaves; the recorder
     # computes those of each recorded state (t = 0 and every stride-th step)
     assert len(calls) == cfg.n_steps + cfg.n_steps // stride + 1
+    # the rate kernel and the recorder read the mean consensus_fields took
+    assert len(means) == len(calls)
 
 
 def test_truncated_drift_of_a_batch_agrees_with_gibbs_truncated_drift():
@@ -600,6 +608,13 @@ GOLDEN_CASES = {
     "auxiliary_crowd": (
         dict(mode="auxiliary", kernel=CROWD_KERNEL), {},
         "974b7d7745c2c72ddd3ced2c4feff6201d91bf9fb9a154f00163d63988ae5229",
+    ),
+    # the cutoff lies strictly inside (0, 1) at every recorded state, so a
+    # kernel or recorder reading the scaled target e for the crowd mean
+    # moves this digest; recorded before the mean was shared
+    "truncation_crowd": (
+        dict(truncation_radius=1.0, kernel=CROWD_KERNEL), {},
+        "d612127b962ed805d154695ad10a5105bd15774e6f148a30fcc6b340b8bf03b5",
     ),
 }
 
