@@ -320,33 +320,30 @@ def _replica_means(ensemble: Ensemble, values: np.ndarray) -> np.ndarray:
     return values.reshape(ensemble.replicas, -1).mean(axis=1)
 
 
-def _phi_average(ensemble: Ensemble, phi: TestFunction) -> np.ndarray:
-    """<phi> per replica, shape (R,)."""
-    return _replica_means(ensemble, phi.parts(ensemble.x, ensemble.lam)[0])
-
-
 def _generator_average(
-    ensemble: Ensemble, fields, config: SimConfig, phi: TestFunction
-) -> np.ndarray:
-    """<nu v . grad_x phi + T d_lam phi + (sigma^2 / 2) ||v||^2 lap_x phi>
-    per replica, shape (R,), under the consensus fields in force."""
-    v, rate = drift_and_rate(ensemble, config, fields)
-    _, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
+    ensemble: Ensemble, motion, config: SimConfig, phi: TestFunction
+) -> tuple[np.ndarray, np.ndarray]:
+    """<phi> and <nu v . grad_x phi + T d_lam phi + (sigma^2 / 2) ||v||^2 lap_x phi>
+    per replica, each of shape (R,), from the state's (v, T) as drift_and_rate
+    returns it."""
+    v, rate = motion
+    value, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
     terms = config.drift_gain * row_sum(v * grad_x)
     terms += rate * grad_lambda
     terms += 0.5 * config.noise_strength**2 * row_sum(v * v) * laplacian_x
-    return _replica_means(ensemble, terms)
+    return _replica_means(ensemble, value), _replica_means(ensemble, terms)
 
 
-def _residual(times, phi_start, phi_end, generator) -> np.ndarray:
-    """G per replica from <phi> at both ends and one (R,) generator average
-    per recorded time (at least two), integrated by the trapezoid rule."""
+def _residual(times, averages) -> np.ndarray:
+    """G per replica from the (<phi>, generator average) pair of each recorded
+    time (at least two), integrated by the trapezoid rule."""
     times = np.asarray(times)
     gaps = np.diff(times)
     if np.any(gaps <= 0) or np.any(np.abs(gaps - gaps[0]) > 1e-9 * gaps[0]):
         raise DiagnosticsError("snapshots must sit on a uniform time grid")
+    phi, generator = zip(*averages)
     integral = np.trapezoid(np.stack(generator, axis=-1), times, axis=-1)
-    return phi_end - phi_start - integral
+    return phi[-1] - phi[0] - integral
 
 
 def g_phi_residual(
@@ -364,14 +361,11 @@ def g_phi_residual(
     """
     if len(snapshots) < 2:
         raise DiagnosticsError("need at least two snapshots for the residual")
-    residual = _residual(
-        [s.ensemble.time for s in snapshots],
-        _phi_average(snapshots[0].ensemble, phi),
-        _phi_average(snapshots[-1].ensemble, phi),
-        [_generator_average(s.ensemble, Fields(s.f_val, s.e_val, None), config, phi)
-         for s in snapshots],
-    )
-    return float(residual[0])
+    averages = []
+    for s in snapshots:
+        motion = drift_and_rate(s.ensemble, config, Fields(s.f_val, s.e_val, None))
+        averages.append(_generator_average(s.ensemble, motion, config, phi))
+    return float(_residual([s.ensemble.time for s in snapshots], averages)[0])
 
 
 def g_phi_replica_residuals(
@@ -382,21 +376,26 @@ def g_phi_replica_residuals(
     Replica r equals, bit for bit, g_phi_residual of
     simulate(replace(config, seed=seeds[r]), record_stride=snapshot_stride,
     snapshot_stride=snapshot_stride): the generator average of each recorded
-    state is taken while the batch steps, so no snapshot is kept.
+    state is taken while the batch steps, so no snapshot is kept. The (v, T)
+    it computes goes back to the step leaving that state, so each state is
+    evaluated once.
     """
     _observer_radii(config.n_steps, snapshot_stride, names=("snapshot_stride",))
     if config.n_steps == 0:
         raise DiagnosticsError("need at least one step for the residual")
-    times, generator = [], []
+    states = _trajectory(config, snapshot_stride, seeds)
+    times, averages, motion = [], [], None
     try:
-        for k, ens, fields, _, _ in _trajectory(config, snapshot_stride, seeds):
-            if k == 0:
-                phi_start = _phi_average(ens, phi)
+        while True:
+            _, ens, fields, _, _ = states.send(motion)
+            motion = drift_and_rate(ens, config, fields)
             times.append(ens.time)
-            generator.append(_generator_average(ens, fields, config, phi))
+            averages.append(_generator_average(ens, motion, config, phi))
+    except StopIteration:
+        pass
     except SimulationError as exc:
         raise SimulationError(f"N = {config.n_particles}: {exc}") from exc
-    return _residual(times, phi_start, _phi_average(ens, phi), generator)
+    return _residual(times, averages)
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,9 @@ def _require_per_population(ok: np.ndarray, message: str) -> None:
         raise GibbsError(message + where)
 
 
-def _stabilized_weights(sharpness: float, energies: np.ndarray, prior: np.ndarray):
+def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
     """Normalized weights along the last axis: one population, or a stack of
-    them (energies (R, N)) sharing the prior."""
+    them (energies (R, N)) sharing the prior, (N,) or one scalar mass."""
     finite = np.isfinite(energies)
     _require_per_population(
         finite.any(axis=-1), "every atom has infinite energy; weights are undefined"
@@ -70,9 +70,10 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior: np.ndarra
         # exp(-0 * E) = 1 by convention, infinite energies included
         weights = np.broadcast_to(prior, energies.shape).copy()
     else:
-        lowest = np.where(finite, energies, np.inf).min(axis=-1, keepdims=True)
-        raw = prior * np.exp(-sharpness * (energies - lowest))
-        weights = np.where(finite, raw, 0.0)
+        # a +-0 lowest gives the same weights: exp(-n * +-0) = 1
+        lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
+        weights = prior * np.exp(-sharpness * (energies - lowest))
+        np.copyto(weights, 0.0, where=~finite)
     total = weights.sum(axis=-1, keepdims=True)
     _require_per_population(
         total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
@@ -95,14 +96,15 @@ def gibbs_weights(params: ConsensusParams, points: np.ndarray) -> np.ndarray:
 def consensus_from_energies(
     params: ConsensusParams,
     atoms: np.ndarray,
-    masses: np.ndarray,
+    masses,
     energies: np.ndarray,
 ) -> np.ndarray:
     """Weighted consensus given precomputed energies (the hot path).
 
-    A stack of populations (atoms (R, N, d), energies (R, N)) sharing the
-    masses gets one consensus row per population, each equal bit for bit to
-    the consensus of that population alone.
+    masses is (N,), or one scalar for equal masses. A stack of populations
+    (atoms (R, N, d), energies (R, N)) sharing the masses gets one consensus
+    row per population, each equal bit for bit to the consensus of that
+    population alone.
     """
     weights = _stabilized_weights(params.sharpness, energies, masses)
     atoms = np.asarray(atoms, dtype=float)

@@ -285,9 +285,8 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig) -> Fields:
     else:
         energies = eval_objective_batch(config.objective, ensemble.x)
         n = xs.shape[1]
-        masses = np.full(n, 1.0 / n)
         f_val = consensus_from_energies(
-            config.consensus_params, xs, masses, energies.reshape(-1, n)
+            config.consensus_params, xs, 1.0 / n, energies.reshape(-1, n)
         )
     if config.truncation_radius is not None:
         m1 = np.sqrt(row_sum(xs * xs)).mean(axis=1)
@@ -325,15 +324,19 @@ def _draw_noise(rngs: Sequence[np.random.Generator], ensemble: Ensemble,
     return noise
 
 
-def em_step(ensemble: Ensemble, config: SimConfig, rng) -> Ensemble:
+def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble:
     """One Euler-Maruyama step; consensus fields are frozen at the pre-step state.
 
     rng is one generator per replica, or a bare generator for one replica.
+    motion is the pre-step (v, rate) of drift_and_rate, when the caller has
+    it already; None computes it here.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     x, lam = ensemble.x, ensemble.lam
     dt = config.dt
-    v, rate = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
+    if motion is None:
+        motion = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
+    v, rate = motion
     new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(row_sum(v * v))
@@ -444,8 +447,10 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     step 0 and every record_stride-th step.
 
     The batch holds one replica per seed (default: the single config.seed).
-    fields are the consensus fields of the yielded state, for the caller;
-    em_step computes those of the state it leaves. lam_min / lam_max hold
+    fields are the consensus fields of the yielded state, for the caller.
+    A caller that has computed the (v, rate) of a yielded state sends it
+    back, and the step leaving that state uses it; otherwise (a plain for
+    loop sends None) em_step computes it. lam_min / lam_max hold
     each replica's running extremes over every state so far, recorded or
     not. Each replica draws its initial agents and then each step's noise
     from its own stream, so two configs that differ only in mode see the
@@ -457,18 +462,19 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
     lam_min, lam_max = ens.views()[1].min(axis=1), ens.views()[1].max(axis=1)
-    yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
+    motion = yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
     for k in range(1, steps + 1):
         recorded = k % record_stride == 0
         try:
-            ens = em_step(ens, config, rngs)
+            ens = em_step(ens, config, rngs, motion)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc
         lam_min = np.minimum(lam_min, ens.views()[1].min(axis=1))
         lam_max = np.maximum(lam_max, ens.views()[1].max(axis=1))
+        motion = None
         if recorded:
-            yield k, ens, fields, lam_min, lam_max
+            motion = yield k, ens, fields, lam_min, lam_max
 
 
 def _simulate_batch(

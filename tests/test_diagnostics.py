@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from infocbo import diagnostics
+from infocbo import diagnostics, sde
 from infocbo.diagnostics import (
     DiagnosticsError,
     constant_test_function,
@@ -412,6 +412,29 @@ def test_batched_study_equals_per_replica_runs_bit_for_bit(variant, stride):
     stats = g_phi_scaling_study(cfg, (12,), 30, phi, snapshot_stride=stride)[12]
     assert stats.mean == float(values.mean())
     assert stats.variance == float(values.var(ddof=1))
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_the_residual_study_evaluates_each_state_once(stride, monkeypatch):
+    # the generator average's (v, T) goes to the step leaving the state, so
+    # each state's fields and motion are computed once, recorded or not
+    fields_at, motion_at = [], []
+
+    def counted_fields(ensemble, config, fields=sde.consensus_fields):
+        fields_at.append(ensemble.time)
+        return fields(ensemble, config)
+
+    def counted_motion(ensemble, config, fields, motion=sde.drift_and_rate):
+        motion_at.append(ensemble.time)
+        return motion(ensemble, config, fields)
+
+    monkeypatch.setattr(sde, "consensus_fields", counted_fields)
+    monkeypatch.setattr(sde, "drift_and_rate", counted_motion)
+    monkeypatch.setattr(diagnostics, "drift_and_rate", counted_motion)
+    cfg = full_config(t_end=0.5, n_particles=12, **BATCH_VARIANTS["crowd_truncated"])
+    g_phi_replica_residuals(cfg, [3, 1, 4], gaussian_bump(2.0), stride)
+    assert len(fields_at) == len(motion_at) == cfg.n_steps + 1
+    assert len(set(fields_at)) == len(set(motion_at)) == cfg.n_steps + 1
 
 
 def test_study_divergence_names_the_replica_and_the_step():

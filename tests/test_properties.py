@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from infocbo import sde
 from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
-from infocbo.gibbs import ConsensusParams, consensus_from_energies, drift
+from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_energies, drift
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
 from infocbo.measures import EmpiricalMeasure, mass_in_ball
@@ -132,6 +132,29 @@ def test_zero_sharpness_gives_the_mass_weighted_mean(population, raw_masses, obs
         observable.m_g * atoms / (1.0 + np.linalg.norm(atoms, axis=1, keepdims=True)))
     np.testing.assert_allclose(point, np.average(g, axis=0, weights=masses),
                                rtol=1e-12, atol=1e-12)
+
+
+def masked_weights(sharpness, energies, prior):
+    """The stabilized weights as masked copies compute them: the lowest
+    finite energy of each row, then zero weight for every non-finite one."""
+    finite = np.isfinite(energies)
+    lowest = np.where(finite, energies, np.inf).min(axis=-1, keepdims=True)
+    weights = np.where(finite, prior * np.exp(-sharpness * (energies - lowest)), 0.0)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@given(data=st.data(), sharpness=st.floats(0.0, 64.0, exclude_min=True))
+def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpness):
+    # stacked (R, N) energies with infinite, NaN and signed-zero entries;
+    # each row keeps one finite energy, or its weights are undefined
+    r, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+    finite = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0]))
+    special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    energies = data.draw(arrays(float, (r, n), elements=st.one_of(finite, special)))
+    energies[:, data.draw(st.integers(0, n - 1))] = data.draw(arrays(float, r, elements=finite))
+    with np.errstate(all="ignore"):
+        want = masked_weights(sharpness, energies, np.full(n, 1.0 / n))
+    assert same_bits(_stabilized_weights(sharpness, energies, 1.0 / n), want)
 
 
 # ---------------------------------------------------------------------------

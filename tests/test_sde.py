@@ -685,6 +685,19 @@ def test_batched_trajectory_steps_each_replica_as_if_alone(case):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_a_step_given_its_motion_equals_the_step_that_computes_it(case):
+    cfg = golden_config(**GOLDEN_CASES[case][0])
+    seeds = [3, 1, 4]
+    ens = sde.initial_ensemble(cfg, [rng_from_seed(seed) for seed in seeds])
+    motion = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
+    given = em_step(ens, cfg, [rng_from_seed(seed) for seed in seeds], motion=motion)
+    computed = em_step(ens, cfg, [rng_from_seed(seed) for seed in seeds])
+    assert given.x.tobytes() == computed.x.tobytes()
+    assert given.lam.tobytes() == computed.lam.tobytes()
+    assert given.clamp_events.tolist() == computed.clamp_events.tolist()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_batch_records_equal_single_runs_bit_for_bit(case):
     overrides, sim_kwargs, _ = GOLDEN_CASES[case]
     cfg = golden_config(**overrides)
