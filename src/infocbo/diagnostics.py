@@ -479,9 +479,9 @@ def _require_concentration_hypotheses(config: SimConfig) -> None:
 def concentration_sweep(
     base_config: SimConfig,
     sharpness_list: Sequence[float],
-    record_stride: int = 1,
 ) -> dict[float, float]:
-    """Terminal m2_sq per sharpness value, all runs on the same seed.
+    """Terminal m2_sq per sharpness value, all runs on the same seed; each
+    run records only its endpoints.
 
     Sharing the seed couples the sweep: differences across sharpness are not
     confounded by the noise realization. Every point is built, and a
@@ -493,5 +493,5 @@ def concentration_sweep(
         if sharpness in configs:  # one result per sharpness
             raise DiagnosticsError(f"sharpness {sharpness!r} is given twice")
         configs[sharpness] = replace(base_config, sharpness=sharpness)
-    return {sharpness: float(simulate(cfg, record_stride=record_stride).m2_sq[-1])
+    return {sharpness: float(simulate(cfg, record_stride=cfg.n_steps or 1).m2_sq[-1])
             for sharpness, cfg in configs.items()}

@@ -332,6 +332,8 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     it already; None computes it here.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if len(rngs) != ensemble.replicas:
+        raise ConfigError(f"{len(rngs)} noise generators for {ensemble.replicas} replicas")
     x, lam = ensemble.x, ensemble.lam
     dt = config.dt
     if motion is None:
@@ -455,18 +457,20 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     not. Each replica draws its initial agents and then each step's noise
     from its own stream, so two configs that differ only in mode see the
     same draws, and a replica's draws do not depend on the batch. An error
-    names the failing replica by its place in the batch.
+    names the step (0 for the initial state) and the failing replica by its
+    place in the batch.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
-    lam_min, lam_max = ens.views()[1].min(axis=1), ens.views()[1].max(axis=1)
-    motion = yield 0, ens, consensus_fields(ens, config), lam_min, lam_max
-    for k in range(1, steps + 1):
+    lam_min, lam_max = np.full(ens.replicas, np.inf), np.full(ens.replicas, -np.inf)
+    motion = None
+    for k in range(steps + 1):  # k = 0 evaluates the initial state
         recorded = k % record_stride == 0
         try:
-            ens = em_step(ens, config, rngs, motion)
+            if k > 0:
+                ens = em_step(ens, config, rngs, motion)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc

@@ -153,7 +153,7 @@ def decay_record():
 def concentration_table():
     cfg = concentration_config()
     start = time.perf_counter()
-    table = concentration_sweep(cfg, CONCENTRATION_SHARPNESS, record_stride=5)
+    table = concentration_sweep(cfg, CONCENTRATION_SHARPNESS)
     return table, time.perf_counter() - start
 
 

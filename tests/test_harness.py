@@ -416,14 +416,19 @@ def test_worker_pool_matches_serial(tmp_path):
                 (tmp_path / str(workers) / name).read_bytes()
 
 
-@pytest.mark.parametrize("mode, message", [
+@pytest.mark.parametrize("overrides, message", [
     # the consensus of the first state reached sees only infinite energies
-    ("full", r"step 1/10: every atom has infinite energy.*\(replica 2\)$"),
+    ({"sim.drift_gain": 1e300},
+     r"step 1/10: every atom has infinite energy.*\(replica 2\)$"),
     # the consensus-free flow overflows one step later
-    ("auxiliary", r"step 2/10: non-finite position in replica 2 leaving"),
-])
-def test_a_sub_batch_names_the_run_replica_and_the_step(mode, message):
-    doc = config(**{"sim.drift_gain": 1e300, "sim.mode": mode, "run.replicas": 4})
+    ({"sim.drift_gain": 1e300, "sim.mode": "auxiliary"},
+     r"step 2/10: non-finite position in replica 2 leaving"),
+    # the consensus of the initial state already sees only infinite energies
+    ({"init.spatial": "point", "init.center": [1e200, 0.0]},
+     r"step 0/10: every atom has infinite energy.*\(replica 2\)$"),
+], ids=["full", "auxiliary", "initial_state"])
+def test_a_sub_batch_names_the_run_replica_and_the_step(overrides, message):
+    doc = config(**overrides, **{"run.replicas": 4})
     with np.errstate(all="ignore"), pytest.raises(SimulationError, match=f"^{message}"):
         _replica_batch(doc, 2, 4)
 
@@ -722,15 +727,24 @@ def test_cli_null_is_accepted_only_where_the_default_is_null(tmp_path, capsys, k
 
 
 def test_cli_divergence_exits_4(tmp_path, capsys):
-    path = write_config(tmp_path, config(**{"sim.drift_gain": 1e300, "run.replicas": 2}))
-    with np.errstate(all="ignore"):
-        code = main(["run", str(path), "--out", str(tmp_path / "out")])
-    assert code == EXIT_DIVERGED == 4
-    err = capsys.readouterr().err
-    # both replicas reach infinite energies at step 1; the first is named
-    assert re.search(r"^simulation diverged: step 1/10: .*\(replica 0\)$", err, re.M)
-    with pytest.raises(RunDirectoryError):
-        load_manifest(tmp_path / "out")
+    initial = {"sim.N": 1, "sim.seed": 4, "init.spread": 1e154, "run.replicas": 3}
+    for i, (overrides, workers, message) in enumerate([
+        # both replicas reach infinite energies at step 1; the first is named
+        ({"sim.drift_gain": 1e300, "run.replicas": 2}, "1", r"step 1/10: .*\(replica 0\)"),
+        # one agent per replica; only the last starts beyond float range, and
+        # it is named by its index in the run whatever sub-batch steps it
+        (initial, "1", r"step 0/10: .*\(replica 2\)"),
+        (initial, "2", r"step 0/10: .*\(replica 2\)"),
+    ]):
+        path = write_config(tmp_path, config(**overrides), name=f"exp{i}.json")
+        out = tmp_path / f"out{i}"
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path), "--out", str(out), "--workers", workers])
+        assert code == EXIT_DIVERGED == 4
+        err = capsys.readouterr().err
+        assert re.search(f"^simulation diverged: {message}$", err, re.M)
+        with pytest.raises(RunDirectoryError):
+            load_manifest(out)
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from infocbo import infokernel
 from infocbo.infokernel import (
     KernelError,
     KernelSpec,
@@ -14,11 +13,11 @@ from infocbo.infokernel import (
 )
 from infocbo.util import rng_from_seed
 
-ORIGIN_SUMMARY = PopulationSummary(mean_x=np.zeros(2), m1=0.0)
+ORIGIN_SUMMARY = PopulationSummary(mean_x=np.zeros(2))
 
 
-def summary_at(mean_x, m1=1.0):
-    return PopulationSummary(mean_x=np.asarray(mean_x, dtype=float), m1=m1)
+def summary_at(mean_x):
+    return PopulationSummary(mean_x=np.asarray(mean_x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +81,19 @@ def test_crowd_coupled_rate_decays_with_distance_from_the_mean():
 def test_logistic_rate_ignores_the_population():
     k = KernelSpec(variant="logistic", a=1.5, b=0.5)
     x = np.array([0.3, -0.7])
-    near = eval_kernel(k, summary_at([0.0, 0.0], m1=0.1), x, 0.4)
-    far = eval_kernel(k, summary_at([40.0, -3.0], m1=50.0), x, 0.4)
+    near = eval_kernel(k, summary_at([0.0, 0.0]), x, 0.4)
+    far = eval_kernel(k, summary_at([40.0, -3.0]), x, 0.4)
     assert near == far
 
 
-def test_summary_from_arrays_computes_m1_only_when_read(monkeypatch):
+def test_summary_from_arrays_is_the_given_mean_or_the_agent_mean():
     rng = rng_from_seed(3)
     x = rng.standard_normal((7, 2))
     lam = rng.uniform(size=7)
-    reductions = []
-    for name in ("agent_mean", "row_sum"):
-        def counted(a, reduce=getattr(infokernel, name), name=name):
-            reductions.append(name)
-            return reduce(a)
-        monkeypatch.setattr(infokernel, name, counted)
-    summary = PopulationSummary.from_arrays(x, lam)
-    assert reductions == []  # nothing is computed before a read
-    assert summary.m1 == float(np.sqrt(np.sum(x * x, axis=1) + lam * lam).mean())
-    assert np.array_equal(summary.mean_x, x.mean(axis=0))
-    assert summary.m1 == summary.m1 and np.array_equal(summary.mean_x, summary.mean_x)
-    assert reductions == ["row_sum", "agent_mean"]  # each once, on its first read
+    taken = PopulationSummary.from_arrays(x, lam).mean_x
+    assert taken.tobytes() == x.mean(axis=0).tobytes()
+    given = np.array([0.25, -1.5])
+    assert PopulationSummary.from_arrays(x, lam, mean_x=given).mean_x is given
 
 
 def test_stacked_summary_and_rate_match_each_population_alone():
@@ -115,7 +106,6 @@ def test_stacked_summary_and_rate_match_each_population_alone():
     for r in range(3):
         alone = PopulationSummary.from_arrays(xs[r], lams[r])
         assert np.array_equal(stacked.mean_x[r], alone.mean_x)
-        assert stacked.m1[r] == alone.m1
         assert np.array_equal(rates[r], eval_kernel(k, alone, xs[r], lams[r]))
 
 
@@ -140,7 +130,7 @@ def test_rate_is_positive_at_empty_information_and_nonpositive_at_full(variant, 
     rng = rng_from_seed(16)
     for _ in range(50):
         x = rng.standard_normal(2) * 3.0
-        s = summary_at(rng.standard_normal(2), m1=float(rng.uniform(0.0, 5.0)))
+        s = summary_at(rng.standard_normal(2))
         assert eval_kernel(k, s, x, 0.0) > 0.0
         assert eval_kernel(k, s, x, 1.0) <= 0.0
 
@@ -162,7 +152,7 @@ def test_explicit_euler_below_the_stable_step_never_leaves_the_interval():
         h = k.theta
         lam = float(rng.uniform(0.0, 1.0))
         for _ in range(10_000):
-            s = summary_at(rng.standard_normal(2), m1=float(rng.uniform(0.0, 3.0)))
+            s = summary_at(rng.standard_normal(2))
             x = rng.standard_normal(2) * 2.0
             lam = lam + h * eval_kernel(k, s, x, lam)
             assert 0.0 <= lam <= 1.0
@@ -186,6 +176,18 @@ def test_crowd_coupled_contract_holds():
     assert report.t2_violations == 0
     assert report.t3_violations == 0
     assert np.isfinite(report.t1_lipschitz_estimate)
+
+
+@pytest.mark.parametrize(
+    "variant,seed,t1_hex",
+    [("logistic", 0x5ACE, "0x1.dc40be00c80d3p-1"),
+     ("crowd-coupled", 0x5ACE + 1, "0x1.790a9cf437e26p-1")],
+)
+def test_contract_reports_keep_their_bits(variant, seed, t1_hex):
+    # the contracts suite's two reports; every draw of a trial moves them
+    report = check_kernel_contract(KernelSpec(variant, a=1.0, b=1.0), rng_seed=seed)
+    assert report.t1_lipschitz_estimate.hex() == t1_hex
+    assert (report.trial_count, report.t2_violations, report.t3_violations) == (2000, 0, 0)
 
 
 def test_contract_report_is_deterministic_in_the_seed():

@@ -527,6 +527,17 @@ def test_shared_noise_keeps_coincident_agents_together():
     assert rec2.m2_sq[-1] > rec2.mean_x[-1, 0] ** 2 + 1e-8
 
 
+@pytest.mark.parametrize("shared_noise", [False, True], ids=["per_agent", "shared"])
+@pytest.mark.parametrize("generators", [1, 2, 4])
+def test_a_step_needs_one_noise_generator_per_replica(shared_noise, generators):
+    # each replica draws its noise from its own generator, so the counts must agree
+    cfg = make_config(noise_strength=0.5, shared_noise=shared_noise)
+    ens = sde.initial_ensemble(cfg, [rng_from_seed(seed) for seed in (1, 2, 3)])
+    rngs = [rng_from_seed(9 + i) for i in range(generators)]
+    with pytest.raises(ConfigError, match=f"^{generators} noise generators for 3 replicas$"):
+        em_step(ens, cfg, rngs[0] if generators == 1 else rngs)  # a bare generator is one
+
+
 # ---------------------------------------------------------------------------
 # records and CSV layout
 
