@@ -15,7 +15,6 @@ from .gibbs import (
     ConsensusParams,
     cutoff_eta,
     drift,
-    gibbs_weights,
     weighted_consensus,
 )
 from .infokernel import (
@@ -27,12 +26,8 @@ from .infokernel import (
 )
 from .measures import (
     EmpiricalMeasure,
-    mass_in_ball,
     mean_point,
-    moment_p,
     phi_r_expectation,
-    w1_exact,
-    w1_sliced,
 )
 from .objectives import (
     ObjectiveSpec,
@@ -56,8 +51,6 @@ from .diagnostics import (
     DiagnosticsError,
     TestFunction,
     concentration_sweep,
-    constant_test_function,
-    coordinate_window,
     g_phi_replica_residuals,
     g_phi_residual,
     g_phi_scaling_study,

@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 a check or suite failed, 2 configuration error,
-3 I/O error, 4 a simulation diverged (non-finite state).
+3 I/O error, 4 a simulation diverged (non-finite state), 5 an internal
+failure (a worker process died, or memory ran out).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .harness import (
     SWEEP_AXES,
@@ -26,6 +28,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
+EXIT_INTERNAL = 5
 
 def _cmd_run(args) -> int:
     experiment = load_config_file(args.config)
@@ -144,6 +147,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (BrokenProcessPool, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed, is_whole, row_sum, scale_rows
+from .util import derive_seed, is_whole, require_finite, row_sum, scale_rows
 
 MIN_STUDY_REPLICAS = 30
 
@@ -51,22 +51,13 @@ class TestFunction:
     parts: Callable
 
 
-def constant_test_function() -> TestFunction:
-    """phi = 1. Every weak-form residual vanishes identically on it."""
-
-    def parts(x, lam):
-        n = x.shape[0]
-        return np.ones(n), np.zeros_like(x), np.zeros(n), np.zeros(n)
-
-    return TestFunction(name="constant", parts=parts)
-
-
 def gaussian_bump(scale: float = 1.0) -> TestFunction:
     """phi(x, lam) = exp(-||x||^2 / (2 s^2)) * (1 + cos(pi lam)) / 2.
 
     The lambda factor has vanishing slope at both endpoints, so the clamped
     boundary dynamics cannot excite it.
     """
+    require_finite(DiagnosticsError, scale=scale)
     if scale <= 0:
         raise DiagnosticsError("bump scale must be positive")
     s2 = scale * scale
@@ -83,26 +74,6 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
         )
 
     return TestFunction(name=f"gaussian_bump(scale={scale:g})", parts=parts)
-
-
-def coordinate_window() -> TestFunction:
-    """phi(x) = prod_k 1 / (1 + x_k^2), independent of lambda.
-
-    w = 1/(1+t^2) has w'/w = -2t/(1+t^2) and w''/w = (6t^2 - 2)/(1+t^2)^2,
-    all bounded, which is what the product derivatives below use.
-    """
-
-    def parts(x, lam):
-        w_inv = 1.0 + x * x
-        value = np.prod(1.0 / w_inv, axis=1)
-        return (
-            value,
-            scale_rows(value, -2.0 * x / w_inv),
-            np.zeros(x.shape[0]),
-            value * np.sum((6.0 * x * x - 2.0) / w_inv**2, axis=1),
-        )
-
-    return TestFunction(name="coordinate_window", parts=parts)
 
 
 # ---------------------------------------------------------------------------

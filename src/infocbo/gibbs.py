@@ -26,7 +26,6 @@ from .util import require_finite
 __all__ = [
     "GibbsError",
     "ConsensusParams",
-    "gibbs_weights",
     "weighted_consensus",
     "consensus_from_energies",
     "drift",
@@ -79,18 +78,6 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
         total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
     )
     return weights / total
-
-
-def gibbs_weights(params: ConsensusParams, points: np.ndarray) -> np.ndarray:
-    """Normalized weights exp(-n E(x_i)) / sum_j exp(-n E(x_j)).
-
-    Atoms at infinite energy get weight 0 (for n > 0); if every atom is
-    infinite the request is degenerate and raises.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    energies = eval_objective_batch(params.objective, points)
-    prior = np.full(points.shape[0], 1.0 / points.shape[0])
-    return _stabilized_weights(params.sharpness, energies, prior)
 
 
 def consensus_from_energies(
@@ -158,6 +145,7 @@ def cutoff_eta(radius: float, z: float) -> float:
     eta_R(z) = h(R+1-z) / (h(R+1-z) + h(z-R)) with h(t) = exp(-1/t) 1_{t>0};
     the two branches overlap only on (R, R+1), where both are positive.
     """
+    require_finite(GibbsError, radius=radius)
     if radius <= 0:
         raise GibbsError("cutoff radius must be positive")
     if z <= radius:

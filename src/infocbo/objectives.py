@@ -43,6 +43,9 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ObjectiveError("dimension must be a positive integer")
+        require_finite(
+            ObjectiveError, c2=self.c2, c3=self.c3, growth_exponent=self.growth_exponent
+        )
         if self.c2 <= 0 or self.c3 <= 0:
             raise ObjectiveError("growth constants c2, c3 must be positive")
         if self.growth_exponent < 0:
@@ -156,6 +159,7 @@ def verify_growth(
     Comparisons carry a small relative tolerance so a tight envelope
     (quadratic with c2 = c3 = 1) is not flagged on rounding dust.
     """
+    require_finite(ObjectiveError, radius=radius)
     if sample_count < 1 or radius <= 0:
         raise ObjectiveError("need sample_count >= 1 and radius > 0")
     rng = rng_from_seed(rng_seed)

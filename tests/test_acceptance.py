@@ -22,7 +22,7 @@ from infocbo.diagnostics import (
 )
 from infocbo.gibbs import ConsensusParams, weighted_consensus
 from infocbo.harness import parse_flat_config, run
-from infocbo.measures import EmpiricalMeasure, w1_exact
+from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, eval_objective_batch, quadratic
 from infocbo.util import rng_from_seed
 from infocbo.validation import (
@@ -40,6 +40,7 @@ from infocbo.validation import (
     decay_record,
     meanfield_stats,
 )
+from oracles import w1_exact
 
 SEED_W1_ORACLE = 0x7AC1E
 

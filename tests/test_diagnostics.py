@@ -8,8 +8,6 @@ import pytest
 from infocbo import diagnostics, sde
 from infocbo.diagnostics import (
     DiagnosticsError,
-    constant_test_function,
-    coordinate_window,
     g_phi_replica_residuals,
     g_phi_residual,
     g_phi_scaling_study,
@@ -28,6 +26,7 @@ from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.trajectory import TrajectoryRecord
 from infocbo.util import derive_seed, rng_from_seed
+from oracles import constant_test_function, coordinate_window
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)
@@ -286,6 +285,12 @@ def finite_difference_check(phi, d, seed):
 @pytest.mark.parametrize("d", [1, 3])
 def test_gaussian_bump_derivatives_match_finite_differences(d):
     finite_difference_check(gaussian_bump(1.3), d, seed=31)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_gaussian_bump_scale_must_be_finite(scale):
+    with pytest.raises(DiagnosticsError, match="scale must be finite"):
+        gaussian_bump(scale)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -9,13 +9,12 @@ from infocbo.gibbs import (
     consensus_from_energies,
     cutoff_eta,
     drift,
-    gibbs_weights,
     weighted_consensus,
 )
-from infocbo.measures import EmpiricalMeasure, moment_p, w1_exact
+from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, eval_objective_batch, eval_observable_batch, quadratic
 from infocbo.util import rng_from_seed
-from truncation_oracle import cutoff_phi_measure, truncated_drift
+from oracles import cutoff_phi_measure, gibbs_weights, moment_p, truncated_drift, w1_exact
 
 
 def params_for(sharpness, d=1, observable=None):
@@ -280,6 +279,12 @@ def test_cutoff_is_monotone_nonincreasing():
     zs = np.linspace(0.0, 3.0, 301)
     vals = [cutoff_eta(1.0, z) for z in zs]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_cutoff_radius_must_be_finite(radius):
+    with pytest.raises(GibbsError, match="radius must be finite"):
+        cutoff_eta(radius, 1.5)
 
 
 def test_measure_cutoff_evaluates_at_the_first_moment():

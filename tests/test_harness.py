@@ -10,13 +10,15 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infocbo import harness
-from infocbo.cli import EXIT_DIVERGED, main
+from infocbo import cli
+from infocbo.cli import EXIT_DIVERGED, EXIT_INTERNAL, main
 from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
     CONFIG_KEYS,
@@ -745,6 +747,23 @@ def test_cli_divergence_exits_4(tmp_path, capsys):
         assert re.search(f"^simulation diverged: {message}$", err, re.M)
         with pytest.raises(RunDirectoryError):
             load_manifest(out)
+
+
+@pytest.mark.parametrize("failure, message", [
+    (BrokenProcessPool("A child process terminated abruptly"),
+     "BrokenProcessPool: A child process terminated abruptly"),
+    (MemoryError(), "MemoryError"),
+], ids=["dead_worker", "out_of_memory"])
+def test_cli_internal_failure_exits_5(tmp_path, capsys, monkeypatch, failure, message):
+    # neither is a check that failed, so neither may leave with exit 1
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = write_config(tmp_path, config())
+    code = main(["run", str(path), "--out", str(tmp_path / "out"), "--workers", "2"])
+    assert code == EXIT_INTERNAL == 5
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -9,17 +9,9 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from infocbo.measures import (
-    EmpiricalMeasure,
-    MeasureError,
-    mass_in_ball,
-    mean_point,
-    moment_p,
-    phi_r_expectation,
-    w1_exact,
-    w1_sliced,
-)
+from infocbo.measures import EmpiricalMeasure, MeasureError, mean_point, phi_r_expectation
 from infocbo.util import rng_from_seed
+from oracles import mass_in_ball, moment_p, w1_exact
 
 
 def run_python(code):
@@ -31,38 +23,19 @@ def run_python(code):
                           text=True, check=True).stdout
 
 
-def test_importing_the_package_does_not_load_scipy_assignment():
-    # only w1_exact's assignment path needs scipy, so it imports it there
-    out = run_python(
-        "import sys, infocbo.cli, infocbo.diagnostics, infocbo.validation; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
-    assert out.strip() == "[]"
-
-
-def test_without_scipy_only_the_assignment_path_is_refused():
+def test_the_package_runs_without_scipy():
+    # the package needs numpy alone; only these tests' oracles read scipy
     out = run_python("""
 import sys
 sys.modules["scipy"] = None  # every scipy import now fails, as on a numpy-only install
-from infocbo import (EmpiricalMeasure, InitialLaw, KernelSpec, ObservableMap, SimConfig,
-                     quadratic, simulate, w1_exact)
-from infocbo.measures import MeasureError
-pair = EmpiricalMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
-try:
-    w1_exact(pair, pair)
-except MeasureError as exc:
-    print(exc)
-print(w1_exact(EmpiricalMeasure.uniform([0.0]), EmpiricalMeasure.uniform([2.0])))
+import infocbo.cli, infocbo.validation
+from infocbo import InitialLaw, KernelSpec, ObservableMap, SimConfig, quadratic, simulate
 cfg = SimConfig(d=2, n_particles=8, dt=0.1, t_end=0.5, seed=1, objective=quadratic(2),
                 observable=ObservableMap(), kernel=KernelSpec("logistic", a=1.0),
                 init=InitialLaw.gaussian((1.0, 1.0), 1.0))
 print(simulate(cfg).times.size)
 """)
-    assert out.splitlines() == [
-        "exact W1 in d >= 2 needs scipy, which the extra infocbo[exact] installs; "
-        "or use w1_sliced",
-        "2.0",
-        "6",
-    ]
+    assert out.splitlines() == ["6"]
 
 
 def brute_force_w1(xs, ys):
@@ -203,30 +176,6 @@ def test_mean_difference_is_dominated_by_w1():
 
 
 # ---------------------------------------------------------------------------
-# sliced W1
-
-
-def test_sliced_w1_vanishes_on_identical_measures():
-    mu = uniform(rng_from_seed(3).standard_normal((10, 3)))
-    est = w1_sliced(mu, mu, projection_count=16)
-    assert est.value == 0.0
-    assert est.stderr == 0.0
-
-
-def test_sliced_w1_is_a_contraction_for_point_masses():
-    a = np.array([[0.4, -1.2, 3.0]])
-    b = np.array([[1.0, 0.0, 0.5]])
-    est = w1_sliced(uniform(a), uniform(b), projection_count=64)
-    assert est.value <= np.linalg.norm(a - b) + 1e-12
-
-
-def test_sliced_w1_unit_separation_in_2d_averages_two_over_pi():
-    est = w1_sliced(uniform([[1.0, 0.0]]), uniform([[0.0, 0.0]]), projection_count=4096)
-    assert est.value == pytest.approx(2.0 / math.pi, abs=3.5 * est.stderr)
-    assert est.projection_count == 4096
-
-
-# ---------------------------------------------------------------------------
 # mollifier and mass-in-ball
 
 
@@ -246,6 +195,12 @@ def test_bump_profile_interior_value():
 
 def test_bump_profile_is_continuous_at_the_edge():
     assert phi_r_expectation(1.0, uniform([[1.0 - 1e-9]])) < 1e-12
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_mollifier_radius_must_be_finite(r):
+    with pytest.raises(MeasureError, match="r must be finite"):
+        phi_r_expectation(r, uniform([[0.0]]))
 
 
 def test_smoothed_mass_of_origin_point_mass_is_one():

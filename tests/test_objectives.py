@@ -80,6 +80,24 @@ def test_custom_objective_constants_must_be_positive():
         custom_objective("bad", 1, lambda x: float(x[0] ** 2), c2=0.0, c3=1.0, growth_exponent=2.0)
 
 
+@pytest.mark.parametrize("name", ["c2", "c3", "growth_exponent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_growth_constants_must_be_finite(name, value):
+    # a NaN envelope fails every comparison, so the audit would find no violation
+    declared = {"c2": 1.0, "c3": 1.0, "growth_exponent": 2.0, name: value}
+    with pytest.raises(ObjectiveError, match=f"{name} must be finite"):
+        custom_objective("quad", 2, lambda p: np.sum(p * p, axis=-1), vectorized=True,
+                         **declared)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_growth_audit_radius_must_be_finite(radius):
+    lying = custom_objective("overclaimed_quadratic", 2, lambda p: np.sum(p * p, axis=-1),
+                             c2=2.0, c3=1.0, growth_exponent=2.0, vectorized=True)
+    with pytest.raises(ObjectiveError, match="radius must be finite"):
+        verify_growth(lying, sample_count=500, radius=radius)
+
+
 def test_custom_pointwise_function_is_vectorized_by_wrapper():
     spec = custom_objective(
         "quartic",

@@ -17,10 +17,11 @@ from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
 from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_energies, drift
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
-from infocbo.measures import EmpiricalMeasure, mass_in_ball
+from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import Ensemble, InitialLaw, SimConfig, _simulate_batch, em_step, initial_ensemble
 from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows
+from oracles import mass_in_ball
 
 unit = st.floats(0.0, 1.0)
 coordinate = st.floats(-10.0, 10.0)

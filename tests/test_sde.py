@@ -24,7 +24,7 @@ from infocbo.sde import (
 )
 from infocbo.trajectory import RecordError, TrajectoryRecord
 from infocbo.util import rng_from_seed, row_sum
-from truncation_oracle import cutoff_phi_measure, truncated_drift
+from oracles import cutoff_phi_measure, truncated_drift
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)  # lambda = 1 is a fixed point
@@ -487,7 +487,7 @@ def test_consensus_is_computed_per_step_and_per_recorded_state(stride, monkeypat
 
 def test_truncated_drift_of_a_batch_agrees_with_gibbs_truncated_drift():
     # consensus_fields against the per-measure oracle of the truncated drift
-    # (tests/truncation_oracle.py); a radius inside the cutoff's ramp tests both
+    # (tests/oracles.py); a radius inside the cutoff's ramp tests both
     radius = 1.2
     cfg = dataclasses.replace(validation._truncated_run()[0], truncation_radius=radius)
     x, lam = zip(*(cfg.init.sample(rng_from_seed(seed), cfg.n_particles) for seed in (1, 2)))
