@@ -17,8 +17,6 @@ hold the simulator against them.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from infocbo.diagnostics import TestFunction
 from infocbo.gibbs import _stabilized_weights, cutoff_eta, drift, weighted_consensus
@@ -62,7 +60,8 @@ def w1_exact(mu1, mu2):
 
     d = 1: quantile (sorted CDF) coupling, any atom counts and masses.
     d >= 2: optimal assignment, equal atom counts <= ASSIGNMENT_LIMIT with
-    uniform masses on both sides. Anything else raises MeasureError.
+    uniform masses on both sides; only this path reads scipy. Anything else
+    raises MeasureError.
     """
     if mu1.dimension != mu2.dimension:
         raise MeasureError("measures live in different dimensions")
@@ -77,6 +76,13 @@ def w1_exact(mu1, mu2):
         np.abs(mu2.masses - uniform) > MASS_TOL
     ):
         raise MeasureError("exact W1 in d >= 2 needs uniform masses on both sides")
+    try:
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+    except ImportError:
+        raise MeasureError(
+            "exact W1 in d >= 2 needs scipy, which the extra infocbo[test] installs"
+        ) from None
     cost = cdist(mu1.atoms, mu2.atoms)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

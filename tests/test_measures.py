@@ -15,27 +15,48 @@ from oracles import mass_in_ball, moment_p, w1_exact
 
 
 def run_python(code):
-    """stdout of code run in a fresh interpreter that imports this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """stdout of code run in a fresh interpreter that imports this checkout
+    and the tests' oracles."""
+    here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
 
 
-def test_the_package_runs_without_scipy():
-    # the package needs numpy alone; only these tests' oracles read scipy
+def test_importing_the_package_does_not_load_scipy_assignment():
+    # the package needs numpy alone; only the tests' assignment oracle reads scipy
+    out = run_python(
+        "import sys, infocbo, infocbo.cli, infocbo.diagnostics, infocbo.validation; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_without_scipy_only_the_assignment_path_is_refused():
     out = run_python("""
 import sys
 sys.modules["scipy"] = None  # every scipy import now fails, as on a numpy-only install
 import infocbo.cli, infocbo.validation
-from infocbo import InitialLaw, KernelSpec, ObservableMap, SimConfig, quadratic, simulate
+from infocbo import (EmpiricalMeasure, InitialLaw, KernelSpec, ObservableMap, SimConfig,
+                     quadratic, simulate)
+from infocbo.measures import MeasureError
+from oracles import w1_exact
+pair = EmpiricalMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
+try:
+    w1_exact(pair, pair)
+except MeasureError as exc:
+    print(exc)
+print(w1_exact(EmpiricalMeasure.uniform([0.0]), EmpiricalMeasure.uniform([2.0])))
 cfg = SimConfig(d=2, n_particles=8, dt=0.1, t_end=0.5, seed=1, objective=quadratic(2),
                 observable=ObservableMap(), kernel=KernelSpec("logistic", a=1.0),
                 init=InitialLaw.gaussian((1.0, 1.0), 1.0))
 print(simulate(cfg).times.size)
 """)
-    assert out.splitlines() == ["6"]
+    assert out.splitlines() == [
+        "exact W1 in d >= 2 needs scipy, which the extra infocbo[test] installs",
+        "2.0",
+        "6",
+    ]
 
 
 def brute_force_w1(xs, ys):
