@@ -25,7 +25,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed, is_whole, require_finite, row_sum, scale_rows
+from .util import derive_seed, is_whole, require_finite, row_sum, scale_rows, sq_norm
 
 MIN_STUDY_REPLICAS = 30
 
@@ -63,7 +63,7 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
     s2 = scale * scale
 
     def parts(x, lam):
-        norm_sq = row_sum(x * x)
+        norm_sq = sq_norm(x)
         radial = np.exp(-norm_sq / (2.0 * s2))
         value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
         return (
@@ -301,7 +301,7 @@ def _generator_average(
     value, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
     terms = config.drift_gain * row_sum(v * grad_x)
     terms += rate * grad_lambda
-    terms += 0.5 * config.noise_strength**2 * row_sum(v * v) * laplacian_x
+    terms += 0.5 * config.noise_strength**2 * sq_norm(v) * laplacian_x
     return _replica_means(ensemble, value), _replica_means(ensemble, terms)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import agent_mean, in_unit_interval, require_finite, rng_from_seed, row_sum
+from .util import agent_mean, in_unit_interval, require_finite, rng_from_seed, sq_norm
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -89,10 +89,10 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     mean_x = np.asarray(summary.mean_x, dtype=float)
     if mean_x.ndim > 1:  # one mean per stacked batch
         mean_x = mean_x[..., None, :]
-    gap = np.empty(x.shape)
+    gap = np.empty_like(x)  # x's layout, which np.sum's order follows from d = 8
     for k in range(x.shape[-1]):  # x - mean_x per column, as in gibbs.drift
         np.subtract(x[..., k], mean_x[..., k], out=gap[..., k])
-    dist = np.sqrt(row_sum(gap * gap))
+    dist = np.sqrt(sq_norm(gap))
     rate = (1.0 - lam_arr) * kernel.a / (1.0 + dist) - kernel.b * lam_arr
     return float(rate) if lam_arr.ndim == 0 else rate
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import require_finite, rng_from_seed, row_sum, uniform_ball
+from .util import is_whole, require_finite, rng_from_seed, row_sum, sq_norm, uniform_ball
 
 GROWTH_RTOL = 1e-9
 
@@ -67,7 +67,7 @@ def quadratic(dimension: int) -> ObjectiveSpec:
         c2=1.0,
         c3=1.0,
         growth_exponent=2.0,
-        fn=lambda pts: row_sum(pts * pts),
+        fn=sq_norm,
     )
 
 
@@ -160,8 +160,9 @@ def verify_growth(
     (quadratic with c2 = c3 = 1) is not flagged on rounding dust.
     """
     require_finite(ObjectiveError, radius=radius)
-    if sample_count < 1 or radius <= 0:
-        raise ObjectiveError("need sample_count >= 1 and radius > 0")
+    if not is_whole(sample_count) or sample_count < 1 or radius <= 0:
+        raise ObjectiveError("need a whole sample_count >= 1 and radius > 0")
+    sample_count = int(sample_count)
     rng = rng_from_seed(rng_seed)
     pts = uniform_ball(rng, sample_count, spec.dimension, radius)
     values = eval_objective_batch(spec, pts)
@@ -204,6 +205,10 @@ def eval_observable_batch(obs: ObservableMap, points: np.ndarray) -> np.ndarray:
         raise ObjectiveError("observable batch must be (m, d)")
     if obs.variant == "identity":
         return points
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    return obs.m_g * points / (1.0 + norms)
+    # m_g * points / (1 + norm(points, axis=1, keepdims=True)), dividing per column
+    out = obs.m_g * points
+    denominator = 1.0 + np.sqrt(sq_norm(points))
+    for k in range(points.shape[1]):
+        out[:, k] /= denominator
+    return out
 

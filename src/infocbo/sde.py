@@ -41,7 +41,7 @@ from .objectives import (
 )
 from .trajectory import Snapshot, TrajectoryRecord
 from .util import (agent_mean, in_unit_interval, is_whole, require_finite, rng_from_seed,
-                   row_sum, scale_rows, uniform_ball)
+                   scale_rows, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -289,7 +289,7 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig) -> Fields:
             config.consensus_params, xs, 1.0 / n, energies.reshape(-1, n)
         )
     if config.truncation_radius is not None:
-        m1 = np.sqrt(row_sum(xs * xs)).mean(axis=1)
+        m1 = np.sqrt(sq_norm(xs)).mean(axis=1)
         phi = np.array([[cutoff_eta(config.truncation_radius, m)] for m in m1])
         e_val = phi * e_val
         if f_val is not None:
@@ -339,13 +339,17 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     if motion is None:
         motion = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
     v, rate = motion
-    new_x = x + config.drift_gain * dt * v
+    # x + gain dt v + amplitude * noise, each op in place on new arrays
+    new_x = (config.drift_gain * dt) * v
+    new_x += x
     if config.noise_strength > 0:
-        amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(row_sum(v * v))
-        new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
-    raw = lam + dt * rate
-    outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
-    new_lam = np.clip(raw, 0.0, 1.0)
+        amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(sq_norm(v))
+        noise = _draw_noise(rngs, ensemble, config.shared_noise)
+        new_x += scale_rows(amplitude, noise, out=noise)
+    new_lam = dt * rate
+    new_lam += lam
+    outside = ((new_lam < 0.0) | (new_lam > 1.0)).reshape(ensemble.replicas, -1)
+    np.clip(new_lam, 0.0, 1.0, out=new_lam)
     if not np.isfinite(new_x).all():
         finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
         raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "
@@ -378,7 +382,7 @@ class _Recorder:
         f_val, e_val, mean_x = fields
         xs, lams = ensemble.views()
         n = ensemble.n_agents
-        norms_sq = row_sum(ensemble.x * ensemble.x).reshape(lams.shape)
+        norms_sq = sq_norm(ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
         self.m2_sq.append(np.add.reduce(norms_sq, axis=1) / n)
         self.mean_x.append(mean_x)

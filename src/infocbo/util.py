@@ -61,13 +61,27 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def scale_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1].
+def sq_norm(a: np.ndarray) -> np.ndarray:
+    """row_sum(a * a), bit for bit: each column squared on its own and added
+    in row_sum's order (a square is never -0.0, so the first needs no
+    + 0.0). From d = 8 and for other dtypes it is row_sum(a * a)."""
+    d = a.shape[-1]
+    if not 1 <= d <= 7 or a.dtype != np.float64:
+        return row_sum(a * a)
+    total = a[..., 0] * a[..., 0]
+    for k in range(1, d):
+        total += a[..., k] * a[..., k]
+    return total
+
+
+def scale_rows(s: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1],
+    into out when given (which may be a itself).
 
     Computed one column at a time: numpy's broadcast along a short last axis
     runs its inner loop d elements at a time, which is several times slower.
     """
-    out = np.empty(a.shape, np.result_type(s, a))
+    out = np.empty(a.shape, np.result_type(s, a)) if out is None else out
     for k in range(a.shape[-1]):
         np.multiply(s, a[..., k], out=out[..., k])
     return out
@@ -85,7 +99,10 @@ def agent_mean(a: np.ndarray) -> np.ndarray:
     n, d = a.shape[-2:]
     if d < 2 or n == 0 or not a.flags.c_contiguous or a.dtype != np.float64:
         return a.mean(axis=-2)
-    return (np.cumsum(a, axis=-2)[..., -1, :] + 0.0) / n
+    # for even d, coordinate pairs as complex128: a complex add is the two
+    # float adds, so the bits are the same in half the passes
+    pairs = a.view(np.complex128) if d % 2 == 0 else a
+    return (np.cumsum(pairs, axis=-2)[..., -1, :].view(np.float64) + 0.0) / n
 
 
 def in_unit_interval(a: np.ndarray) -> bool:

@@ -109,6 +109,19 @@ def test_stacked_summary_and_rate_match_each_population_alone():
         assert np.array_equal(rates[r], eval_kernel(k, alone, xs[r], lams[r]))
 
 
+def test_crowd_coupled_rate_on_fortran_ordered_agents_is_the_broadcast():
+    # from d = 8 np.sum's order follows the memory layout, so the gap it sums
+    # must keep x's layout; a C-ordered gap gave other bits for these agents
+    k = KernelSpec("crowd-coupled", a=2.0, b=0.5)
+    rng = np.random.default_rng(3)
+    x = np.asfortranarray(rng.standard_normal((2, 8)))
+    lam = rng.random(2)
+    summary = PopulationSummary.from_arrays(x, lam)
+    gap = x - summary.mean_x
+    want = (1.0 - lam) * k.a / (1.0 + np.sqrt(np.sum(gap * gap, axis=-1))) - k.b * lam
+    assert eval_kernel(k, summary, x, lam).tobytes() == want.tobytes()
+
+
 def test_information_outside_unit_interval_is_rejected():
     k = KernelSpec(variant="logistic", a=1.0, b=1.0)
     with pytest.raises(KernelError):

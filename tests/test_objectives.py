@@ -98,6 +98,17 @@ def test_growth_audit_radius_must_be_finite(radius):
         verify_growth(lying, sample_count=500, radius=radius)
 
 
+@pytest.mark.parametrize("sample_count", [2.5, math.nan, True])
+def test_growth_audit_sample_count_must_be_whole(sample_count):
+    with pytest.raises(ObjectiveError, match="whole sample_count"):
+        verify_growth(quadratic(2), sample_count=sample_count)
+
+
+def test_growth_audit_takes_an_integral_float_count():
+    report = verify_growth(quadratic(2), sample_count=20.0)
+    assert report.ok and report.sample_count == 20 and type(report.sample_count) is int
+
+
 def test_custom_pointwise_function_is_vectorized_by_wrapper():
     spec = custom_objective(
         "quartic",

@@ -5,6 +5,7 @@ deterministic.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_e
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
 from infocbo.measures import EmpiricalMeasure
-from infocbo.objectives import ObservableMap, quadratic
-from infocbo.sde import Ensemble, InitialLaw, SimConfig, _simulate_batch, em_step, initial_ensemble
-from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows
+from infocbo.objectives import ObservableMap, eval_observable_batch, quadratic
+from infocbo.sde import (Ensemble, InitialLaw, SimConfig, _draw_noise, _simulate_batch,
+                         consensus_fields, drift_and_rate, em_step, initial_ensemble)
+from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_norm
 from oracles import mass_in_ball
 
 unit = st.floats(0.0, 1.0)
@@ -158,6 +160,38 @@ def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpnes
     assert same_bits(_stabilized_weights(sharpness, energies, 1.0 / n), want)
 
 
+def out_of_place_weights(sharpness, energies, prior):
+    """The stabilized weights as one new array per operation computes them."""
+    finite = np.isfinite(energies)
+    if sharpness == 0.0:
+        weights = np.broadcast_to(prior, energies.shape).copy()
+    else:
+        lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
+        weights = prior * np.exp(-sharpness * (energies - lowest))
+        np.copyto(weights, 0.0, where=~finite)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@given(data=st.data(), sharpness=st.sampled_from([0.0, 1.0, 64.0]),
+       scalar_prior=st.booleans())
+def test_in_place_weights_are_the_out_of_place_expression_bit_for_bit(
+    data, sharpness, scalar_prior
+):
+    r, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+    finite = st.floats(-50.0, 50.0)
+    special = st.sampled_from([np.inf, -np.inf, np.nan])
+    energies = data.draw(arrays(float, (r, n), elements=st.one_of(finite, special)))
+    energies[:, data.draw(st.integers(0, n - 1))] = data.draw(arrays(float, r, elements=finite))
+    prior = 1.0 / n if scalar_prior else data.draw(
+        arrays(float, n, elements=st.floats(0.01, 1.0)))
+    held = energies.copy(), np.copy(prior)
+    with np.errstate(all="ignore"):
+        want = out_of_place_weights(sharpness, energies, prior)
+    assert same_bits(_stabilized_weights(sharpness, energies, prior), want)
+    # the caller's energies and prior are read, never written
+    assert same_bits(energies, held[0]) and same_bits(np.asarray(prior), held[1])
+
+
 # ---------------------------------------------------------------------------
 # replica batching
 
@@ -225,14 +259,34 @@ def test_row_sum_and_its_norm_are_numpys_bit_for_bit(a):
 
 
 @given(a=stacks())
+def test_sq_norm_is_the_row_sum_of_the_square_bit_for_bit(a):
+    assert same_bits(sq_norm(a), row_sum(a * a))
+
+
+@given(a=stacks())
 def test_agent_mean_is_numpys_bit_for_bit(a):
     assert same_bits(agent_mean(a), a.mean(axis=-2))
 
 
 @pytest.mark.parametrize("shape", [(100_000, 1), (100_000, 2), (1, 100_000, 2),
-                                   (2, 50_000, 3), (1, 100_000, 8)])
+                                   (2, 50_000, 3), (1, 100_000, 8), (100_000, 4),
+                                   (1, 60_000, 6)])
 def test_agent_mean_is_numpys_bit_for_bit_on_large_ensembles(shape):
     a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    assert same_bits(agent_mean(a), a.mean(axis=-2))
+
+
+@given(data=st.data(), shape=st.sampled_from([(), (3,)]), n=st.integers(1, 300),
+       d=st.integers(2, 12))
+def test_agent_mean_on_a_misaligned_array_is_numpys_bit_for_bit(data, shape, n, d):
+    # a C-contiguous array 8 bytes off a 16-byte boundary, so that for even d
+    # its complex128 view of coordinate pairs is misaligned
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    shape += (n, d)
+    buffer = signed_values(data.draw, rng, math.prod(shape) + 1)
+    start = 1 if buffer.ctypes.data % 16 == 0 else 0
+    a = buffer[start:start + math.prod(shape)].reshape(shape)
+    assert a.flags.c_contiguous and a.ctypes.data % 16 == 8
     assert same_bits(agent_mean(a), a.mean(axis=-2))
 
 
@@ -278,6 +332,13 @@ def test_scale_rows_is_the_broadcast_bit_for_bit(a, data):
     assert same_bits(scale_rows(s, a), s[..., None] * a)
 
 
+@given(a=stacks(), m_g=st.floats(0.01, 10.0))
+def test_saturated_observable_is_the_norm_expression_bit_for_bit(a, m_g):
+    points = a if a.ndim == 2 else a[0]
+    want = m_g * points / (1.0 + np.linalg.norm(points, axis=1, keepdims=True))
+    assert same_bits(eval_observable_batch(ObservableMap("saturated", m_g), points), want)
+
+
 @given(x=stacks(), data=st.data())
 def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
     kernel = KernelSpec("crowd-coupled", a=2.0, b=0.5)
@@ -311,6 +372,40 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
     rngs = [rng_from_seed(seed) for seed in seeds]
     clamps = em_step(initial_ensemble(cfg, rngs), cfg, rngs).clamp_events
     assert clamps.dtype == np.dtype(int) and clamps.tolist() == [0] * replicas
+
+
+# ---------------------------------------------------------------------------
+# the step's in-place arithmetic
+
+
+@given(
+    replicas=st.integers(1, 3),
+    n=st.integers(1, 20),
+    d=st.integers(1, 9),
+    variant=st.sampled_from(VARIANTS),
+    shared_noise=st.booleans(),
+    handed_motion=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_em_step_is_the_out_of_place_step_bit_for_bit(
+    replicas, n, d, variant, shared_noise, handed_motion, seed
+):
+    cfg = sim_config(d, n, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, drift_gain=1.5,
+                     shared_noise=shared_noise, sharpness=8.0)
+    seeds = [derive_seed(seed, r) for r in range(replicas)]
+    ens = initial_ensemble(cfg, [rng_from_seed(s) for s in seeds])
+    v, rate = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
+    held = [a.copy() for a in (ens.x, ens.lam, v, rate)]
+    out = em_step(ens, cfg, [rng_from_seed(s) for s in seeds],
+                  (v, rate) if handed_motion else None)
+    # the pre-step state and a motion handed in are read, never written
+    for a, b in zip((ens.x, ens.lam, v, rate), held):
+        assert same_bits(a, b)
+    noise = _draw_noise([rng_from_seed(s) for s in seeds], ens, shared_noise)
+    amplitude = cfg.noise_strength * math.sqrt(cfg.dt) * np.sqrt(row_sum(v * v))
+    new_x = ens.x + cfg.drift_gain * cfg.dt * v + scale_rows(amplitude, noise)
+    assert same_bits(out.x, new_x)
+    assert same_bits(out.lam, np.clip(ens.lam + cfg.dt * rate, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
