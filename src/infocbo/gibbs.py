@@ -71,17 +71,13 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
     else:
         # a +-0 lowest gives the same weights: exp(-n * +-0) = 1
         lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
-        # prior * exp(-n * (E - lowest)), in place in one array
-        weights = energies - lowest
-        weights *= -sharpness
-        np.exp(weights, out=weights)
-        weights *= prior
+        weights = prior * np.exp(-sharpness * (energies - lowest))
         np.copyto(weights, 0.0, where=~finite)
     total = weights.sum(axis=-1, keepdims=True)
     _require_per_population(
         total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
     )
-    return np.divide(weights, total, out=weights)
+    return weights / total
 
 
 def consensus_from_energies(
@@ -120,9 +116,8 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     lam scalar), a batch (x: (N, d), lam: (N,)) or a stack of batches
     (x: (R, N, d), lam: (R, N)) with targets of shape (R, 1, d); the
     targets and lam broadcast against x, whose shape the result has. Each
-    coordinate column is computed on its own, in place in the result, with
-    the IEEE operations of the broadcast expression in its order (-x + y as
-    y - x, the same operation), so the bits are numpy's.
+    coordinate column is computed on its own, with the IEEE operations of
+    the broadcast expression in its order, so the bits are numpy's.
     """
     x = np.asarray(x, dtype=float)
     f_val = None if f_val is None else np.asarray(f_val, dtype=float)
@@ -133,16 +128,9 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     lam = np.asarray(lam, dtype=float)
     stay = 1.0 - lam
     out = np.empty(x.shape)
-    held = np.empty(x.shape[:-1])
     for k in range(d):  # per column: numpy is slow to broadcast along a short axis
-        col = out[..., k]
-        np.multiply(stay, e_val[..., k], out=held)
-        if f_val is None:
-            np.subtract(held, x[..., k], out=col)
-        else:
-            np.multiply(lam, f_val[..., k], out=col)
-            col -= x[..., k]
-            col += held
+        pull = -x[..., k] if f_val is None else -x[..., k] + lam * f_val[..., k]
+        np.add(pull, stay * e_val[..., k], out=out[..., k])
     return out
 
 

@@ -205,10 +205,6 @@ def eval_observable_batch(obs: ObservableMap, points: np.ndarray) -> np.ndarray:
         raise ObjectiveError("observable batch must be (m, d)")
     if obs.variant == "identity":
         return points
-    # m_g * points / (1 + norm(points, axis=1, keepdims=True)), dividing per column
-    out = obs.m_g * points
-    denominator = 1.0 + np.sqrt(sq_norm(points))
-    for k in range(points.shape[1]):
-        out[:, k] /= denominator
-    return out
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
+    return obs.m_g * points / (1.0 + norms)
 

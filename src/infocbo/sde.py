@@ -339,17 +339,13 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     if motion is None:
         motion = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
     v, rate = motion
-    # x + gain dt v + amplitude * noise, each op in place on new arrays
-    new_x = (config.drift_gain * dt) * v
-    new_x += x
+    new_x = x + config.drift_gain * dt * v
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(sq_norm(v))
-        noise = _draw_noise(rngs, ensemble, config.shared_noise)
-        new_x += scale_rows(amplitude, noise, out=noise)
-    new_lam = dt * rate
-    new_lam += lam
-    outside = ((new_lam < 0.0) | (new_lam > 1.0)).reshape(ensemble.replicas, -1)
-    np.clip(new_lam, 0.0, 1.0, out=new_lam)
+        new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
+    raw = lam + dt * rate
+    outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
+    new_lam = np.clip(raw, 0.0, 1.0)
     if not np.isfinite(new_x).all():
         finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
         raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "

@@ -74,14 +74,13 @@ def sq_norm(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def scale_rows(s: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1],
-    into out when given (which may be a itself).
+def scale_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1].
 
     Computed one column at a time: numpy's broadcast along a short last axis
     runs its inner loop d elements at a time, which is several times slower.
     """
-    out = np.empty(a.shape, np.result_type(s, a)) if out is None else out
+    out = np.empty(a.shape, np.result_type(s, a))
     for k in range(a.shape[-1]):
         np.multiply(s, a[..., k], out=out[..., k])
     return out

@@ -19,7 +19,7 @@ from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_e
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
 from infocbo.measures import EmpiricalMeasure
-from infocbo.objectives import ObservableMap, eval_observable_batch, quadratic
+from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import (Ensemble, InitialLaw, SimConfig, _draw_noise, _simulate_batch,
                          consensus_fields, drift_and_rate, em_step, initial_ensemble)
 from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_norm
@@ -158,38 +158,6 @@ def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpnes
     with np.errstate(all="ignore"):
         want = masked_weights(sharpness, energies, np.full(n, 1.0 / n))
     assert same_bits(_stabilized_weights(sharpness, energies, 1.0 / n), want)
-
-
-def out_of_place_weights(sharpness, energies, prior):
-    """The stabilized weights as one new array per operation computes them."""
-    finite = np.isfinite(energies)
-    if sharpness == 0.0:
-        weights = np.broadcast_to(prior, energies.shape).copy()
-    else:
-        lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
-        weights = prior * np.exp(-sharpness * (energies - lowest))
-        np.copyto(weights, 0.0, where=~finite)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-@given(data=st.data(), sharpness=st.sampled_from([0.0, 1.0, 64.0]),
-       scalar_prior=st.booleans())
-def test_in_place_weights_are_the_out_of_place_expression_bit_for_bit(
-    data, sharpness, scalar_prior
-):
-    r, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
-    finite = st.floats(-50.0, 50.0)
-    special = st.sampled_from([np.inf, -np.inf, np.nan])
-    energies = data.draw(arrays(float, (r, n), elements=st.one_of(finite, special)))
-    energies[:, data.draw(st.integers(0, n - 1))] = data.draw(arrays(float, r, elements=finite))
-    prior = 1.0 / n if scalar_prior else data.draw(
-        arrays(float, n, elements=st.floats(0.01, 1.0)))
-    held = energies.copy(), np.copy(prior)
-    with np.errstate(all="ignore"):
-        want = out_of_place_weights(sharpness, energies, prior)
-    assert same_bits(_stabilized_weights(sharpness, energies, prior), want)
-    # the caller's energies and prior are read, never written
-    assert same_bits(energies, held[0]) and same_bits(np.asarray(prior), held[1])
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +300,6 @@ def test_scale_rows_is_the_broadcast_bit_for_bit(a, data):
     assert same_bits(scale_rows(s, a), s[..., None] * a)
 
 
-@given(a=stacks(), m_g=st.floats(0.01, 10.0))
-def test_saturated_observable_is_the_norm_expression_bit_for_bit(a, m_g):
-    points = a if a.ndim == 2 else a[0]
-    want = m_g * points / (1.0 + np.linalg.norm(points, axis=1, keepdims=True))
-    assert same_bits(eval_observable_batch(ObservableMap("saturated", m_g), points), want)
-
-
 @given(x=stacks(), data=st.data())
 def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
     kernel = KernelSpec("crowd-coupled", a=2.0, b=0.5)
@@ -375,7 +336,7 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
 
 
 # ---------------------------------------------------------------------------
-# the step's in-place arithmetic
+# the Euler-Maruyama step
 
 
 @given(
