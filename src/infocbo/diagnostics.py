@@ -25,7 +25,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import derive_seed, is_whole, require_finite, row_sum, scale_rows, sq_norm
+from .util import derive_seed, is_real, is_whole, require_finite, row_sum, scale_rows, sq_norm
 
 MIN_STUDY_REPLICAS = 30
 
@@ -65,6 +65,9 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
     def parts(x, lam):
         norm_sq = sq_norm(x)
         radial = np.exp(-norm_sq / (2.0 * s2))
+        bits = lam.view(f"i{lam.itemsize}")  # bit patterns, so +0.0 is not -0.0
+        if bits.size and bits.min() == bits.max():  # one lam for all: trig once
+            lam = lam[:1]
         value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
         return (
             value,
@@ -288,7 +291,7 @@ def second_moment_envelope_check(
 
 
 def _replica_means(ensemble: Ensemble, values: np.ndarray) -> np.ndarray:
-    return values.reshape(ensemble.replicas, -1).mean(axis=1)
+    return np.add.reduce(values.reshape(ensemble.replicas, -1), axis=1) / ensemble.n_agents
 
 
 def _generator_average(
@@ -460,7 +463,10 @@ def concentration_sweep(
     """
     _require_concentration_hypotheses(base_config)
     configs: dict[float, SimConfig] = {}
-    for sharpness in map(float, sharpness_list):
+    for sharpness in sharpness_list:  # float() would run '2' and True as 2.0 and 1.0
+        if not is_real(sharpness):
+            raise DiagnosticsError(f"sharpness {sharpness!r} is not a real number")
+        sharpness = float(sharpness)
         if sharpness in configs:  # one result per sharpness
             raise DiagnosticsError(f"sharpness {sharpness!r} is given twice")
         configs[sharpness] = replace(base_config, sharpness=sharpness)

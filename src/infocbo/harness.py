@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +37,7 @@ from .objectives import ObservableMap, quadratic, rastrigin_like
 from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
                   _simulate_batch)
 from .trajectory import TrajectoryRecord
-from .util import GENERATOR_NAME, derive_seed, is_whole, jsonable
+from .util import GENERATOR_NAME, derive_seed, is_real, is_whole, jsonable
 
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
@@ -54,7 +53,7 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ValueError("not a number")
     return float(value)
 

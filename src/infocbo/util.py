@@ -122,10 +122,15 @@ def require_finite(error: type[Exception], **values) -> None:
             raise error(f"{name} must be finite, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """The real-number rule: an int or a float, never a bool or a string."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def is_whole(value) -> bool:
     """The whole-number rule: an int or an integral float (2.0 counts as 2),
     never a bool, a string or a non-finite float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         return False
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 

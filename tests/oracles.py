@@ -14,6 +14,9 @@ hold the simulator against them.
   cutoff eta_R at the measure's first moment.
 - Two test functions for the weak-form residual: the constant, on which it
   vanishes, and a lambda-free coordinate window.
+- The Gaussian bump's parts with the lambda factor taken agent by agent,
+  which gaussian_bump must match bit for bit when it takes the trig of a
+  shared lambda once.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from infocbo.diagnostics import TestFunction
 from infocbo.gibbs import _stabilized_weights, cutoff_eta, drift, weighted_consensus
 from infocbo.measures import MASS_TOL, MeasureError, mean_point
 from infocbo.objectives import eval_objective_batch
-from infocbo.util import row_sum, scale_rows
+from infocbo.util import row_sum, scale_rows, sq_norm
 
 # Hungarian assignment is cubic in the atom count; refuse silly sizes.
 ASSIGNMENT_LIMIT = 256
@@ -141,3 +144,18 @@ def coordinate_window():
         )
 
     return TestFunction(name="coordinate_window", parts=parts)
+
+
+def elementwise_bump_parts(scale, x, lam):
+    """gaussian_bump(scale).parts(x, lam) with cos(pi lam) and sin(pi lam)
+    computed for every agent."""
+    s2 = scale * scale
+    norm_sq = sq_norm(x)
+    radial = np.exp(-norm_sq / (2.0 * s2))
+    value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
+    return (
+        value,
+        scale_rows(-value / s2, x),
+        radial * (-0.5 * np.pi * np.sin(np.pi * lam)),
+        value * (norm_sq / (s2 * s2) - x.shape[1] / s2),
+    )

@@ -287,6 +287,25 @@ def test_gaussian_bump_derivatives_match_finite_differences(d):
     finite_difference_check(gaussian_bump(1.3), d, seed=31)
 
 
+@pytest.mark.parametrize("lam, trig_size", [
+    ([0.2] * 7, 1), ([0.2] * 6 + [0.3], 7), ([0.0] * 6 + [-0.0], 7), ([0.2], 1),
+    (np.array([0.2, 0.3], dtype=np.float32), 2), ([], 0),
+], ids=["shared", "one differs", "signed zeros", "one agent", "float32", "no agents"])
+def test_gaussian_bump_takes_the_trig_of_a_shared_lambda_once(monkeypatch, lam, trig_size):
+    sizes = []
+
+    def counted(ufunc):
+        def call(a, *args, **kwargs):
+            sizes.append((ufunc.__name__, np.size(a)))
+            return ufunc(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "cos", counted(np.cos))
+    monkeypatch.setattr(np, "sin", counted(np.sin))
+    gaussian_bump(2.0).parts(np.ones((len(lam), 2)), np.array(lam))
+    assert sizes == [("cos", trig_size), ("sin", trig_size)]
+
+
 @pytest.mark.parametrize("scale", [math.nan, math.inf])
 def test_gaussian_bump_scale_must_be_finite(scale):
     with pytest.raises(DiagnosticsError, match="scale must be finite"):
@@ -503,7 +522,11 @@ def test_sweep_requires_subcritical_noise():
 @pytest.mark.parametrize("sharpness_list, error, match", [
     ((1.0, 4.0, 1), DiagnosticsError, "^sharpness 1.0 is given twice$"),
     ((1.0, -1.0), ConfigError, "sharpness must be nonnegative"),
-], ids=["repeated", "negative"])
+    ((1.0, "2"), DiagnosticsError, "^sharpness '2' is not a real number$"),
+    ((1.0, True), DiagnosticsError, "^sharpness True is not a real number$"),
+    ((1.0, np.True_), DiagnosticsError, "^sharpness np.True_ is not a real number$"),
+    ((None,), DiagnosticsError, "^sharpness None is not a real number$"),
+], ids=["repeated", "negative", "string", "bool", "numpy bool", "none"])
 def test_sweep_builds_every_point_before_the_first_run(monkeypatch, sharpness_list, error, match):
     runs = []
     monkeypatch.setattr(diagnostics, "simulate", lambda config, **kwargs: runs.append(config))

@@ -23,7 +23,7 @@ from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import (Ensemble, InitialLaw, SimConfig, _draw_noise, _simulate_batch,
                          consensus_fields, drift_and_rate, em_step, initial_ensemble)
 from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_norm
-from oracles import mass_in_ball
+from oracles import elementwise_bump_parts, mass_in_ball
 
 unit = st.floats(0.0, 1.0)
 coordinate = st.floats(-10.0, 10.0)
@@ -161,6 +161,29 @@ def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpnes
 
 
 # ---------------------------------------------------------------------------
+# the weak-form test function
+
+
+@given(data=st.data(), scale=st.floats(0.1, 10.0), case=st.sampled_from(
+    ["one value", "one value but one", "signed zeros", "one agent", "random"]))
+def test_gaussian_bump_parts_is_the_elementwise_formula_bit_for_bit(data, scale, case):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    n = 1 if case == "one agent" else data.draw(st.integers(2, 300))
+    x = signed_values(data.draw, rng, (n, data.draw(st.integers(1, 4))))
+    lam = per_agent(data.draw, rng, (n,))
+    if case.startswith("one value"):
+        lam[:] = data.draw(st.one_of(unit, st.sampled_from([-0.0, 0.0, 1.0])))
+    if case == "one value but one":  # one ulp off, or the other signed zero
+        lam[data.draw(st.integers(0, n - 1))] = np.nextafter(
+            lam[0], data.draw(st.sampled_from([-1.0, 2.0])))
+    if case == "signed zeros":  # at least one of each
+        lam[:] = np.where(rng.permutation(n) % 2, -0.0, 0.0)
+    got = gaussian_bump(scale).parts(x, lam)
+    want = elementwise_bump_parts(scale, x, lam)
+    assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+
+# ---------------------------------------------------------------------------
 # replica batching
 
 
@@ -170,10 +193,19 @@ def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpnes
     master=st.integers(0, 2**63),
     variant=st.sampled_from(VARIANTS),
     stride=st.sampled_from([1, 5]),
+    lambda_law=st.sampled_from([(0.2, 0.2), (0.1, 0.4)]),
+    n=st.sampled_from([1, 6]),
 )
-def test_a_replica_residual_does_not_depend_on_its_batch(replica, master, variant, stride):
-    cfg = sim_config(2, 6, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, t_end=0.5,
-                     sharpness=4.0)
+def test_a_replica_residual_does_not_depend_on_its_batch(
+    replica, master, variant, stride, lambda_law, n
+):
+    # lambda_0 constant 0.2 or uniform on [0.1, 0.4], so the test function
+    # takes the trig of one shared lambda or of every agent's; at N = 1 each
+    # replica alone holds one lambda while its batch need not
+    init = InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=lambda_law[0],
+                               lambda_hi=lambda_law[1])
+    cfg = sim_config(2, n, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, t_end=0.5,
+                     sharpness=4.0, init=init)
     seeds = [derive_seed(master, r) for r in range(30)]
     phi = gaussian_bump(2.0)
     batch = g_phi_replica_residuals(cfg, seeds, phi, stride)

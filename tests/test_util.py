@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from infocbo.util import (GENERATOR_NAME, derive_seed, format_float, is_whole, jsonable,
+from infocbo.util import (GENERATOR_NAME, derive_seed, format_float, is_real, is_whole, jsonable,
                           rng_from_seed)
 
 
@@ -66,3 +66,11 @@ def test_jsonable_handles_numpy_and_nested_containers():
 ])
 def test_whole_numbers_are_ints_and_integral_floats_never_bools(value, whole):
     assert is_whole(value) is whole
+
+
+@pytest.mark.parametrize("value, real", [
+    (2, True), (2.5, True), (np.int64(4), True), (np.float64(0.5), True), (math.nan, True),
+    (True, False), (np.True_, False), ("2", False), (None, False), (1j, False),
+])
+def test_real_numbers_are_ints_and_floats_never_bools_or_strings(value, real):
+    assert is_real(value) is real
