@@ -126,6 +126,8 @@ class InitialLaw:
         require_finite(
             ConfigError,
             spread=self.spread,
+            lambda_lo=self.lambda_lo,
+            lambda_hi=self.lambda_hi,
             **{f"center[{i}]": c for i, c in enumerate(self.center)},
         )
         if self.spatial_kind != "point" and self.spread <= 0:
@@ -209,6 +211,11 @@ class SimConfig:
     consensus_params: ConsensusParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("d", "n_particles", "seed"):
+            value = getattr(self, name)
+            if not is_whole(value):
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))  # 8.0 is stored as 8
         require_finite(
             ConfigError,
             dt=self.dt,

@@ -115,11 +115,12 @@ def require_finite(error: type[Exception], **values) -> None:
 
     Range checks such as `value <= 0` are false for NaN, and JSON configs
     may carry NaN and Infinity, so parameters are checked for finiteness
-    where they enter.
+    where they enter; the real-number rule (is_real) keeps a bool from
+    passing as 0 or 1 and a string from failing later as a TypeError.
     """
     for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value!r}")
+        if value is not None and not (is_real(value) and math.isfinite(value)):
+            raise error(f"{name} must be finite and real, got {value!r}")
 
 
 def is_real(value) -> bool:

@@ -1,8 +1,9 @@
 """Committed validation suites behind `infocbo validate <suite>`.
 
-Every suite runs fixed configurations (parameters and seeds committed here,
-once) and applies fixed thresholds. The acceptance tests call the same
-functions, so the CLI gate and the test gate cannot drift apart.
+Every check runs fixed configurations (parameters and seeds committed here,
+once) and states its pass condition once, in the function that returns its
+outcomes. A suite is a list of such functions, and tests/test_acceptance.py
+asserts what the same functions return, so the two gates read one verdict.
 """
 
 from __future__ import annotations
@@ -184,8 +185,28 @@ def meanfield_stats():
     return stats, time.perf_counter() - start
 
 
+@cache
+def _truncated_run():
+    cfg = SimConfig(
+        d=2,
+        n_particles=400,
+        dt=1e-2,
+        t_end=2.0,
+        seed=SEED_DECAY + 1,
+        objective=quadratic(2),
+        observable=ObservableMap("saturated", m_g=2.0),
+        kernel=KernelSpec("logistic", a=1.0, b=1.0),
+        init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.3),
+        sharpness=4.0,
+        noise_strength=0.5,
+        mode="full",
+        truncation_radius=3.0,
+    )
+    return cfg, simulate(cfg, record_stride=1)
+
+
 # ---------------------------------------------------------------------------
-# suite plumbing
+# outcomes
 
 
 @dataclass(frozen=True)
@@ -215,34 +236,29 @@ def _outcome(name: str, passed: bool, detail: str) -> CheckOutcome:
     return CheckOutcome(name=name, passed=bool(passed), detail=detail)
 
 
-# ---------------------------------------------------------------------------
-# suites
-
-
-def suite_contracts() -> SuiteResult:
-    outcomes = []
-
-    rep = check_kernel_contract(KernelSpec("logistic", a=1.0, b=1.0), rng_seed=SEED_ORACLE)
-    outcomes.append(
-        _outcome(
-            "logistic kernel contract",
-            rep.ok and rep.t1_lipschitz_estimate <= 2.0 + 1e-9,
-            f"T1 estimate {rep.t1_lipschitz_estimate:.4f} (analytic 2), "
-            f"T2/T3 violations {rep.t2_violations}/{rep.t3_violations}",
-        )
-    )
-    rep = check_kernel_contract(
+def kernel_contract_outcomes() -> list[CheckOutcome]:
+    logistic = check_kernel_contract(KernelSpec("logistic", a=1.0, b=1.0), rng_seed=SEED_ORACLE)
+    crowd = check_kernel_contract(
         KernelSpec("crowd-coupled", a=1.0, b=1.0), rng_seed=SEED_ORACLE + 1
     )
-    outcomes.append(
+    return [
+        _outcome(
+            "logistic kernel contract",
+            logistic.ok and logistic.t1_lipschitz_estimate <= 2.0 + 1e-9,
+            f"T1 estimate {logistic.t1_lipschitz_estimate:.4f} (analytic 2), "
+            f"T2/T3 violations {logistic.t2_violations}/{logistic.t3_violations}",
+        ),
         _outcome(
             "crowd-coupled kernel contract",
-            rep.ok and math.isfinite(rep.t1_lipschitz_estimate),
-            f"T1 estimate {rep.t1_lipschitz_estimate:.4f}, "
-            f"T2/T3 violations {rep.t2_violations}/{rep.t3_violations}",
-        )
-    )
+            crowd.ok and math.isfinite(crowd.t1_lipschitz_estimate),
+            f"T1 estimate {crowd.t1_lipschitz_estimate:.4f}, "
+            f"T2/T3 violations {crowd.t2_violations}/{crowd.t3_violations}",
+        ),
+    ]
 
+
+def growth_outcomes() -> list[CheckOutcome]:
+    outcomes = []
     for spec in (quadratic(3), rastrigin_like(3)):
         report = verify_growth(spec, sample_count=4000, radius=8.0, rng_seed=SEED_ORACLE)
         outcomes.append(
@@ -265,36 +281,152 @@ def suite_contracts() -> SuiteResult:
             f"{len(report.violations)} violations flagged for c2 = 2 on ||x||^2",
         )
     )
+    return outcomes
 
+
+def lambda_range_outcomes() -> list[CheckOutcome]:
     record, elapsed = constraint_record()
-    cfg = constraint_config()
-    outcomes.append(
+    return [
         _outcome(
             "lambda range preserved at dt = theta/2",
             record.clamp_events == 0
             and record.lambda_min >= 0.0
             and record.lambda_max <= 1.0,
-            f"{cfg.n_steps} steps, clamp events {record.clamp_events}, "
+            f"{constraint_config().n_steps} steps, clamp events {record.clamp_events}, "
             f"lambda in [{record.lambda_min:.3g}, {record.lambda_max:.3g}], "
             f"{elapsed:.1f}s",
         )
-    )
+    ]
 
-    err = _logistic_euler_error()
+
+def mean_decay_outcomes() -> list[CheckOutcome]:
+    cfg, record, elapsed = decay_record()
+    report = mean_decay_check(record)
+    return [
+        _outcome(
+            "mean decay tracks exp(-integral of mean lambda)",
+            report.max_rel_error <= 0.05,
+            f"max rel error {report.max_rel_error:.3%} (tolerance 5%), "
+            f"final ||mean|| {report.actual_final:.4f} vs predicted "
+            f"{report.predicted_final:.4f}, N = {cfg.n_particles}, {elapsed:.1f}s",
+        )
+    ]
+
+
+def second_moment_outcomes() -> list[CheckOutcome]:
+    c_zero = second_moment_constant(0.0, 3)
+    c_unit = second_moment_constant(1.0, 1)
+    cfg, record, _ = decay_record()
+    report = second_moment_bound_check(record, cfg, slack=1.1)
+    return [
+        _outcome(
+            "ceiling constant endpoints",
+            abs(c_zero - 2.0) < 1e-14 and abs(c_unit - 3.0) < 1e-14,
+            f"C(sigma=0) = {c_zero:g}, C(sigma^2 d = 1) = {c_unit:g}",
+        ),
+        _outcome(
+            "second moment under 1.1 * C * m2_sq(0)",
+            report.ok,
+            f"peak ratio {report.peak_ratio:.3f} vs ceiling "
+            f"{report.slack * report.ceiling_constant:.3f}",
+        ),
+    ]
+
+
+def concentration_outcomes() -> list[CheckOutcome]:
+    table, elapsed = concentration_table()
+    values = [table[n] for n in CONCENTRATION_SHARPNESS]
+    return [
+        _outcome(
+            "terminal spread non-increasing in sharpness",
+            all(a >= b for a, b in zip(values, values[1:])),
+            ", ".join(f"n={n:g}: {table[n]:.3g}" for n in CONCENTRATION_SHARPNESS)
+            + f" ({elapsed:.0f}s)",
+        ),
+        _outcome(
+            "terminal spread small at the sharpest setting",
+            values[-1] <= 1e-2,
+            f"m2_sq(T) = {values[-1]:.3g} <= 1e-2 at n = {CONCENTRATION_SHARPNESS[-1]:g}",
+        ),
+    ]
+
+
+def meanfield_outcomes() -> list[CheckOutcome]:
+    stats, elapsed = meanfield_stats()
+    outcomes = []
+    for size in MEANFIELD_SIZES:
+        s = stats[size]
+        half_width = CI_Z_99 * s.stderr
+        outcomes.append(
+            _outcome(
+                f"residual mean compatible with 0 at N = {size}",
+                abs(s.mean) <= half_width,
+                f"mean {s.mean:+.2e}, 99% CI half-width {half_width:.2e}, "
+                f"{s.replicas} replicas",
+            )
+        )
+    ratio = stats[MEANFIELD_SIZES[0]].variance / stats[MEANFIELD_SIZES[1]].variance
     outcomes.append(
         _outcome(
-            "logistic relaxation matches closed form to O(dt)",
-            err["max_error"] <= 2.0 * err["dt"],
-            f"max |lambda - exact| = {err['max_error']:.2e} <= 2 dt = {2 * err['dt']:.2e}",
+            "residual variance scales like 1/N",
+            2.5 <= ratio <= 6.5,
+            f"Var({MEANFIELD_SIZES[0]}) / Var({MEANFIELD_SIZES[1]}) = {ratio:.2f} "
+            f"(expect about 4), {elapsed:.0f}s total",
         )
     )
-
-    outcomes.extend(_gibbs_algebra_outcomes())
-
-    return SuiteResult("contracts", tuple(outcomes))
+    return outcomes
 
 
-def _gibbs_algebra_outcomes() -> list[CheckOutcome]:
+def mass_floor_outcomes() -> list[CheckOutcome]:
+    _, record = concentration_record_sharp()
+    fit = mass_bound_fit(record, MASS_RADIUS)
+    floor = fit.initial_smoothed_mass * np.exp(-fit.fitted_rate * record.times)
+    series = record.mass_ball[MASS_RADIUS]
+    return [
+        _outcome(
+            "mass near the minimizer stays positive with an exponential floor",
+            fit.floor_ok
+            and not fit.vacuous
+            and fit.initial_smoothed_mass > 0
+            and math.isfinite(fit.fitted_rate)
+            and bool(np.all(series >= floor - 1e-12)),
+            f"min mass {series.min():.3g}, smoothed initial "
+            f"{fit.initial_smoothed_mass:.3g}, fitted rate {fit.fitted_rate:.3g}",
+        )
+    ]
+
+
+def euler_outcomes() -> list[CheckOutcome]:
+    """The rate relaxation of one noiseless agent against the logistic
+    closed form, where criterion 7 allows an Euler error of 2 dt."""
+    dt = 0.05
+    kernel = KernelSpec("logistic", a=1.0, b=1.0, theta=None)
+    cfg = SimConfig(
+        d=1,
+        n_particles=1,
+        dt=dt,
+        t_end=5.0,
+        seed=SEED_ORACLE,
+        objective=quadratic(1),
+        observable=ObservableMap(),
+        kernel=kernel,
+        init=InitialLaw.point(center=(0.0,), lambda_lo=0.0),
+        noise_strength=0.0,
+        mode="auxiliary",
+    )
+    record = simulate(cfg, record_stride=1)
+    exact = logistic_closed_form(kernel, 0.0, record.times)
+    max_error = float(np.abs(record.mean_lambda - exact).max())
+    return [
+        _outcome(
+            "logistic relaxation matches closed form to O(dt)",
+            max_error <= 2.0 * dt,
+            f"max |lambda - exact| = {max_error:.2e} <= 2 dt = {2 * dt:.2e}",
+        )
+    ]
+
+
+def gibbs_algebra_outcomes() -> list[CheckOutcome]:
     rng = rng_from_seed(SEED_ORACLE + 2)
     atoms = rng.normal(size=(40, 2))
     measure = EmpiricalMeasure.uniform(atoms)
@@ -356,167 +488,39 @@ def _gibbs_algebra_outcomes() -> list[CheckOutcome]:
     ]
 
 
-def _logistic_euler_error(dt: float = 0.05, t_end: float = 5.0) -> dict:
-    kernel = KernelSpec("logistic", a=1.0, b=1.0, theta=None)
-    cfg = SimConfig(
-        d=1,
-        n_particles=1,
-        dt=dt,
-        t_end=t_end,
-        seed=SEED_ORACLE,
-        objective=quadratic(1),
-        observable=ObservableMap(),
-        kernel=kernel,
-        init=InitialLaw.point(center=(0.0,), lambda_lo=0.0),
-        noise_strength=0.0,
-        mode="auxiliary",
-    )
-    record = simulate(cfg, record_stride=1)
-    exact = logistic_closed_form(kernel, 0.0, record.times)
-    return {"dt": dt, "max_error": float(np.abs(record.mean_lambda - exact).max())}
-
-
-def suite_decay() -> SuiteResult:
-    cfg, record, elapsed = decay_record()
-    report = mean_decay_check(record)
-    outcomes = (
-        _outcome(
-            "mean decay tracks exp(-integral of mean lambda)",
-            report.max_rel_error <= 0.05,
-            f"max rel error {report.max_rel_error:.3%} (tolerance 5%), "
-            f"final ||mean|| {report.actual_final:.4f} vs predicted "
-            f"{report.predicted_final:.4f}, N = {cfg.n_particles}, {elapsed:.1f}s",
-        ),
-    )
-    return SuiteResult("decay", outcomes)
-
-
-def suite_bounds() -> SuiteResult:
-    outcomes = []
-    c_zero = second_moment_constant(0.0, 3)
-    c_unit = second_moment_constant(1.0, 1)
-    outcomes.append(
-        _outcome(
-            "ceiling constant endpoints",
-            abs(c_zero - 2.0) < 1e-14 and abs(c_unit - 3.0) < 1e-14,
-            f"C(sigma=0) = {c_zero:g}, C(sigma^2 d = 1) = {c_unit:g}",
-        )
-    )
-    cfg, record, _ = decay_record()
-    report = second_moment_bound_check(record, cfg)
-    outcomes.append(
-        _outcome(
-            "second moment under 1.1 * C * m2_sq(0)",
-            report.ok,
-            f"peak ratio {report.peak_ratio:.3f} vs ceiling "
-            f"{report.slack * report.ceiling_constant:.3f}",
-        )
-    )
-    env_cfg, env_record = _truncated_run()
-    env_report = second_moment_envelope_check(env_record, env_cfg, m_f=env_cfg.observable.m_g)
-    outcomes.append(
+def gronwall_outcomes() -> list[CheckOutcome]:
+    cfg, record = _truncated_run()
+    report = second_moment_envelope_check(record, cfg, m_f=cfg.observable.m_g)
+    return [
         _outcome(
             "Gronwall envelope on a truncated run",
-            env_report.ok,
-            f"A = {env_report.a_constant:.2f}, no crossing"
-            if env_report.ok
-            else f"violated at t = {env_report.violated_at}",
+            report.ok,
+            f"A = {report.a_constant:.2f}, no crossing"
+            if report.ok
+            else f"violated at t = {report.violated_at}",
         )
-    )
-    return SuiteResult("bounds", tuple(outcomes))
-
-
-@cache
-def _truncated_run():
-    cfg = SimConfig(
-        d=2,
-        n_particles=400,
-        dt=1e-2,
-        t_end=2.0,
-        seed=SEED_DECAY + 1,
-        objective=quadratic(2),
-        observable=ObservableMap("saturated", m_g=2.0),
-        kernel=KernelSpec("logistic", a=1.0, b=1.0),
-        init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.3),
-        sharpness=4.0,
-        noise_strength=0.5,
-        mode="full",
-        truncation_radius=3.0,
-    )
-    return cfg, simulate(cfg, record_stride=1)
-
-
-def suite_meanfield() -> SuiteResult:
-    stats, elapsed = meanfield_stats()
-    outcomes = []
-    for size in MEANFIELD_SIZES:
-        s = stats[size]
-        half_width = CI_Z_99 * s.stderr
-        outcomes.append(
-            _outcome(
-                f"residual mean compatible with 0 at N = {size}",
-                abs(s.mean) <= half_width,
-                f"mean {s.mean:+.2e}, 99% CI half-width {half_width:.2e}, "
-                f"{s.replicas} replicas",
-            )
-        )
-    ratio = stats[MEANFIELD_SIZES[0]].variance / stats[MEANFIELD_SIZES[1]].variance
-    outcomes.append(
-        _outcome(
-            "residual variance scales like 1/N",
-            2.5 <= ratio <= 6.5,
-            f"Var({MEANFIELD_SIZES[0]}) / Var({MEANFIELD_SIZES[1]}) = {ratio:.2f} "
-            f"(expect about 4), {elapsed:.0f}s total",
-        )
-    )
-    return SuiteResult("meanfield", tuple(outcomes))
-
-
-def suite_concentration() -> SuiteResult:
-    table, elapsed = concentration_table()
-    values = [table[n] for n in CONCENTRATION_SHARPNESS]
-    monotone = all(a >= b for a, b in zip(values, values[1:]))
-    outcomes = [
-        _outcome(
-            "terminal spread non-increasing in sharpness",
-            monotone,
-            ", ".join(f"n={n:g}: {table[n]:.3g}" for n in CONCENTRATION_SHARPNESS)
-            + f" ({elapsed:.0f}s)",
-        ),
-        _outcome(
-            "terminal spread small at the sharpest setting",
-            values[-1] <= 1e-2,
-            f"m2_sq(T) = {values[-1]:.3g} <= 1e-2 at n = {CONCENTRATION_SHARPNESS[-1]:g}",
-        ),
     ]
-    cfg, record = concentration_record_sharp()
-    fit = mass_bound_fit(record, MASS_RADIUS)
-    floor = fit.initial_smoothed_mass * np.exp(-fit.fitted_rate * record.times)
-    series = record.mass_ball[MASS_RADIUS]
-    outcomes.append(
-        _outcome(
-            "mass near the minimizer stays positive with an exponential floor",
-            fit.floor_ok
-            and not fit.vacuous
-            and fit.initial_smoothed_mass > 0
-            and bool(np.all(series >= floor - 1e-12)),
-            f"min mass {series.min():.3g}, smoothed initial "
-            f"{fit.initial_smoothed_mass:.3g}, fitted rate {fit.fitted_rate:.3g}",
-        )
-    )
-    return SuiteResult("concentration", tuple(outcomes))
 
+
+# ---------------------------------------------------------------------------
+# suites: each is the outcomes of its checks, in order
 
 SUITES = {
-    "contracts": suite_contracts,
-    "decay": suite_decay,
-    "bounds": suite_bounds,
-    "meanfield": suite_meanfield,
-    "concentration": suite_concentration,
+    "contracts": (
+        kernel_contract_outcomes,
+        growth_outcomes,
+        lambda_range_outcomes,
+        euler_outcomes,
+        gibbs_algebra_outcomes,
+    ),
+    "decay": (mean_decay_outcomes,),
+    "bounds": (second_moment_outcomes, gronwall_outcomes),
+    "meanfield": (meanfield_outcomes,),
+    "concentration": (concentration_outcomes, mass_floor_outcomes),
 }
 
 
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return SUITES[name]()
+    return SuiteResult(name, tuple(o for check in SUITES[name] for o in check()))

@@ -1,45 +1,27 @@
 """End-to-end acceptance gate: nine fixed commitments, one per test.
 
-Each test prints a single PASS/FAIL line with the measured numbers (run with
-`pytest tests/test_acceptance.py -v -rA` to see them) and asserts the same
-condition, so the -v listing gives one verdict per commitment. Heavy runs are
-shared with the `infocbo validate` suites through the cached functions in
-infocbo.validation; parameters, seeds, and tolerances are committed there or
-here, never improvised at call time.
+The pass condition of criteria 1-6, criterion 7's Euler bound and criterion
+8 is stated once, in infocbo.validation, by the function that also feeds
+the `infocbo validate` suites; each test asserts the outcomes that function
+returns. What the tests add is their own: pins on the committed configs,
+wall-time budgets on the heavy runs, the W1 and consensus oracles of
+criterion 7 and the rerun determinism of criterion 9. Each test prints a
+single PASS/FAIL line with the measured numbers (run with
+`pytest tests/test_acceptance.py -v -rA` to see them).
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from infocbo.diagnostics import (
-    mass_bound_fit,
-    mean_decay_check,
-    second_moment_bound_check,
-    second_moment_constant,
-)
+from infocbo import validation
 from infocbo.gibbs import ConsensusParams, weighted_consensus
 from infocbo.harness import parse_flat_config, run
 from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, eval_objective_batch, quadratic
 from infocbo.util import rng_from_seed
-from infocbo.validation import (
-    CI_Z_99,
-    CONCENTRATION_SHARPNESS,
-    MASS_RADIUS,
-    MEANFIELD_REPLICAS,
-    MEANFIELD_SIZES,
-    _gibbs_algebra_outcomes,
-    _logistic_euler_error,
-    concentration_record_sharp,
-    concentration_table,
-    constraint_config,
-    constraint_record,
-    decay_record,
-    meanfield_stats,
-)
+from infocbo.validation import CheckOutcome
 from oracles import w1_exact
 
 SEED_W1_ORACLE = 0x7AC1E
@@ -67,117 +49,60 @@ REPRO_CONFIG = {
 }
 
 
-def report(criterion: int, passed: bool, detail: str) -> None:
+def report(criterion: int, outcomes: list[CheckOutcome]) -> None:
+    passed = all(o.passed for o in outcomes)
+    detail = "; ".join(o.line() for o in outcomes)
     print(f"[{'PASS' if passed else 'FAIL'}] acceptance {criterion}: {detail}")
     assert passed, detail
 
 
+def budget(elapsed: float, seconds: float) -> CheckOutcome:
+    return CheckOutcome(
+        "wall time", elapsed < seconds, f"{elapsed:.1f}s (budget {seconds:g}s)"
+    )
+
+
 def test_criterion_1_lambda_constraint_preservation():
-    cfg = constraint_config()
+    cfg = validation.constraint_config()
     assert cfg.d == 2 and cfg.n_particles == 500
     assert cfg.kernel.a == 1.0 and cfg.kernel.b == 1.0
     assert cfg.kernel.theta == pytest.approx(0.5)
     assert cfg.dt == 0.25 == cfg.kernel.theta / 2
     assert cfg.n_steps == 10_000
-    record, elapsed = constraint_record()
-    ok = (
-        record.clamp_events == 0
-        and record.lambda_min >= 0.0
-        and record.lambda_max <= 1.0
-        and elapsed < 10.0
-    )
-    report(
-        1, ok,
-        f"clamp events {record.clamp_events}, lambda in "
-        f"[{record.lambda_min:.3g}, {record.lambda_max:.3g}] over "
-        f"{cfg.n_steps} steps at dt = theta/2, {elapsed:.1f}s (budget 10s)",
-    )
+    _, elapsed = validation.constraint_record()
+    report(1, validation.lambda_range_outcomes() + [budget(elapsed, 10.0)])
 
 
 def test_criterion_2_mean_decay_law():
-    cfg, record, elapsed = decay_record()
+    cfg, _, elapsed = validation.decay_record()
     assert cfg.mode == "auxiliary"
     assert cfg.n_particles == 10_000
     assert cfg.noise_strength ** 2 * cfg.d == pytest.approx(0.5)
     assert cfg.dt == 1e-2 and cfg.t_end == 5.0
-    rep = mean_decay_check(record)
-    ok = rep.max_rel_error <= 0.05 and elapsed < 60.0
-    report(
-        2, ok,
-        f"max relative error {rep.max_rel_error:.3%} (tolerance 5%), final "
-        f"||mean|| {rep.actual_final:.4f} vs predicted {rep.predicted_final:.4f}, "
-        f"{elapsed:.1f}s (budget 60s)",
-    )
+    report(2, validation.mean_decay_outcomes() + [budget(elapsed, 60.0)])
 
 
 def test_criterion_3_second_moment_ceiling():
-    c_zero = second_moment_constant(0.0, 3)
-    c_unit = second_moment_constant(1.0, 1)
-    assert c_zero == pytest.approx(2.0, abs=1e-14)
-    assert c_unit == pytest.approx(3.0, abs=1e-14)
-    cfg, record, _ = decay_record()
-    rep = second_moment_bound_check(record, cfg, slack=1.1)
-    report(
-        3, rep.ok,
-        f"peak m2_sq ratio {rep.peak_ratio:.3f} vs ceiling "
-        f"{rep.slack * rep.ceiling_constant:.3f}; constants C(0) = {c_zero:g}, "
-        f"C(noise^2 d = 1) = {c_unit:g} exact",
-    )
+    report(3, validation.second_moment_outcomes())
 
 
 def test_criterion_4_concentration_with_persistent_information():
-    table, elapsed = concentration_table()
-    values = [table[n] for n in CONCENTRATION_SHARPNESS]
-    monotone = all(a >= b for a, b in zip(values, values[1:]))
-    ok = monotone and values[-1] <= 1e-2 and elapsed < 120.0
-    spread = ", ".join(f"n={n:g}: {table[n]:.3g}" for n in CONCENTRATION_SHARPNESS)
-    report(
-        4, ok,
-        f"terminal m2_sq non-increasing [{spread}], sharpest <= 1e-2, "
-        f"{elapsed:.0f}s (budget 120s)",
-    )
+    _, elapsed = validation.concentration_table()
+    report(4, validation.concentration_outcomes() + [budget(elapsed, 120.0)])
 
 
 def test_criterion_5_meanfield_residual_scaling():
-    stats, elapsed = meanfield_stats()
-    assert MEANFIELD_REPLICAS == 200
-    centered = []
-    for size in MEANFIELD_SIZES:
-        s = stats[size]
-        assert s.replicas == MEANFIELD_REPLICAS
-        centered.append(abs(s.mean) <= CI_Z_99 * s.stderr)
-    small, large = (stats[size] for size in MEANFIELD_SIZES)
-    ratio = small.variance / large.variance
-    ok = all(centered) and 2.5 <= ratio <= 6.5 and elapsed < 300.0
-    report(
-        5, ok,
-        f"residual means {small.mean:+.2e} (CI {CI_Z_99 * small.stderr:.2e}) and "
-        f"{large.mean:+.2e} (CI {CI_Z_99 * large.stderr:.2e}); variance ratio "
-        f"{ratio:.2f} in [2.5, 6.5]; {elapsed:.0f}s (budget 300s)",
-    )
+    stats, elapsed = validation.meanfield_stats()
+    assert validation.MEANFIELD_REPLICAS == 200
+    assert all(stats[size].replicas == 200 for size in validation.MEANFIELD_SIZES)
+    report(5, validation.meanfield_outcomes() + [budget(elapsed, 300.0)])
 
 
 def test_criterion_6_mass_in_ball_floor():
-    cfg, record = concentration_record_sharp()
-    assert cfg.sharpness == CONCENTRATION_SHARPNESS[-1] == 64.0
-    assert MASS_RADIUS == 0.5
-    fit = mass_bound_fit(record, MASS_RADIUS)
-    series = record.mass_ball[MASS_RADIUS]
-    floor = fit.initial_smoothed_mass * np.exp(-fit.fitted_rate * record.times)
-    ok = (
-        bool(np.all(series > 0.0))
-        and fit.initial_smoothed_mass > 0.0
-        and math.isfinite(fit.fitted_rate)
-        and bool(np.all(series >= floor - 1e-12))
-        and not fit.vacuous
-    )
-    report(
-        6, ok,
-        f"mass in radius {MASS_RADIUS:g} ball stays in "
-        f"[{series.min():.3g}, {series.max():.3g}] above the exponential floor "
-        f"(smoothed initial {fit.initial_smoothed_mass:.3g}, "
-        f"fitted rate {fit.fitted_rate:.3g})",
-    )
+    cfg, _ = validation.concentration_record_sharp()
+    assert cfg.sharpness == validation.CONCENTRATION_SHARPNESS[-1] == 64.0
+    assert validation.MASS_RADIUS == 0.5
+    report(6, validation.mass_floor_outcomes())
 
 
 def _assignment_w1_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,25 +140,21 @@ def test_criterion_7_oracle_equivalences():
         got = weighted_consensus(params, measure)
         worst_consensus = max(worst_consensus, float(np.abs(got - oracle).max()))
 
-    euler = _logistic_euler_error()
-    ok = (
-        worst_w1 <= 1e-9
-        and worst_consensus <= 1e-10
-        and euler["max_error"] <= 2.0 * euler["dt"]
-    )
-    report(
-        7, ok,
-        f"W1 vs pairing oracle worst {worst_w1:.1e} (tol 1e-9, 100 instances); "
-        f"consensus vs direct summation worst {worst_consensus:.1e} (tol 1e-10); "
-        f"rate relaxation vs closed form {euler['max_error']:.2e} <= "
-        f"2 dt = {2 * euler['dt']:.2e}",
-    )
+    oracles = [
+        CheckOutcome(
+            "W1 vs pairing oracle", worst_w1 <= 1e-9,
+            f"worst {worst_w1:.1e} (tol 1e-9, 100 instances)",
+        ),
+        CheckOutcome(
+            "consensus vs direct summation", worst_consensus <= 1e-10,
+            f"worst {worst_consensus:.1e} (tol 1e-10)",
+        ),
+    ]
+    report(7, oracles + validation.euler_outcomes())
 
 
 def test_criterion_8_gibbs_functional_properties():
-    outcomes = _gibbs_algebra_outcomes()
-    ok = all(o.passed for o in outcomes)
-    report(8, ok, "; ".join(o.line() for o in outcomes))
+    report(8, validation.gibbs_algebra_outcomes())
 
 
 def test_criterion_9_determinism(tmp_path):
@@ -246,9 +167,11 @@ def test_criterion_9_determinism(tmp_path):
         == (tmp_path / "second" / name).read_bytes()
         for name in csvs
     )
-    ok = bool(csvs) and identical and first.manifest["files"] == second.manifest["files"]
-    report(
-        9, ok,
-        f"{len(csvs)} replica CSVs byte-identical across a serial rerun and a "
-        f"2-worker rerun of the committed config",
-    )
+    report(9, [
+        CheckOutcome(
+            "determinism",
+            bool(csvs) and identical and first.manifest["files"] == second.manifest["files"],
+            f"{len(csvs)} replica CSVs byte-identical across a serial rerun and a "
+            f"2-worker rerun of the committed config",
+        )
+    ])

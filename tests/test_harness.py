@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from infocbo import harness
-from infocbo import cli
+from infocbo import cli, validation
 from infocbo.cli import EXIT_DIVERGED, EXIT_INTERNAL, main
 from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
@@ -855,8 +855,19 @@ def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_validate_suite(capsys):
-    code = main(["validate", "decay"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "suite decay: PASS" in out
+@pytest.mark.parametrize("name", sorted(validation.SUITES))
+def test_cli_validate_suite(name, capsys, monkeypatch):
+    # the heavy runs are cached, so this reuses those test_acceptance.py made
+    results = []
+
+    def recording(suite):
+        results.append(validation.run_suite(suite))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    code = main(["validate", name])
+    out = capsys.readouterr().out.splitlines()
+    (result,) = results
+    assert code == 0 and result.outcomes
+    assert out == result.lines() + [f"suite {name}: PASS"]
+    assert all(line.startswith("PASS  ") for line in out[:-1])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ def test_the_sharpness_rule_is_stated_once(value):
     with pytest.raises(ConfigError) as refused:
         make_config(sharpness=value)
     assert str(refused.value) == str(stated.value)
+
+
+@pytest.mark.parametrize("field", ["d", "n_particles", "seed"])
+@pytest.mark.parametrize("value", [1.5, True, "2", math.nan, math.inf])
+def test_counts_and_the_seed_must_be_whole_numbers(field, value):
+    # unchecked, seed 1.5 or True runs as seed 1 and a fractional N fails in numpy
+    message = f"{field} must be a whole number, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make_config(**{field: value})
+
+
+def test_an_integral_float_count_is_stored_as_an_int():
+    cfg = make_config(d=1.0, n_particles=8.0, seed=42.0)
+    assert (cfg.d, cfg.n_particles, cfg.seed) == (1, 8, 42)
+    assert all(type(v) is int for v in (cfg.d, cfg.n_particles, cfg.seed))
+    assert cfg == make_config(n_particles=8)
 
 
 @pytest.mark.parametrize("field", [

@@ -1,9 +1,16 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from infocbo import validation
+from infocbo.diagnostics import DiagnosticsError, gaussian_bump
+from infocbo.infokernel import KernelError, KernelSpec
+from infocbo.objectives import ObjectiveError, ObservableMap, quadratic
+from infocbo.sde import ConfigError, InitialLaw
 from infocbo.util import (GENERATOR_NAME, derive_seed, format_float, is_real, is_whole, jsonable,
                           rng_from_seed)
 
@@ -74,3 +81,19 @@ def test_whole_numbers_are_ints_and_integral_floats_never_bools(value, whole):
 ])
 def test_real_numbers_are_ints_and_floats_never_bools_or_strings(value, real):
     assert is_real(value) is real
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda v: replace(validation.decay_config(), noise_strength=v), ConfigError),
+    (lambda v: InitialLaw.gaussian(center=(0.0,), sigma=v), ConfigError),
+    (lambda v: KernelSpec("logistic", a=v), KernelError),
+    (lambda v: ObservableMap("saturated", m_g=v), ObjectiveError),
+    (lambda v: replace(quadratic(2), c2=v), ObjectiveError),
+    (gaussian_bump, DiagnosticsError),
+], ids=["SimConfig", "InitialLaw", "KernelSpec", "ObservableMap", "ObjectiveSpec",
+        "gaussian_bump"])
+@pytest.mark.parametrize("value", [True, "1", math.nan])
+def test_a_parameter_must_be_a_finite_real_where_it_enters(build, error, value):
+    # a bool would run as 0 or 1 and a string would fail later as a TypeError
+    with pytest.raises(error, match=re.escape(f"must be finite and real, got {value!r}")):
+        build(value)
