@@ -29,6 +29,9 @@ from .util import derive_seed, is_real, is_whole, require_finite, row_sum, scale
 
 MIN_STUDY_REPLICAS = 30
 
+# the one allowance of the consensus-free ceiling: m2_sq(t) <= CEILING_SLACK * C * m2_sq(0)
+CEILING_SLACK = 1.1
+
 
 class DiagnosticsError(ValueError):
     """Check invoked outside its hypotheses or on unsuitable data."""
@@ -156,20 +159,18 @@ class SecondMomentReport:
         return self.violated_at is None
 
 
-def second_moment_bound_check(
-    record: TrajectoryRecord, config: SimConfig, slack: float = 1.1
-) -> SecondMomentReport:
-    """Assert m2_sq(t) <= slack * C * m2_sq(0) on an auxiliary-mode record."""
+def second_moment_bound_check(record: TrajectoryRecord, config: SimConfig) -> SecondMomentReport:
+    """Assert m2_sq(t) <= CEILING_SLACK * C * m2_sq(0) on an auxiliary-mode record."""
     require_consensus_free(record.mode)
     ceiling = second_moment_constant(config.noise_strength, config.d)
     base = float(record.m2_sq[0])
     if base <= 0:
         raise DiagnosticsError("initial second moment must be positive")
     ratios = record.m2_sq / base
-    bad = np.flatnonzero(ratios > slack * ceiling)
+    bad = np.flatnonzero(ratios > CEILING_SLACK * ceiling)
     return SecondMomentReport(
         ceiling_constant=ceiling,
-        slack=slack,
+        slack=CEILING_SLACK,
         peak_ratio=float(ratios.max()),
         violated_at=float(record.times[bad[0]]) if bad.size else None,
     )
@@ -222,12 +223,7 @@ def mass_bound_fit(record: TrajectoryRecord, radius: float) -> MassBoundReport:
     vacuous; a zero empirical mass at a later time makes the fitted rate
     infinite and floor_ok False.
     """
-    key = None
-    for r in record.mass_ball:
-        if abs(r - radius) <= 1e-12:
-            key = r
-            break
-    if key is None:
+    if radius not in record.mass_ball:  # its keys are the configured radii
         raise DiagnosticsError(
             f"record has no mass series at radius {radius:g}; configure ball_radii"
         )
@@ -235,7 +231,7 @@ def mass_bound_fit(record: TrajectoryRecord, radius: float) -> MassBoundReport:
         raise DiagnosticsError("mass bound fit needs a snapshot at t = 0")
     initial = record.snapshots[0].ensemble.spatial_measure()
     smoothed = phi_r_expectation(radius, initial)
-    series = record.mass_ball[key]
+    series = record.mass_ball[radius]
     floor_ok = bool(np.all(series > 0.0))
     if smoothed == 0.0:
         return MassBoundReport(radius, 0.0, 0.0, floor_ok, vacuous=True)
@@ -268,14 +264,15 @@ class EnvelopeReport:
         return self.violated_at is None
 
 
-def second_moment_envelope_check(
-    record: TrajectoryRecord, config: SimConfig, m_f: float
-) -> EnvelopeReport:
-    """Ceiling diagnostic: recorded m2_sq under the Gronwall envelope."""
+def second_moment_envelope_check(record: TrajectoryRecord, config: SimConfig) -> EnvelopeReport:
+    """Ceiling diagnostic: recorded m2_sq under the Gronwall envelope, whose
+    m_f is the saturated observable's bound m_g."""
     if config.truncation_radius is None:
         raise DiagnosticsError("the envelope is proved for truncated dynamics only")
+    if config.observable.variant != "saturated":
+        raise DiagnosticsError("the envelope's m_f is the bound m_g of a saturated observable")
     a_const = gronwall_envelope_constant(
-        config.drift_gain, config.noise_strength, config.d, m_f
+        config.drift_gain, config.noise_strength, config.d, config.observable.m_g
     )
     base = float(record.m2_sq[0])
     envelope = (base + a_const * record.times) * np.exp(a_const * record.times)

@@ -145,7 +145,7 @@ def cutoff_eta(radius: float, z: float) -> float:
     eta_R(z) = h(R+1-z) / (h(R+1-z) + h(z-R)) with h(t) = exp(-1/t) 1_{t>0};
     the two branches overlap only on (R, R+1), where both are positive.
     """
-    require_finite(GibbsError, radius=radius)
+    require_finite(GibbsError, radius=radius, z=z)
     if radius <= 0:
         raise GibbsError("cutoff radius must be positive")
     if z <= radius:

@@ -37,7 +37,7 @@ from .objectives import ObservableMap, quadratic, rastrigin_like
 from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
                   _simulate_batch)
 from .trajectory import TrajectoryRecord
-from .util import GENERATOR_NAME, derive_seed, is_real, is_whole, jsonable
+from .util import GENERATOR_NAME, derive_seed, is_real, is_whole, jsonable, real_tuple
 
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
@@ -153,7 +153,8 @@ class ObserverConfig:
 
     def __post_init__(self) -> None:
         # the form parse_flat_config builds, so a hand-built config equals it
-        object.__setattr__(self, "ball_radii", tuple(float(r) for r in self.ball_radii))
+        object.__setattr__(self, "ball_radii",
+                           real_tuple(ConfigError, "ball_radii", self.ball_radii))
 
 
 @dataclass(frozen=True)  # so the checks of __post_init__ hold for its whole life
@@ -166,14 +167,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # the forms parse_flat_config builds, so a hand-built config equals it
-        object.__setattr__(self, "checks", tuple(str(c) for c in self.checks))
+        if not isinstance(self.checks, (list, tuple)):  # not a string's characters
+            raise ConfigError(f"checks must be a list of check names, got {self.checks!r}")
+        object.__setattr__(self, "checks", tuple(self.checks))
         if self.output_dir is not None:
             object.__setattr__(self, "output_dir", str(self.output_dir))
+        if not (is_whole(self.replicas) and self.replicas >= 1):
+            raise ConfigError(f"replicas must be a whole number >= 1, got {self.replicas!r}")
+        object.__setattr__(self, "replicas", int(self.replicas))
         # the hypotheses of every requested check, before any replica runs
-        if self.replicas < 1:
-            raise ConfigError("replicas must be at least 1")
         for name in self.checks:
-            if name not in CHECKS:
+            if not isinstance(name, str) or name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
         try:
             for name in self.checks:

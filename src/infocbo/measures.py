@@ -40,6 +40,8 @@ class EmpiricalMeasure:
         masses = np.asarray(self.masses, dtype=float)
         if masses.shape != (atoms.shape[0],):
             raise MeasureError("masses must be a vector matching the atom count")
+        if not np.isfinite(masses).all():  # abs(nan - 1) > MASS_TOL is false
+            raise MeasureError("masses must be finite")
         if np.any(masses < 0):
             raise MeasureError("masses must be nonnegative")
         total = float(masses.sum())

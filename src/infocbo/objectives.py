@@ -41,8 +41,9 @@ class ObjectiveSpec:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ObjectiveError("dimension must be a positive integer")
+        if not (is_whole(self.dimension) and self.dimension >= 1):
+            raise ObjectiveError(f"dimension must be a whole number >= 1, got {self.dimension!r}")
+        object.__setattr__(self, "dimension", int(self.dimension))  # 2.0 is stored as 2
         require_finite(
             ObjectiveError, c2=self.c2, c3=self.c3, growth_exponent=self.growth_exponent
         )

@@ -40,8 +40,8 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import (agent_mean, in_unit_interval, is_whole, require_finite, rng_from_seed,
-                   scale_rows, sq_norm, uniform_ball)
+from .util import (agent_mean, in_unit_interval, is_whole, real_tuple, require_finite,
+                   rng_from_seed, scale_rows, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -123,18 +123,14 @@ class InitialLaw:
     def __post_init__(self) -> None:
         if self.spatial_kind not in ("gaussian", "ball", "point"):
             raise ConfigError(f"unknown initial law {self.spatial_kind!r}")
+        object.__setattr__(self, "center", real_tuple(ConfigError, "center", self.center))
         require_finite(
-            ConfigError,
-            spread=self.spread,
-            lambda_lo=self.lambda_lo,
-            lambda_hi=self.lambda_hi,
-            **{f"center[{i}]": c for i, c in enumerate(self.center)},
+            ConfigError, spread=self.spread, lambda_lo=self.lambda_lo, lambda_hi=self.lambda_hi
         )
         if self.spatial_kind != "point" and self.spread <= 0:
             raise ConfigError("gaussian/ball initial laws need a positive spread")
         if not (0.0 <= self.lambda_lo <= self.lambda_hi <= 1.0):
             raise ConfigError("lambda initial range must satisfy 0 <= lo <= hi <= 1")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @classmethod
     def gaussian(cls, center, sigma, lambda_lo=0.5, lambda_hi=None) -> "InitialLaw":
@@ -224,6 +220,8 @@ class SimConfig:
             noise_strength=self.noise_strength,
             truncation_radius=self.truncation_radius,
         )
+        if not isinstance(self.shared_noise, bool):  # 'false' would read as true
+            raise ConfigError(f"shared_noise must be true or false, got {self.shared_noise!r}")
         if self.d < 1 or self.n_particles < 1:
             raise ConfigError("need d >= 1 and at least one particle")
         if self.objective.dimension != self.d:

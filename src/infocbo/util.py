@@ -128,6 +128,16 @@ def is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
+def real_tuple(error: type[Exception], name: str, values) -> tuple[float, ...]:
+    """values, a list or tuple of finite reals, as a tuple of floats. A bare
+    string is refused, not read as its characters, and so is a lone number;
+    the first entry that breaks the real-number rule is named name[i]."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{name} must be a list of numbers, got {values!r}")
+    require_finite(error, **{f"{name}[{i}]": v for i, v in enumerate(values)})
+    return tuple(float(v) for v in values)
+
+
 def is_whole(value) -> bool:
     """The whole-number rule: an int or an integral float (2.0 counts as 2),
     never a bool, a string or a non-finite float."""

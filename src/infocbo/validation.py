@@ -16,6 +16,7 @@ from functools import cache
 import numpy as np
 
 from .diagnostics import (
+    CEILING_SLACK,
     concentration_sweep,
     g_phi_scaling_study,
     gaussian_bump,
@@ -317,7 +318,7 @@ def second_moment_outcomes() -> list[CheckOutcome]:
     c_zero = second_moment_constant(0.0, 3)
     c_unit = second_moment_constant(1.0, 1)
     cfg, record, _ = decay_record()
-    report = second_moment_bound_check(record, cfg, slack=1.1)
+    report = second_moment_bound_check(record, cfg)
     return [
         _outcome(
             "ceiling constant endpoints",
@@ -325,7 +326,7 @@ def second_moment_outcomes() -> list[CheckOutcome]:
             f"C(sigma=0) = {c_zero:g}, C(sigma^2 d = 1) = {c_unit:g}",
         ),
         _outcome(
-            "second moment under 1.1 * C * m2_sq(0)",
+            f"second moment under {CEILING_SLACK:g} * C * m2_sq(0)",
             report.ok,
             f"peak ratio {report.peak_ratio:.3f} vs ceiling "
             f"{report.slack * report.ceiling_constant:.3f}",
@@ -490,7 +491,7 @@ def gibbs_algebra_outcomes() -> list[CheckOutcome]:
 
 def gronwall_outcomes() -> list[CheckOutcome]:
     cfg, record = _truncated_run()
-    report = second_moment_envelope_check(record, cfg, m_f=cfg.observable.m_g)
+    report = second_moment_envelope_check(record, cfg)
     return [
         _outcome(
             "Gronwall envelope on a truncated run",

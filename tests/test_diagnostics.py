@@ -135,6 +135,7 @@ def test_second_moment_stays_under_the_ceiling_on_a_calm_run():
     report = second_moment_bound_check(simulate(cfg), cfg)
     assert report.ok
     assert report.peak_ratio <= report.slack * report.ceiling_constant
+    assert report.slack == 1.1
 
 
 def test_second_moment_check_is_scoped_to_auxiliary_runs():
@@ -214,6 +215,8 @@ def test_mass_fit_needs_the_matching_ball_series():
     record = simulate(cfg, snapshot_stride=cfg.n_steps, ball_radii=(2.0,))
     with pytest.raises(DiagnosticsError):
         mass_bound_fit(record, 1.0)
+    with pytest.raises(DiagnosticsError):  # the configured radius, exactly
+        mass_bound_fit(record, 2.0 + 1e-13)
 
 
 def test_fitted_rate_makes_the_exponential_floor_tight():
@@ -239,14 +242,22 @@ def test_envelope_constant_assembles_from_gain_and_noise():
 def test_envelope_check_requires_truncation():
     cfg = make_config(n_particles=20)
     with pytest.raises(DiagnosticsError):
-        second_moment_envelope_check(simulate(cfg), cfg, m_f=1.0)
+        second_moment_envelope_check(simulate(cfg), cfg)
+
+
+def test_envelope_check_refuses_the_identity_observable():
+    # m_f is the saturated observable's bound; the identity observable has none
+    cfg = make_config(n_particles=20, truncation_radius=3.0)
+    assert cfg.observable.variant == "identity"
+    with pytest.raises(DiagnosticsError, match="saturated observable"):
+        second_moment_envelope_check(simulate(cfg), cfg)
 
 
 def test_truncated_run_respects_the_envelope():
     obs = ObservableMap(variant="saturated", m_g=2.0)
     cfg = make_config(mode="full", observable=obs, truncation_radius=3.0,
                       n_particles=300, noise_strength=0.5, t_end=1.0)
-    report = second_moment_envelope_check(simulate(cfg), cfg, m_f=obs.m_g)
+    report = second_moment_envelope_check(simulate(cfg), cfg)
     assert report.ok
     assert report.a_constant == gronwall_envelope_constant(1.0, 0.5, 1, 2.0)
 

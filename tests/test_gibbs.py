@@ -287,6 +287,12 @@ def test_cutoff_radius_must_be_finite(radius):
         cutoff_eta(radius, 1.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_cutoff_argument_must_be_finite(z):
+    with pytest.raises(GibbsError, match="^z must be finite"):
+        cutoff_eta(1.0, z)
+
+
 def test_measure_cutoff_evaluates_at_the_first_moment():
     assert cutoff_phi_measure(1.0, uniform([[0.0, 0.0]])) == 1.0
     assert cutoff_phi_measure(1.0, uniform([[3.0, 0.0]])) == 0.0

@@ -36,8 +36,9 @@ from infocbo.harness import (
     sweep,
     worker_count,
 )
-from infocbo.objectives import ObjectiveSpec, quadratic
-from infocbo.sde import ConfigError, SimulationError, simulate
+from infocbo.infokernel import KernelError, KernelSpec
+from infocbo.objectives import ObjectiveSpec, ObservableMap, quadratic
+from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.util import derive_seed, row_sum
 
 BASE = {
@@ -132,9 +133,7 @@ def test_parse_missing_required_key(missing):
         parse_flat_config(doc)
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
+BAD_VALUES = [
         ("sim.N", 7.5),           # integer keys refuse fractional floats
         ("sim.dt", "fast"),
         ("sim.shared_noise", 1),  # truthiness is not a bool
@@ -153,11 +152,64 @@ def test_parse_missing_required_key(missing):
         ("sim.mode", 1),
         ("objective.name", ["quadratic"]),
         ("run.checks", ["mean_decay", 1]),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
 def test_parse_bad_values(key, value):
     with pytest.raises(ConfigError, match=f"^config key '{re.escape(key)}': bad value"):
         parse_flat_config(config(**{key: value}))
+
+
+# each section's constructor, found on a parsed experiment, and the error it raises
+OWNERS = {
+    "sim": (lambda exp: exp.sim, ConfigError),
+    "kernel": (lambda exp: exp.sim.kernel, KernelError),
+    "init": (lambda exp: exp.sim.init, ConfigError),
+    "observers": (lambda exp: exp.observers, ConfigError),
+    "run": (lambda exp: exp, ConfigError),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value", [(key, value) for key, value in BAD_VALUES if CONFIG_KEYS[key].field])
+def test_constructors_refuse_what_the_parser_refuses(key, value):
+    owner, error = OWNERS[key.split(".")[0]]
+    with pytest.raises(error):
+        dataclasses.replace(owner(parse_flat_config(config())), **{CONFIG_KEYS[key].field: value})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda sim: ObserverConfig(ball_radii=("0.5",)),
+     r"ball_radii\[0\] must be finite and real, got '0.5'"),
+    (lambda sim: ObserverConfig(ball_radii=(True,)),
+     r"ball_radii\[0\] must be finite and real, got True"),
+    (lambda sim: ExperimentConfig(sim, checks="mean_decay"),
+     "checks must be a list of check names, got 'mean_decay'"),
+    (lambda sim: ExperimentConfig(sim, replicas=True), "replicas must be a whole number >= 1, got True"),
+    (lambda sim: ExperimentConfig(sim, replicas=2.5), "replicas must be a whole number >= 1, got 2.5"),
+], ids=["numeral_radius", "bool_radius", "checks_string", "bool_replicas", "fractional_replicas"])
+def test_hand_built_experiments_keep_the_parser_rules(build, match):
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        build(parse_flat_config(config()).sim)
+
+
+def test_an_integral_float_replica_count_is_stored_as_an_int():
+    exp = ExperimentConfig(parse_flat_config(config()).sim, replicas=2.0)
+    assert exp.replicas == 2 and type(exp.replicas) is int
+    assert exp == parse_flat_config(config(**{"run.replicas": 2}))
+
+
+def test_the_required_keys_alone_parse_to_the_constructor_defaults():
+    # CONFIG_KEYS restates every default of the constructors it feeds; this holds them together
+    doc = {"sim.d": 2, "sim.N": 8, "sim.dt": 0.1, "sim.t_end": 1.0, "sim.seed": 77,
+           "objective.name": "quadratic", "kernel.variant": "logistic", "kernel.a": 1.0,
+           "init.spatial": "point", "init.center": [1.0, -1.0]}
+    assert set(doc) == {key for key, row in CONFIG_KEYS.items() if row.default is REQUIRED}
+    sim = SimConfig(d=2, n_particles=8, dt=0.1, t_end=1.0, seed=77, objective=quadratic(2),
+                    observable=ObservableMap(), kernel=KernelSpec("logistic", a=1.0),
+                    init=InitialLaw("point", (1.0, -1.0)))
+    assert parse_flat_config(doc) == ExperimentConfig(sim)
 
 
 def test_parse_integral_float_accepted_for_int_keys():

@@ -90,6 +90,13 @@ def test_masses_must_be_nonnegative():
         EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("masses", [[math.nan, math.nan], [math.inf, 0.0]])
+def test_masses_must_be_finite(masses):
+    # abs(nan - 1) > MASS_TOL is false, so the sum check alone lets NaN through
+    with pytest.raises(MeasureError, match="^masses must be finite$"):
+        EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array(masses))
+
+
 def test_one_dimensional_atom_list_is_promoted_to_column():
     mu = uniform([0.0, 2.0])
     assert mu.atoms.shape == (2, 1)

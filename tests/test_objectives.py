@@ -40,6 +40,18 @@ def test_objectives_vanish_at_zero_exactly():
         assert eval_objective_batch(spec, np.zeros((1, spec.dimension)))[0] == 0.0
 
 
+@pytest.mark.parametrize("dimension", [2.5, True, "2", 0])
+def test_objective_dimension_is_a_whole_number(dimension):
+    with pytest.raises(ObjectiveError, match="^dimension must be a whole number >= 1"):
+        quadratic(dimension)
+
+
+def test_an_integral_float_dimension_is_stored_as_an_int():
+    spec = quadratic(2.0)
+    assert spec.dimension == 2 and type(spec.dimension) is int
+    assert spec == quadratic(2)
+
+
 def test_batch_evaluation_matches_pointwise():
     rng = rng_from_seed(2)
     pts = rng.standard_normal((40, 3))

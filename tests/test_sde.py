@@ -165,6 +165,13 @@ def test_nonfinite_float_parameters_are_rejected(field, value):
         make_config(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_shared_noise_takes_only_a_bool(value):
+    # _draw_noise tests it for truth, so 'false' would share one increment
+    with pytest.raises(ConfigError, match="^shared_noise must be true or false"):
+        make_config(shared_noise=value)
+
+
 # ---------------------------------------------------------------------------
 # initial laws
 
@@ -228,6 +235,17 @@ def test_origin_charging_classification():
 def test_initial_law_rejects_nonfinite_spread_and_center(kind, spread, center):
     with pytest.raises(ConfigError, match="must be finite"):
         InitialLaw(kind, center, spread)
+
+
+@pytest.mark.parametrize("center, match", [
+    (3.0, "center must be a list of numbers, got 3.0"),
+    ("12", "center must be a list of numbers, got '12'"),
+    (("0.5",), r"center\[0\] must be finite and real, got '0.5'"),
+    ((True,), r"center\[0\] must be finite and real, got True"),
+])
+def test_initial_law_center_is_a_list_of_reals(center, match):
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        InitialLaw("point", center)
 
 
 def test_information_bounds_are_validated():
