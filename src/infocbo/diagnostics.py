@@ -223,6 +223,8 @@ def mass_bound_fit(record: TrajectoryRecord, radius: float) -> MassBoundReport:
     vacuous; a zero empirical mass at a later time makes the fitted rate
     infinite and floor_ok False.
     """
+    if not is_real(radius):  # '1' would fail the message's :g
+        raise DiagnosticsError(f"radius must be a real number, got {radius!r}")
     if radius not in record.mass_ball:  # its keys are the configured radii
         raise DiagnosticsError(
             f"record has no mass series at radius {radius:g}; configure ball_radii"

@@ -152,9 +152,12 @@ class ObserverConfig:
     ball_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # the form parse_flat_config builds, so a hand-built config equals it
+        # the forms parse_flat_config builds, so a hand-built config equals it
         object.__setattr__(self, "ball_radii",
                            real_tuple(ConfigError, "ball_radii", self.ball_radii))
+        for name in ("stride", "snapshot_stride"):  # 2.0 is stored as 2
+            if is_whole(getattr(self, name)):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)  # so the checks of __post_init__ hold for its whole life
@@ -171,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError(f"checks must be a list of check names, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
         if self.output_dir is not None:
+            if not isinstance(self.output_dir, (str, os.PathLike)):  # 5 is no path
+                raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
             object.__setattr__(self, "output_dir", str(self.output_dir))
         if not (is_whole(self.replicas) and self.replicas >= 1):
             raise ConfigError(f"replicas must be a whole number >= 1, got {self.replicas!r}")

@@ -85,10 +85,16 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     lam_arr = np.asarray(lam, dtype=float)
     if not in_unit_interval(lam_arr):
         raise KernelError("lambda outside [0, 1]")
-    x = np.asarray(x, dtype=float)
+    rate = _rate(kernel, summary, np.asarray(x, dtype=float), lam_arr)
+    return float(rate) if lam_arr.ndim == 0 else rate
+
+
+def _rate(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, lam: np.ndarray):
+    """eval_kernel's arithmetic on float arrays, lam not checked: the step
+    keeps lam in [0, 1] by construction (Ensemble checks the initial lam,
+    em_step clips it, and x is checked finite, so the rate is finite)."""
     if kernel.variant == "logistic":
-        rate = kernel.a * (1.0 - lam_arr) - kernel.b * lam_arr
-        return float(rate) if lam_arr.ndim == 0 else rate
+        return kernel.a * (1.0 - lam) - kernel.b * lam
     mean_x = np.asarray(summary.mean_x, dtype=float)
     if mean_x.ndim > 1:  # one mean per stacked batch
         mean_x = mean_x[..., None, :]
@@ -96,8 +102,7 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
     for k in range(x.shape[-1]):  # x - mean_x per column, as in gibbs.drift
         np.subtract(x[..., k], mean_x[..., k], out=gap[..., k])
     dist = np.sqrt(sq_norm(gap))
-    rate = (1.0 - lam_arr) * kernel.a / (1.0 + dist) - kernel.b * lam_arr
-    return float(rate) if lam_arr.ndim == 0 else rate
+    return (1.0 - lam) * kernel.a / (1.0 + dist) - kernel.b * lam
 
 
 @dataclass(frozen=True)

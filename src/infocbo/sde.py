@@ -32,7 +32,7 @@ from .gibbs import (
     cutoff_eta,
     drift,
 )
-from .infokernel import KernelSpec, PopulationSummary, eval_kernel
+from .infokernel import KernelSpec, PopulationSummary, _rate
 from .measures import EmpiricalMeasure
 from .objectives import (
     ObjectiveSpec,
@@ -312,7 +312,7 @@ def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields: Fields):
     f_val = None if f_val is None else f_val.reshape(targets)
     v = drift(xs, lams, f_val, e_val.reshape(targets))
     summary = PopulationSummary.from_arrays(xs, lams, mean_x=mean_x)
-    rate = eval_kernel(config.kernel, summary, xs, lams)
+    rate = _rate(config.kernel, summary, xs, lams)  # lams in [0, 1]: see _rate
     return v.reshape(ensemble.x.shape), rate.reshape(-1)
 
 
@@ -350,8 +350,8 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
         new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
     raw = lam + dt * rate
     outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
-    new_lam = np.clip(raw, 0.0, 1.0)
-    if not np.isfinite(new_x).all():
+    new_lam = raw.clip(0.0, 1.0)
+    if not np.logical_and.reduce(np.isfinite(new_x), axis=None):
         finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
         raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "
                               f"leaving t = {ensemble.time:g} (dt = {dt:g})")
@@ -359,7 +359,7 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     # lam is clipped into [0, 1], x checked finite, the layout the predecessor's
     successor = object.__new__(Ensemble)
     vars(successor).update(x=new_x, lam=new_lam, time=ensemble.time + dt,
-                           clamp_events=ensemble.clamp_events + outside.sum(axis=1),
+                           clamp_events=ensemble.clamp_events + np.add.reduce(outside, axis=1),
                            replicas=ensemble.replicas)
     return successor
 
@@ -371,11 +371,12 @@ class _Recorder:
     def __init__(self, config: SimConfig, radii: list[float], keep_snapshots: bool):
         self.config = config
         self.radii = radii
+        self.radii_sq = np.array([r * r for r in radii]).reshape(-1, 1, 1)
         self.times: list[float] = []
         self.m2_sq: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []
         self.mean_lambda: list[np.ndarray] = []
-        self.mass: dict[float, list[np.ndarray]] = {r: [] for r in self.radii}
+        self.mass: list[np.ndarray] = []  # (len(radii), R) per state
         self.consensus: list[np.ndarray] = []
         self.snapshots: dict[int, list[Snapshot]] | None = {} if keep_snapshots else None
 
@@ -388,8 +389,7 @@ class _Recorder:
         self.m2_sq.append(np.add.reduce(norms_sq, axis=1) / n)
         self.mean_x.append(mean_x)
         self.mean_lambda.append(np.add.reduce(lams, axis=1) / n)
-        for r in self.radii:
-            self.mass[r].append(np.add.reduce(norms_sq < r * r, axis=1) / n)
+        self.mass.append(np.add.reduce(norms_sq < self.radii_sq, axis=2) / n)
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
@@ -402,11 +402,11 @@ class _Recorder:
     def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
               ) -> list[TrajectoryRecord]:
         # replica-major (R, times, ...) stacks; no consensus in auxiliary mode
-        m2_sq, mean_x, mean_lambda, consensus, *mass = (
+        m2_sq, mean_x, mean_lambda, consensus = (
             np.stack(series, axis=1) if series else None
-            for series in (self.m2_sq, self.mean_x, self.mean_lambda, self.consensus,
-                           *self.mass.values())
+            for series in (self.m2_sq, self.mean_x, self.mean_lambda, self.consensus)
         )
+        mass = np.stack(self.mass, axis=2)  # (len(radii), R, times)
         return [
             TrajectoryRecord(
                 times=np.asarray(self.times),
@@ -479,8 +479,9 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc
-        lam_min = np.minimum(lam_min, ens.views()[1].min(axis=1))
-        lam_max = np.maximum(lam_max, ens.views()[1].max(axis=1))
+        lams = ens.lam.reshape(ens.replicas, -1)
+        lam_min = np.minimum(lam_min, lams.min(axis=1))
+        lam_max = np.maximum(lam_max, lams.max(axis=1))
         motion = None
         if recorded:
             motion = yield k, ens, fields, lam_min, lam_max

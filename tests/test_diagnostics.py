@@ -219,6 +219,13 @@ def test_mass_fit_needs_the_matching_ball_series():
         mass_bound_fit(record, 2.0 + 1e-13)
 
 
+def test_mass_fit_refuses_a_radius_that_is_not_a_number():
+    cfg = make_config(n_particles=10, t_end=1.0)
+    record = simulate(cfg, snapshot_stride=cfg.n_steps, ball_radii=(1.0,))
+    with pytest.raises(DiagnosticsError, match="radius must be a real number, got '1'"):
+        mass_bound_fit(record, "1")
+
+
 def test_fitted_rate_makes_the_exponential_floor_tight():
     cfg = make_config(mode="full", n_particles=400, t_end=2.0, noise_strength=0.5,
                       init=InitialLaw.gaussian(center=(1.0,), sigma=1.0, lambda_lo=0.2))

@@ -152,6 +152,7 @@ BAD_VALUES = [
         ("sim.mode", 1),
         ("objective.name", ["quadratic"]),
         ("run.checks", ["mean_decay", 1]),
+        ("run.output_dir", 5),
 ]
 
 
@@ -198,6 +199,15 @@ def test_an_integral_float_replica_count_is_stored_as_an_int():
     exp = ExperimentConfig(parse_flat_config(config()).sim, replicas=2.0)
     assert exp.replicas == 2 and type(exp.replicas) is int
     assert exp == parse_flat_config(config(**{"run.replicas": 2}))
+
+
+def test_integral_float_strides_are_stored_as_ints():
+    steps8 = {"sim.t_end": 0.8, "observers.stride": 2, "observers.snapshot_stride": 4}
+    parsed = parse_flat_config(config(**steps8))
+    hand = ExperimentConfig(parsed.sim, ObserverConfig(stride=2.0, snapshot_stride=4.0))
+    assert type(hand.observers.stride) is int and type(hand.observers.snapshot_stride) is int
+    # the manifest records this document: 2.0 would be written where the parsed run writes 2
+    assert json.dumps(flat_document(hand)) == json.dumps(flat_document(parsed))
 
 
 def test_the_required_keys_alone_parse_to_the_constructor_defaults():

@@ -19,7 +19,7 @@ from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_e
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
 from infocbo.measures import EmpiricalMeasure
-from infocbo.objectives import ObservableMap, quadratic
+from infocbo.objectives import ObservableMap, eval_observable_batch, quadratic
 from infocbo.sde import (Ensemble, InitialLaw, SimConfig, _draw_noise, _simulate_batch,
                          consensus_fields, drift_and_rate, em_step, initial_ensemble)
 from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_norm
@@ -76,6 +76,36 @@ def test_information_stays_in_the_unit_interval_for_any_stable_step(
     assert np.all((out.lam >= 0.0) & (out.lam <= 1.0))
     # the update is a convex combination of admissible values: no clamp fired
     assert out.clamp_events == 0
+
+
+@given(
+    variant=st.sampled_from(VARIANTS),
+    a=st.floats(0.01, 20.0),
+    b=st.floats(0.0, 20.0),
+    step_fraction=st.floats(1e-6, 1.0),
+    replicas=st.integers(1, 2),
+    data=st.data(),
+)
+def test_the_step_rate_is_finite_and_keeps_lambda_in_the_unit_interval(
+    variant, a, b, step_fraction, replicas, data
+):
+    # what the step relies on instead of checking lambda each step: for any
+    # finite x, even where the crowd distance overflows to inf, and any lambda
+    # in [0, 1], the rate is finite and lambda + dt * T needs no clamp
+    kernel = KernelSpec(variant, a=a, b=b)
+    n = data.draw(st.integers(1, 10))
+    d = data.draw(st.integers(1, 3))
+    cfg = sim_config(d, n, kernel, dt=step_fraction * kernel.theta, mode="auxiliary")
+    ens = Ensemble(
+        x=data.draw(arrays(float, (replicas * n, d), elements=st.floats(-1e300, 1e300))),
+        lam=data.draw(arrays(float, replicas * n, elements=unit | st.just(-0.0))),
+        replicas=replicas,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the drift may overflow
+        _, rate = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
+    assert np.all(np.isfinite(rate))
+    raw = ens.lam + cfg.dt * rate
+    assert np.all((raw >= 0.0) & (raw <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +377,15 @@ def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
     assert same_bits(np.asarray(eval_kernel(kernel, summary, x, lam)), want)
 
 
+@given(points=stacks(), m_g=st.floats(0.1, 10.0))
+def test_saturated_observable_is_the_broadcast_bit_for_bit(points, m_g):
+    if points.ndim == 3:  # the observable takes (m, d) rows
+        points = points[0]
+    obs = ObservableMap("saturated", m_g)
+    want = obs.m_g * points / (1.0 + np.linalg.norm(points, axis=1, keepdims=True))
+    assert same_bits(eval_observable_batch(obs, points), want)
+
+
 @settings(max_examples=12)
 @given(
     replicas=st.integers(1, 3),
@@ -422,7 +461,7 @@ def test_mass_in_ball_counts_what_the_recorder_counts(d, n, radius, seed):
     ensemble = Ensemble(x, np.full(n, 0.5))
     auxiliary = sim_config(d, n, KernelSpec("logistic", a=1.0), dt=0.1, mode="auxiliary")
     recorder.observe(ensemble, sde.consensus_fields(ensemble, auxiliary), snapshot=False)
-    count = recorder.mass[radius][0][0] * n
+    count = recorder.mass[0][0, 0] * n
     assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == round(count)
 
 

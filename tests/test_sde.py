@@ -471,6 +471,20 @@ def test_a_run_checks_its_ensemble_once_where_it_enters(monkeypatch):
     assert record.clamp_events == 0 and len(record.times) == 11
 
 
+@pytest.mark.parametrize("kernel", [SYMMETRIC_KERNEL, CROWD_KERNEL], ids=["logistic", "crowd"])
+def test_a_run_checks_lambda_only_where_an_ensemble_is_built(monkeypatch, kernel):
+    # the step's rate reads lambda unchecked; em_step's clip keeps it in [0, 1]
+    calls = []
+    check = sde.in_unit_interval
+    spy = lambda a: calls.append(a.shape) or check(a)  # noqa: E731
+    monkeypatch.setattr(sde, "in_unit_interval", spy)
+    monkeypatch.setattr(infokernel, "in_unit_interval", spy)
+    record = simulate(make_config(kernel=kernel, noise_strength=0.3), snapshot_stride=5)
+    # the initial ensemble and one per kept snapshot (t = 0, 0.5, 1), none per step
+    assert len(record.times) == 11 and len(record.snapshots) == 3
+    assert calls == [(4,)] * 4
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_nonfinite_ball_radius_is_rejected(radius):
     with pytest.raises(ConfigError, match="ball_radius must be finite"):
