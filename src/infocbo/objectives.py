@@ -206,11 +206,5 @@ def eval_observable_batch(obs: ObservableMap, points: np.ndarray) -> np.ndarray:
         raise ObjectiveError("observable batch must be (m, d)")
     if obs.variant == "identity":
         return points
-    # obs.m_g * points / (1 + ||x||), bit for bit, one column at a time: a
-    # broadcast (m, 1) divisor runs numpy's inner loop d elements at a time
-    denominator = 1.0 + np.sqrt(sq_norm(points))
-    out = np.empty_like(points)
-    for k in range(points.shape[1]):
-        np.divide(obs.m_g * points[:, k], denominator, out=out[:, k])
-    return out
+    return obs.m_g * points / (1.0 + np.sqrt(sq_norm(points)))[:, None]
 
