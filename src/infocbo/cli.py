@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .harness import (
     SWEEP_AXES,
@@ -29,6 +28,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_INTERNAL = 5
+
+
+def _internal_failures() -> tuple:
+    """MemoryError, and BrokenProcessPool once a worker pool has loaded its module."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return (MemoryError,) if pool is None else (MemoryError, pool.BrokenProcessPool)
+
 
 def _cmd_run(args) -> int:
     experiment = load_config_file(args.config)
@@ -147,7 +153,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BrokenProcessPool, MemoryError) as exc:
+    except _internal_failures() as exc:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"internal error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL

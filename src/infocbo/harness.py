@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -396,6 +395,9 @@ def run(
 
     started = datetime.now(timezone.utc).isoformat()
     if n_workers > 1:
+        # imported here: a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [w * experiment.replicas // n_workers for w in range(n_workers + 1)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = pool.map(_replica_batch, [document] * n_workers,

@@ -8,7 +8,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -512,7 +515,8 @@ def test_hand_built_config_runs_through_the_worker_pool(tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    # run imports the pool from concurrent.futures when it starts workers
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
     sim = parse_flat_config(config(**{"sim.noise_strength": 0.25})).sim
     bare = ExperimentConfig(sim=sim, observers=ObserverConfig(ball_radii=(1.0,)), replicas=3)
     serial = run(bare, output_dir=tmp_path / "1", workers=1)
@@ -826,6 +830,37 @@ def test_cli_internal_failure_exits_5(tmp_path, capsys, monkeypatch, failure, me
     code = main(["run", str(path), "--out", str(tmp_path / "out"), "--workers", "2"])
     assert code == EXIT_INTERNAL == 5
     assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+def test_cli_other_runtime_errors_are_not_internal_failures(tmp_path, capsys, monkeypatch):
+    # BrokenProcessPool is a RuntimeError; exit 5 is for it and MemoryError alone
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = write_config(tmp_path, config())
+    with pytest.raises(RuntimeError, match="^boom$"):
+        main(["run", str(path), "--out", str(tmp_path / "out"), "--workers", "2"])
+    assert "internal error:" not in capsys.readouterr().err
+
+
+def test_a_one_process_run_never_loads_the_process_pool(tmp_path):
+    # a fresh interpreter: this one has loaded multiprocessing already
+    path = write_config(tmp_path, config())
+    code = f"""
+import sys
+from infocbo import cli
+code = cli.main(["run", {str(path)!r}, "--out", {str(tmp_path / "out")!r}, "--workers", "1"])
+print(code, "multiprocessing" in sys.modules, "concurrent.futures.process" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    env.pop(harness.ENV_OUTPUT_ROOT, None)
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
+    assert load_manifest(tmp_path / "out")["files"]
 
 
 @pytest.mark.parametrize("overrides, message", [
