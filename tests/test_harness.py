@@ -856,7 +856,6 @@ print(code, "multiprocessing" in sys.modules, "concurrent.futures.process" in sy
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    env.pop(harness.ENV_OUTPUT_ROOT, None)
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 False False"
