@@ -4,20 +4,23 @@ A run directory holds one statistics CSV per replica, one JSON per requested
 check, and a manifest written last; the manifest's presence marks the run as
 complete. Reruns of the same config produce byte-identical CSVs.
 
-Three tables declare what a config may say: CONFIG_KEYS (every flat key),
-SWEEP_AXES (the sim keys a sweep may vary) and CHECKS (every check).
+Three tables declare what a config may say: CONFIG_KEYS (every flat key and
+the constructor field that states its rule and default), SWEEP_AXES (the sim
+keys a sweep may vary) and CHECKS (every check).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,99 +35,17 @@ from .diagnostics import (
     second_moment_constant,
 )
 from .infokernel import KernelSpec
-from .objectives import ObservableMap, quadratic, rastrigin_like
+from .objectives import ObjectiveSpec, ObservableMap, quadratic, rastrigin_like
 from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
                   _simulate_batch)
 from .trajectory import TrajectoryRecord
-from .util import GENERATOR_NAME, derive_seed, is_real, is_whole, jsonable, real_tuple
+from .util import GENERATOR_NAME, apply_field_rules, derive_seed, field_value, jsonable
 
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
 MANIFEST_NAME = "manifest.json"
 
 OBJECTIVES = {"quadratic": quadratic, "rastrigin": rastrigin_like}
-
-
-def _integer(value) -> int:
-    if not is_whole(value):
-        raise ValueError("not an integer")
-    return int(value)
-
-
-def _real(value) -> float:
-    if not is_real(value):
-        raise ValueError("not a number")
-    return float(value)
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError("not a string")
-    return value
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError("expected true/false")
-    return value
-
-
-def _list_of(item: Callable) -> Callable:
-    """Coercion of a list each of whose entries coerces by item."""
-    def coerce(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError("not a list")
-        return tuple(item(v) for v in value)
-    return coerce
-
-
-REQUIRED = object()
-
-
-class Key(NamedTuple):
-    """A flat key's coercion, default (REQUIRED for none) and the field it
-    sets on the constructor its section names (sim: SimConfig, observers:
-    ObserverConfig, run: ExperimentConfig, and so on). parse_flat_config
-    reads the keys without a field itself."""
-
-    coerce: Callable
-    default: object
-    field: str | None
-
-
-CONFIG_KEYS: dict[str, Key] = {
-    "sim.d": Key(_integer, REQUIRED, "d"),
-    "sim.N": Key(_integer, REQUIRED, "n_particles"),
-    "sim.n": Key(_real, 1.0, "sharpness"),
-    "sim.drift_gain": Key(_real, 1.0, "drift_gain"),
-    "sim.noise_strength": Key(_real, 0.0, "noise_strength"),
-    "sim.dt": Key(_real, REQUIRED, "dt"),
-    "sim.t_end": Key(_real, REQUIRED, "t_end"),
-    "sim.seed": Key(_integer, REQUIRED, "seed"),
-    "sim.mode": Key(_text, "full", "mode"),
-    "sim.truncation_radius": Key(_real, None, "truncation_radius"),
-    "sim.shared_noise": Key(_bool, False, "shared_noise"),
-    "objective.name": Key(_text, REQUIRED, None),
-    "observable.variant": Key(_text, "identity", "variant"),
-    "observable.m_g": Key(_real, 1.0, "m_g"),
-    "kernel.variant": Key(_text, REQUIRED, "variant"),
-    "kernel.a": Key(_real, REQUIRED, "a"),
-    "kernel.b": Key(_real, 0.0, "b"),
-    "kernel.theta": Key(_real, None, "theta"),
-    "init.spatial": Key(_text, REQUIRED, "spatial_kind"),
-    "init.center": Key(_list_of(_real), REQUIRED, "center"),
-    "init.spread": Key(_real, 0.0, "spread"),
-    "init.lambda": Key(_text, "const", None),
-    "init.lambda_value": Key(_real, 0.5, None),
-    "init.lambda_min": Key(_real, None, None),
-    "init.lambda_max": Key(_real, None, None),
-    "observers.stride": Key(_integer, 1, "stride"),
-    "observers.snapshot_stride": Key(_integer, None, "snapshot_stride"),
-    "observers.ball_radii": Key(_list_of(_real), (), "ball_radii"),
-    "run.output_dir": Key(_text, None, "output_dir"),
-    "run.replicas": Key(_integer, 1, "replicas"),
-    "run.checks": Key(_list_of(_text), (), "checks"),
-}
 
 # axis a sets the key sim.a
 SWEEP_AXES = ("n", "N", "noise_strength", "dt")
@@ -151,37 +72,24 @@ class ObserverConfig:
     ball_radii: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # the forms parse_flat_config builds, so a hand-built config equals it
-        object.__setattr__(self, "ball_radii",
-                           real_tuple(ConfigError, "ball_radii", self.ball_radii))
-        for name in ("stride", "snapshot_stride"):  # 2.0 is stored as 2
-            if is_whole(getattr(self, name)):
-                object.__setattr__(self, name, int(getattr(self, name)))
+        apply_field_rules(self, ConfigError)
 
 
 @dataclass(frozen=True)  # so the checks of __post_init__ hold for its whole life
 class ExperimentConfig:
     sim: SimConfig
     observers: ObserverConfig = ObserverConfig()
-    output_dir: str | None = None
+    output_dir: str | os.PathLike | None = None
     replicas: int = 1
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # the forms parse_flat_config builds, so a hand-built config equals it
-        if not isinstance(self.checks, (list, tuple)):  # not a string's characters
-            raise ConfigError(f"checks must be a list of check names, got {self.checks!r}")
-        object.__setattr__(self, "checks", tuple(self.checks))
-        if self.output_dir is not None:
-            if not isinstance(self.output_dir, (str, os.PathLike)):  # 5 is no path
-                raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
-            object.__setattr__(self, "output_dir", str(self.output_dir))
-        if not (is_whole(self.replicas) and self.replicas >= 1):
-            raise ConfigError(f"replicas must be a whole number >= 1, got {self.replicas!r}")
-        object.__setattr__(self, "replicas", int(self.replicas))
+        apply_field_rules(self, ConfigError)
+        if self.replicas < 1:
+            raise ConfigError(f"replicas must be at least 1, got {self.replicas!r}")
         # the hypotheses of every requested check, before any replica runs
         for name in self.checks:
-            if not isinstance(name, str) or name not in CHECKS:
+            if name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
         try:
             for name in self.checks:
@@ -201,69 +109,118 @@ class ExperimentConfig:
                         names=("observers.stride", "observers.snapshot_stride"))
 
 
-def _coerce(key: str, value):
-    row = CONFIG_KEYS[key]
+# flat key -> (the constructor it feeds, the field it sets). The field states
+# the key's rule (by its annotation; see util.FIELD_KINDS), its default and,
+# by having none, that the key is required. init.lambda sets no field: it
+# names the lambda law, and LAMBDA_LAWS the keys that law reads.
+CONFIG_KEYS: dict[str, tuple[type, str] | None] = {
+    "sim.d": (SimConfig, "d"),
+    "sim.N": (SimConfig, "n_particles"),
+    "sim.n": (SimConfig, "sharpness"),
+    "sim.drift_gain": (SimConfig, "drift_gain"),
+    "sim.noise_strength": (SimConfig, "noise_strength"),
+    "sim.dt": (SimConfig, "dt"),
+    "sim.t_end": (SimConfig, "t_end"),
+    "sim.seed": (SimConfig, "seed"),
+    "sim.mode": (SimConfig, "mode"),
+    "sim.truncation_radius": (SimConfig, "truncation_radius"),
+    "sim.shared_noise": (SimConfig, "shared_noise"),
+    "objective.name": (ObjectiveSpec, "name"),
+    "observable.variant": (ObservableMap, "variant"),
+    "observable.m_g": (ObservableMap, "m_g"),
+    "kernel.variant": (KernelSpec, "variant"),
+    "kernel.a": (KernelSpec, "a"),
+    "kernel.b": (KernelSpec, "b"),
+    "kernel.theta": (KernelSpec, "theta"),
+    "init.spatial": (InitialLaw, "spatial_kind"),
+    "init.center": (InitialLaw, "center"),
+    "init.spread": (InitialLaw, "spread"),
+    "init.lambda": None,
+    "init.lambda_value": (InitialLaw, "lambda_lo"),
+    "init.lambda_min": (InitialLaw, "lambda_lo"),
+    "init.lambda_max": (InitialLaw, "lambda_hi"),
+    "observers.stride": (ObserverConfig, "stride"),
+    "observers.snapshot_stride": (ObserverConfig, "snapshot_stride"),
+    "observers.ball_radii": (ObserverConfig, "ball_radii"),
+    "run.output_dir": (ExperimentConfig, "output_dir"),
+    "run.replicas": (ExperimentConfig, "replicas"),
+    "run.checks": (ExperimentConfig, "checks"),
+}
+
+# init.lambda -> the keys that law reads: const sets lambda_lo = lambda_hi
+# (both default to 0.5), uniform needs both of its keys
+LAMBDA_LAWS = {"const": ("init.lambda_value",), "uniform": ("init.lambda_min", "init.lambda_max")}
+
+
+def _keys_of(law: str) -> list[str]:
+    """The flat keys a document whose init.lambda is law may state."""
+    unread = {key for keys in LAMBDA_LAWS.values() for key in keys} - set(LAMBDA_LAWS[law])
+    return [key for key in CONFIG_KEYS if key not in unread]
+
+
+def _field(key: str) -> dataclasses.Field:
+    """The constructor field that states key's rule and default."""
+    owner, name = CONFIG_KEYS[key]
+    return owner.__dataclass_fields__[name]
+
+
+def _parsed(key: str, value):
+    """value of key under the rule of its field."""
+    field = _field(key)
+    kind = field.type.removesuffix(" | None")
     if value is None:
-        if row.default is None:
-            return None
-        raise ConfigError(f"config key {key!r} may not be null")
+        if kind == field.type:
+            raise ConfigError(f"config key {key!r} may not be null")
+        return None
     try:
-        return row.coerce(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from exc
+        return field_value(ValueError, kind, field.name, value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})") from None
 
 
 def parse_flat_config(mapping: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a flat dotted-key document.
 
     Unknown keys are errors, not warnings: a typo silently reverting a
-    parameter to its default would poison every downstream number.
+    parameter to its default would poison every downstream number. So is a
+    key the chosen lambda law does not read.
     """
     unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values: dict[str, object] = {}
-    for key, row in CONFIG_KEYS.items():
+    law = mapping.get("init.lambda", "const")
+    if not isinstance(law, str) or law not in LAMBDA_LAWS:
+        raise ConfigError(f"unknown lambda init {law!r}; known: {', '.join(LAMBDA_LAWS)}")
+    stray = sorted(set(mapping) - set(_keys_of(law)))
+    if stray:
+        raise ConfigError(f"config key {stray[0]!r} does not apply to init.lambda {law!r}")
+    if law == "uniform" and not all(key in mapping for key in LAMBDA_LAWS[law]):
+        raise ConfigError("uniform lambda init needs init.lambda_min and init.lambda_max")
+    args: dict[type, dict[str, object]] = defaultdict(dict)
+    for key, where in CONFIG_KEYS.items():
+        if where is None:  # init.lambda, read above
+            continue
+        owner, name = where
         if key in mapping:
-            values[key] = _coerce(key, mapping[key])
-        elif row.default is REQUIRED:
+            args[owner][name] = _parsed(key, mapping[key])
+        elif _field(key).default is dataclasses.MISSING:
             raise ConfigError(f"missing required config key {key!r}")
-        else:
-            values[key] = row.default
-
-    def fields(section: str) -> dict[str, object]:
-        return {
-            row.field: values[key]
-            for key, row in CONFIG_KEYS.items()
-            if row.field is not None and key.startswith(section + ".")
-        }
-
-    objective_name = values["objective.name"]
+    init = args[InitialLaw]
+    if law == "const" and "lambda_lo" in init:
+        init["lambda_hi"] = init["lambda_lo"]
+    objective_name = args[ObjectiveSpec]["name"]
     if objective_name not in OBJECTIVES:
         raise ConfigError(
             f"unknown objective {objective_name!r}; known: {', '.join(OBJECTIVES)}"
         )
-    lam_kind = values["init.lambda"]
-    if lam_kind == "const":
-        lo = hi = values["init.lambda_value"]
-    elif lam_kind == "uniform":
-        if values["init.lambda_min"] is None or values["init.lambda_max"] is None:
-            raise ConfigError("uniform lambda init needs init.lambda_min and init.lambda_max")
-        lo, hi = values["init.lambda_min"], values["init.lambda_max"]
-    else:
-        raise ConfigError(f"unknown lambda init {lam_kind!r}")
     sim = SimConfig(
-        objective=OBJECTIVES[objective_name](values["sim.d"]),
-        observable=ObservableMap(**fields("observable")),
-        kernel=KernelSpec(**fields("kernel")),
-        init=InitialLaw(**fields("init"), lambda_lo=lo, lambda_hi=hi),
-        **fields("sim"),
+        objective=OBJECTIVES[objective_name](args[SimConfig]["d"]),
+        observable=ObservableMap(**args[ObservableMap]),
+        kernel=KernelSpec(**args[KernelSpec]),
+        init=InitialLaw(**init),
+        **args[SimConfig],
     )
-    return ExperimentConfig(
-        sim=sim,
-        observers=ObserverConfig(**fields("observers")),
-        **fields("run"),
-    )
+    return ExperimentConfig(sim, ObserverConfig(**args[ObserverConfig]), **args[ExperimentConfig])
 
 
 def flat_document(experiment: ExperimentConfig) -> dict:
@@ -272,15 +229,13 @@ def flat_document(experiment: ExperimentConfig) -> dict:
     document states (an objective outside OBJECTIVES, say) is a ConfigError.
     """
     sim = experiment.sim
-    owners = {"sim": sim, "observable": sim.observable, "kernel": sim.kernel,
-              "init": sim.init, "observers": experiment.observers, "run": experiment}
-    doc = {key: getattr(owners[key.split(".")[0]], row.field)
-           for key, row in CONFIG_KEYS.items() if row.field is not None}
-    doc["objective.name"] = sim.objective.name
-    lo, hi = sim.init.lambda_lo, sim.init.lambda_hi
-    doc.update({"init.lambda": "const", "init.lambda_value": lo} if lo == hi else
-               {"init.lambda": "uniform", "init.lambda_min": lo, "init.lambda_max": hi})
-    doc = jsonable(doc)
+    owners = {SimConfig: sim, ObjectiveSpec: sim.objective, ObservableMap: sim.observable,
+              KernelSpec: sim.kernel, InitialLaw: sim.init,
+              ObserverConfig: experiment.observers, ExperimentConfig: experiment}
+    law = "const" if sim.init.lambda_lo == sim.init.lambda_hi else "uniform"
+    doc = jsonable({key: law if CONFIG_KEYS[key] is None else
+                    getattr(owners[CONFIG_KEYS[key][0]], CONFIG_KEYS[key][1])
+                    for key in _keys_of(law)})
     parsed = parse_flat_config(doc)
     # ObjectiveSpec leaves fn out of ==; each library objective builds its fn
     # from one code object
@@ -487,7 +442,7 @@ def sweep(
     points: dict[str, tuple[object, ExperimentConfig]] = {}
     for raw in values:
         point = parse_flat_config({**document, key: raw, "run.output_dir": None})
-        value = getattr(point.sim, CONFIG_KEYS[key].field)
+        value = getattr(point.sim, CONFIG_KEYS[key][1])
         name = _point_dir_name(axis, value)
         if name in points:
             raise ConfigError(

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import agent_mean, in_unit_interval, require_finite, rng_from_seed, sq_norm
+from .util import agent_mean, apply_field_rules, in_unit_interval, rng_from_seed, sq_norm
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -48,9 +48,9 @@ class KernelSpec:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        apply_field_rules(self, KernelError)
         if self.variant not in VARIANTS:
             raise KernelError(f"unknown kernel variant {self.variant!r}")
-        require_finite(KernelError, a=self.a, b=self.b, theta=self.theta)
         if not self.a > 0:
             raise KernelError("kernel gain a must be strictly positive")
         if self.b < 0:

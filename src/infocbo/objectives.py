@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .util import is_whole, require_finite, rng_from_seed, row_sum, sq_norm, uniform_ball
+from .util import (apply_field_rules, is_whole, require_finite, rng_from_seed, row_sum,
+                   sq_norm, uniform_ball)
 
 GROWTH_RTOL = 1e-9
 
@@ -191,9 +192,9 @@ class ObservableMap:
     m_g: float = 1.0
 
     def __post_init__(self) -> None:
+        apply_field_rules(self, ObjectiveError)
         if self.variant not in ("identity", "saturated"):
             raise ObjectiveError(f"unknown observable variant {self.variant!r}")
-        require_finite(ObjectiveError, m_g=self.m_g)
         if self.m_g <= 0:
             raise ObjectiveError("observable bound m_g must be positive")
         if self.variant == "identity" and self.m_g != 1.0:

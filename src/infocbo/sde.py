@@ -40,7 +40,7 @@ from .objectives import (
     eval_objective_batch,
 )
 from .trajectory import Snapshot, TrajectoryRecord
-from .util import (agent_mean, in_unit_interval, is_whole, real_tuple, require_finite,
+from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, require_finite,
                    rng_from_seed, scale_rows, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
@@ -121,12 +121,9 @@ class InitialLaw:
     lambda_hi: float = 0.5
 
     def __post_init__(self) -> None:
+        apply_field_rules(self, ConfigError)
         if self.spatial_kind not in ("gaussian", "ball", "point"):
             raise ConfigError(f"unknown initial law {self.spatial_kind!r}")
-        object.__setattr__(self, "center", real_tuple(ConfigError, "center", self.center))
-        require_finite(
-            ConfigError, spread=self.spread, lambda_lo=self.lambda_lo, lambda_hi=self.lambda_hi
-        )
         if self.spatial_kind != "point" and self.spread <= 0:
             raise ConfigError("gaussian/ball initial laws need a positive spread")
         if not (0.0 <= self.lambda_lo <= self.lambda_hi <= 1.0):
@@ -207,21 +204,9 @@ class SimConfig:
     consensus_params: ConsensusParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("d", "n_particles", "seed"):
-            value = getattr(self, name)
-            if not is_whole(value):
-                raise ConfigError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))  # 8.0 is stored as 8
-        require_finite(
-            ConfigError,
-            dt=self.dt,
-            t_end=self.t_end,
-            drift_gain=self.drift_gain,
-            noise_strength=self.noise_strength,
-            truncation_radius=self.truncation_radius,
-        )
-        if not isinstance(self.shared_noise, bool):  # 'false' would read as true
-            raise ConfigError(f"shared_noise must be true or false, got {self.shared_noise!r}")
+        apply_field_rules(self, ConfigError)
+        if not 0 <= self.seed < 2**64:  # rng_from_seed would alias it to another seed
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.d < 1 or self.n_particles < 1:
             raise ConfigError("need d >= 1 and at least one particle")
         if self.objective.dimension != self.d:

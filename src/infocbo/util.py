@@ -1,5 +1,6 @@
 """Shared plumbing: reproducible RNG streams, seed derivation, the uniform
-ball sampler, bit-identical fast reductions and row scaling, JSON helpers."""
+ball sampler, bit-identical fast reductions and row scaling, the rules of
+config fields, JSON helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import dataclasses
 import hashlib
 import math
 import numbers
-from typing import Any
+import os
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -120,7 +122,7 @@ def require_finite(error: type[Exception], **values) -> None:
     passing as 0 or 1 and a string from failing later as a TypeError.
     """
     for name, value in values.items():
-        if value is not None and not (is_real(value) and math.isfinite(value)):
+        if value is not None and not is_finite_real(value):
             raise error(f"{name} must be finite and real, got {value!r}")
 
 
@@ -129,14 +131,13 @@ def is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
-def real_tuple(error: type[Exception], name: str, values) -> tuple[float, ...]:
-    """values, a list or tuple of finite reals, as a tuple of floats. A bare
-    string is refused, not read as its characters, and so is a lone number;
-    the first entry that breaks the real-number rule is named name[i]."""
-    if not isinstance(values, (list, tuple)):
-        raise error(f"{name} must be a list of numbers, got {values!r}")
-    require_finite(error, **{f"{name}[{i}]": v for i, v in enumerate(values)})
-    return tuple(float(v) for v in values)
+def is_finite_real(value) -> bool:
+    """The real-number rule, finite: an int past the float range (a JSON
+    integer literal can be one) fails too."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def is_whole(value) -> bool:
@@ -145,6 +146,61 @@ def is_whole(value) -> bool:
     if not is_real(value):
         return False
     return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+class FieldKind(NamedTuple):
+    """The rule of one kind of config field: the test a value passes, the
+    one form it is stored in, the reason a value that fails is given, and
+    for a list the kind of each entry."""
+
+    accepts: Callable[[Any], bool]
+    store: Callable[[Any], Any]
+    reason: str
+    entry: str | None = None
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))  # a string's characters are no list
+
+
+# Keyed on a field's annotation, which `from __future__ import annotations`
+# keeps as its text; a field annotated `X | None` also takes None.
+FIELD_KINDS = {
+    "int": FieldKind(is_whole, int, "must be a whole number"),
+    "float": FieldKind(is_finite_real, float, "must be finite and real"),
+    "bool": FieldKind(lambda v: isinstance(v, bool), bool, "must be true or false"),
+    "str": FieldKind(lambda v: isinstance(v, str), str, "must be a string"),
+    "str | os.PathLike": FieldKind(lambda v: isinstance(v, (str, os.PathLike)), str,
+                                   "must be a path"),
+    "tuple[float, ...]": FieldKind(_is_list, tuple, "must be a list of numbers", "float"),
+    "tuple[str, ...]": FieldKind(_is_list, tuple, "must be a list of strings", "str"),
+}
+
+
+def field_value(error: type[Exception], kind: str, name: str, value):
+    """value in the one form a field of the FIELD_KINDS kind stores (2.0 as
+    2, 1 as 1.0, a list as a tuple), or error "<name> <reason>, got <value>";
+    a list names its first bad entry name[i]."""
+    rule = FIELD_KINDS[kind]
+    if not rule.accepts(value):
+        raise error(f"{name} {rule.reason}, got {value!r}")
+    if rule.entry is None:
+        return rule.store(value)
+    return tuple(field_value(error, rule.entry, f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+def apply_field_rules(obj, error: type[Exception]) -> None:
+    """Store each field of the frozen dataclass obj whose annotation names a
+    FIELD_KINDS kind in that kind's form, or raise error for the first that
+    breaks its rule. Other fields (nested configs) are left as they are."""
+    for f in dataclasses.fields(obj):
+        kind = f.type.removesuffix(" | None")
+        if kind not in FIELD_KINDS:
+            continue
+        value = getattr(obj, f.name)
+        if value is None and kind != f.type:
+            continue
+        object.__setattr__(obj, f.name, field_value(error, kind, f.name, value))
 
 
 def format_float(x: float) -> str:

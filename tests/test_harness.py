@@ -26,7 +26,6 @@ from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
     CONFIG_KEYS,
     MANIFEST_NAME,
-    REQUIRED,
     ExperimentConfig,
     ObserverConfig,
     RunDirectoryError,
@@ -76,6 +75,15 @@ def config(**overrides):
     return doc
 
 
+def default(key):
+    """The default of the field key sets; dataclasses.MISSING for a required key."""
+    return harness._field(key).default
+
+
+REQUIRED_KEYS = {key for key, where in CONFIG_KEYS.items()
+                 if where and default(key) is dataclasses.MISSING}
+
+
 def write_config(tmp_path, doc, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -87,14 +95,23 @@ def write_config(tmp_path, doc, name="exp.json"):
 
 
 def test_base_covers_exactly_the_required_keys():
-    required = {key for key, row in CONFIG_KEYS.items() if row.default is REQUIRED}
-    assert required <= set(BASE)
+    assert REQUIRED_KEYS <= set(BASE)
 
 
 def test_readme_config_section_names_exactly_the_table_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"\b[a-z]+\.[A-Za-z_]+\b", section)) == set(CONFIG_KEYS)
+
+
+def test_readme_config_example_parses_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    exp = parse_flat_config(example)
+    doc = flat_document(exp)
+    assert {key: doc[key] for key in example} == example
+    assert parse_flat_config(doc) == exp
 
 
 def test_parse_minimal_fills_defaults():
@@ -176,11 +193,11 @@ OWNERS = {
 
 
 @pytest.mark.parametrize(
-    "key, value", [(key, value) for key, value in BAD_VALUES if CONFIG_KEYS[key].field])
+    "key, value", [(key, value) for key, value in BAD_VALUES if key.split(".")[0] in OWNERS])
 def test_constructors_refuse_what_the_parser_refuses(key, value):
     owner, error = OWNERS[key.split(".")[0]]
     with pytest.raises(error):
-        dataclasses.replace(owner(parse_flat_config(config())), **{CONFIG_KEYS[key].field: value})
+        dataclasses.replace(owner(parse_flat_config(config())), **{CONFIG_KEYS[key][1]: value})
 
 
 @pytest.mark.parametrize("build, match", [
@@ -189,9 +206,9 @@ def test_constructors_refuse_what_the_parser_refuses(key, value):
     (lambda sim: ObserverConfig(ball_radii=(True,)),
      r"ball_radii\[0\] must be finite and real, got True"),
     (lambda sim: ExperimentConfig(sim, checks="mean_decay"),
-     "checks must be a list of check names, got 'mean_decay'"),
-    (lambda sim: ExperimentConfig(sim, replicas=True), "replicas must be a whole number >= 1, got True"),
-    (lambda sim: ExperimentConfig(sim, replicas=2.5), "replicas must be a whole number >= 1, got 2.5"),
+     "checks must be a list of strings, got 'mean_decay'"),
+    (lambda sim: ExperimentConfig(sim, replicas=True), "replicas must be a whole number, got True"),
+    (lambda sim: ExperimentConfig(sim, replicas=2.5), "replicas must be a whole number, got 2.5"),
 ], ids=["numeral_radius", "bool_radius", "checks_string", "bool_replicas", "fractional_replicas"])
 def test_hand_built_experiments_keep_the_parser_rules(build, match):
     with pytest.raises(ConfigError, match=f"^{match}$"):
@@ -211,14 +228,24 @@ def test_integral_float_strides_are_stored_as_ints():
     assert type(hand.observers.stride) is int and type(hand.observers.snapshot_stride) is int
     # the manifest records this document: 2.0 would be written where the parsed run writes 2
     assert json.dumps(flat_document(hand)) == json.dumps(flat_document(parsed))
+    # and 1.0 where a hand-built 1 is given for a real
+    ints = parse_flat_config(config(**{"sim.noise_strength": 0, "kernel.a": 1, "init.spread": 1}))
+    sim = dataclasses.replace(ints.sim, noise_strength=0, kernel=KernelSpec("logistic", a=1),
+                              init=InitialLaw("gaussian", (1, -1), 1))
+    assert type(sim.noise_strength) is type(sim.kernel.a) is type(sim.init.spread) is float
+    assert json.dumps(flat_document(ExperimentConfig(sim))) == json.dumps(flat_document(ints))
+    # a stride that is no whole number is refused by the observers alone
+    for stride in ({"stride": "2"}, {"snapshot_stride": 2.5}, {"snapshot_stride": True}):
+        with pytest.raises(ConfigError, match=f"^{next(iter(stride))} must be a whole number"):
+            ObserverConfig(**stride)
 
 
 def test_the_required_keys_alone_parse_to_the_constructor_defaults():
-    # CONFIG_KEYS restates every default of the constructors it feeds; this holds them together
+    # the constructors state every default; this pins the parser's own init.lambda* defaults
     doc = {"sim.d": 2, "sim.N": 8, "sim.dt": 0.1, "sim.t_end": 1.0, "sim.seed": 77,
            "objective.name": "quadratic", "kernel.variant": "logistic", "kernel.a": 1.0,
            "init.spatial": "point", "init.center": [1.0, -1.0]}
-    assert set(doc) == {key for key, row in CONFIG_KEYS.items() if row.default is REQUIRED}
+    assert set(doc) == REQUIRED_KEYS
     sim = SimConfig(d=2, n_particles=8, dt=0.1, t_end=1.0, seed=77, objective=quadratic(2),
                     observable=ObservableMap(), kernel=KernelSpec("logistic", a=1.0),
                     init=InitialLaw("point", (1.0, -1.0)))
@@ -240,6 +267,18 @@ def test_parse_uniform_lambda_needs_both_bounds():
     doc = config(**{"init.lambda": "uniform", "init.lambda_min": 0.1})
     with pytest.raises(ConfigError, match="lambda_max"):
         parse_flat_config(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"init.lambda_min": 0.1, "init.lambda_max": 0.9}, "init.lambda_max"),
+    ({"init.lambda": "const", "init.lambda_min": 0.1}, "init.lambda_min"),
+    ({"init.lambda": "uniform", "init.lambda_value": 0.2,
+      "init.lambda_min": 0.1, "init.lambda_max": 0.9}, "init.lambda_value"),
+])
+def test_parse_refuses_lambda_keys_the_law_does_not_read(doc, key):
+    # forgetting "init.lambda": "uniform" would otherwise run lambda_0 = 0.5
+    with pytest.raises(ConfigError, match=f"^config key '{key}' does not apply to init.lambda"):
+        parse_flat_config(config(**doc))
 
 
 def test_parse_unknown_lambda_kind():
@@ -786,7 +825,7 @@ def test_cli_nan_parameter_exits_2(tmp_path, capsys):
     ("sim.truncation_radius", 0),
 ])
 def test_cli_null_is_accepted_only_where_the_default_is_null(tmp_path, capsys, key, code):
-    assert (CONFIG_KEYS[key].default is None) == (code == 0)
+    assert (default(key) is None) == (code == 0)
     path = write_config(tmp_path, config(**{key: None}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
     if code:
@@ -924,7 +963,8 @@ def test_cli_sweep_refuses_a_fractional_particle_count(tmp_path, capsys):
     code = main(["sweep", str(path), "--axis", "N", "--values", "4,2.5",
                  "--out", str(tmp_path / "sw")])
     assert code == 2
-    assert "config key 'sim.N': bad value 2.5 (not an integer)" in capsys.readouterr().err
+    assert "config key 'sim.N': bad value 2.5 (n_particles must be a whole number, got 2.5)" \
+        in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 

@@ -148,6 +148,14 @@ def test_counts_and_the_seed_must_be_whole_numbers(field, value):
         make_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # the streams mask a seed to 64 bits, so -1 would run the streams of 2**64 - 1
+    with pytest.raises(ConfigError, match=re.escape(f"seed must lie in [0, 2**64), got {seed}")):
+        make_config(seed=seed)
+    assert make_config(seed=seed % 2**64).seed == seed % 2**64
+
+
 def test_an_integral_float_count_is_stored_as_an_int():
     cfg = make_config(d=1.0, n_particles=8.0, seed=42.0)
     assert (cfg.d, cfg.n_particles, cfg.seed) == (1, 8, 42)

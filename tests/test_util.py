@@ -92,7 +92,7 @@ def test_real_numbers_are_ints_and_floats_never_bools_or_strings(value, real):
     (gaussian_bump, DiagnosticsError),
 ], ids=["SimConfig", "InitialLaw", "KernelSpec", "ObservableMap", "ObjectiveSpec",
         "gaussian_bump"])
-@pytest.mark.parametrize("value", [True, "1", math.nan])
+@pytest.mark.parametrize("value", [True, "1", math.nan, pytest.param(10**400, id="past_float")])
 def test_a_parameter_must_be_a_finite_real_where_it_enters(build, error, value):
     # a bool would run as 0 or 1 and a string would fail later as a TypeError
     with pytest.raises(error, match=re.escape(f"must be finite and real, got {value!r}")):
