@@ -116,8 +116,9 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     lam scalar), a batch (x: (N, d), lam: (N,)) or a stack of batches
     (x: (R, N, d), lam: (R, N)) with targets of shape (R, 1, d); the
     targets and lam broadcast against x, whose shape the result has. Each
-    coordinate column is computed on its own, with the IEEE operations of
-    the broadcast expression in its order, so the bits are numpy's.
+    coordinate column is computed on its own, in the broadcast expression's
+    order, with -x + y taken as y - x: IEEE subtraction adds the negation,
+    so the bits are numpy's.
     """
     x = np.asarray(x, dtype=float)
     f_val = None if f_val is None else np.asarray(f_val, dtype=float)
@@ -129,8 +130,10 @@ def drift(x: np.ndarray, lam, f_val: np.ndarray | None, e_val: np.ndarray) -> np
     stay = 1.0 - lam
     out = np.empty(x.shape)
     for k in range(d):  # per column: numpy is slow to broadcast along a short axis
-        pull = -x[..., k] if f_val is None else -x[..., k] + lam * f_val[..., k]
-        np.add(pull, stay * e_val[..., k], out=out[..., k])
+        if f_val is None:
+            np.subtract(stay * e_val[..., k], x[..., k], out=out[..., k])
+        else:
+            np.add(lam * f_val[..., k] - x[..., k], stay * e_val[..., k], out=out[..., k])
     return out
 
 

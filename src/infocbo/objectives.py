@@ -44,10 +44,7 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if not (is_whole(self.dimension) and self.dimension >= 1):
             raise ObjectiveError(f"dimension must be a whole number >= 1, got {self.dimension!r}")
-        object.__setattr__(self, "dimension", int(self.dimension))  # 2.0 is stored as 2
-        require_finite(
-            ObjectiveError, c2=self.c2, c3=self.c3, growth_exponent=self.growth_exponent
-        )
+        apply_field_rules(self, ObjectiveError)  # name and constants by kind; 2.0 stored as 2
         if self.c2 <= 0 or self.c3 <= 0:
             raise ObjectiveError("growth constants c2, c3 must be positive")
         if self.growth_exponent < 0:

@@ -8,7 +8,9 @@ ensemble mean e evaluated on the pre-step ensemble:
     lambda' = clamp(lambda + T(x, lambda; ensemble) dt, 0, 1)
 
 With dt <= theta the lambda update is a convex combination of admissible
-values, so the clamp never fires; the counter exists to prove that.
+values, so the clamp never fires; the counter exists to prove that. The
+step clips and counts only when the update left [0, 1] (or holds a NaN):
+otherwise the clip would return its input and count nothing.
 
 The step and the stepping loop take a batch of R independent replicas of
 one configuration, stored replica-major as (R * N, d) rows. Elementwise work
@@ -205,7 +207,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         apply_field_rules(self, ConfigError)
-        if not 0 <= self.seed < 2**64:  # rng_from_seed would alias it to another seed
+        if not 0 <= self.seed < 2**64:  # rng_from_seed's range, refused here as a ConfigError
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.d < 1 or self.n_particles < 1:
             raise ConfigError("need d >= 1 and at least one particle")
@@ -333,48 +335,51 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(sq_norm(v))
         new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
-    raw = lam + dt * rate
-    outside = ((raw < 0.0) | (raw > 1.0)).reshape(ensemble.replicas, -1)
-    new_lam = raw.clip(0.0, 1.0)
+    new_lam, clamps = lam + dt * rate, ensemble.clamp_events
+    if not (new_lam.min() >= 0.0 and new_lam.max() <= 1.0):  # holds at dt <= theta; NaN fails
+        outside = ((new_lam < 0.0) | (new_lam > 1.0)).reshape(ensemble.replicas, -1)
+        new_lam, clamps = new_lam.clip(0.0, 1.0), clamps + np.add.reduce(outside, axis=1)
     if not np.logical_and.reduce(np.isfinite(new_x), axis=None):
         finite = np.isfinite(new_x).reshape(ensemble.replicas, -1).all(axis=1)
         raise SimulationError(f"non-finite position in replica {int(np.argmin(finite))} "
                               f"leaving t = {ensemble.time:g} (dt = {dt:g})")
     # built without Ensemble.__post_init__, whose checks hold by construction:
-    # lam is clipped into [0, 1], x checked finite, the layout the predecessor's
+    # lam lies in [0, 1] or is clipped there, x checked finite, the layout the predecessor's
     successor = object.__new__(Ensemble)
     vars(successor).update(x=new_x, lam=new_lam, time=ensemble.time + dt,
-                           clamp_events=ensemble.clamp_events + np.add.reduce(outside, axis=1),
-                           replicas=ensemble.replicas)
+                           clamp_events=clamps, replicas=ensemble.replicas)
     return successor
 
 
 class _Recorder:
     """(R,) statistics of each recorded state, split per replica by build;
-    radii as _observer_radii returns them."""
+    radii as _observer_radii returns them.
+
+    observe keeps each state's per-replica sums (of ||x||^2, of lambda, and
+    the count inside each ball); build divides the stacked series by N once,
+    the same bits as each state's sum divided by N."""
 
     def __init__(self, config: SimConfig, radii: list[float], keep_snapshots: bool):
         self.config = config
         self.radii = radii
         self.radii_sq = np.array([r * r for r in radii]).reshape(-1, 1, 1)
         self.times: list[float] = []
-        self.m2_sq: list[np.ndarray] = []
+        self.m2_sum: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []
-        self.mean_lambda: list[np.ndarray] = []
-        self.mass: list[np.ndarray] = []  # (len(radii), R) per state
+        self.lambda_sum: list[np.ndarray] = []
+        self.inside: list[np.ndarray] = []  # (len(radii), R) counts per state
         self.consensus: list[np.ndarray] = []
         self.snapshots: dict[int, list[Snapshot]] | None = {} if keep_snapshots else None
 
     def observe(self, ensemble: Ensemble, fields: Fields, snapshot: bool) -> None:
         f_val, e_val, mean_x = fields
         xs, lams = ensemble.views()
-        n = ensemble.n_agents
         norms_sq = sq_norm(ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
-        self.m2_sq.append(np.add.reduce(norms_sq, axis=1) / n)
+        self.m2_sum.append(np.add.reduce(norms_sq, axis=1))
         self.mean_x.append(mean_x)
-        self.mean_lambda.append(np.add.reduce(lams, axis=1) / n)
-        self.mass.append(np.add.reduce(norms_sq < self.radii_sq, axis=2) / n)
+        self.lambda_sum.append(np.add.reduce(lams, axis=1))
+        self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=2))
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
@@ -387,11 +392,13 @@ class _Recorder:
     def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
               ) -> list[TrajectoryRecord]:
         # replica-major (R, times, ...) stacks; no consensus in auxiliary mode
-        m2_sq, mean_x, mean_lambda, consensus = (
+        m2_sum, mean_x, lambda_sum, consensus = (
             np.stack(series, axis=1) if series else None
-            for series in (self.m2_sq, self.mean_x, self.mean_lambda, self.consensus)
+            for series in (self.m2_sum, self.mean_x, self.lambda_sum, self.consensus)
         )
-        mass = np.stack(self.mass, axis=2)  # (len(radii), R, times)
+        n = final.n_agents
+        m2_sq, mean_lambda = m2_sum / n, lambda_sum / n
+        mass = np.stack(self.inside, axis=2) / n  # (len(radii), R, times)
         return [
             TrajectoryRecord(
                 times=np.asarray(self.times),

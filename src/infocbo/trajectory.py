@@ -92,7 +92,7 @@ class TrajectoryRecord:
         if self.consensus_point is not None:
             columns.append(self.consensus_point)
         table = np.column_stack(columns)
-        # the format of util.format_float, once per row
+        # the format of util.format_float, every row in one % call
         row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        rows = "".join(row % tuple(values) for values in table.tolist())
+        rows = (row * table.shape[0]) % tuple(table.ravel().tolist())
         return ",".join(self.column_names()) + "\n" + rows

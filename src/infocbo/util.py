@@ -16,23 +16,30 @@ import numpy as np
 # Counter-based generator so replica streams are independent by construction.
 GENERATOR_NAME = "numpy.random.Philox"
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+def _seed64(name: str, value) -> int:
+    """int(value), or ValueError naming value when it lies outside [0, 2**64):
+    read modulo 2**64 it would alias a seed inside (-1 as 2**64 - 1)."""
+    seed = int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+    return seed
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Philox stream for a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(int(seed) & _MASK64))
+    """Philox stream for a seed in [0, 2**64); any other is a ValueError."""
+    return np.random.Generator(np.random.Philox(_seed64("seed", seed)))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Stable 64-bit seed for stream `index` under `master_seed`.
+    """Stable 64-bit seed for stream `index` under `master_seed`, both in
+    [0, 2**64) (else ValueError).
 
     BLAKE2b over the packed pair, so the derivation does not depend on
     platform word size or numpy version.
     """
-    payload = (int(master_seed) & _MASK64).to_bytes(8, "little") + (
-        int(index) & _MASK64
-    ).to_bytes(8, "little")
+    payload = (_seed64("seed", master_seed).to_bytes(8, "little")
+               + _seed64("stream index", index).to_bytes(8, "little"))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

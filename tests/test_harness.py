@@ -39,7 +39,7 @@ from infocbo.harness import (
     worker_count,
 )
 from infocbo.infokernel import KernelError, KernelSpec
-from infocbo.objectives import ObjectiveSpec, ObservableMap, quadratic
+from infocbo.objectives import ObjectiveError, ObjectiveSpec, ObservableMap, quadratic
 from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.util import derive_seed, row_sum
 
@@ -185,6 +185,7 @@ def test_parse_bad_values(key, value):
 # each section's constructor, found on a parsed experiment, and the error it raises
 OWNERS = {
     "sim": (lambda exp: exp.sim, ConfigError),
+    "objective": (lambda exp: exp.sim.objective, ObjectiveError),
     "kernel": (lambda exp: exp.sim.kernel, KernelError),
     "init": (lambda exp: exp.sim.init, ConfigError),
     "observers": (lambda exp: exp.observers, ConfigError),
@@ -192,8 +193,9 @@ OWNERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "key, value", [(key, value) for key, value in BAD_VALUES if key.split(".")[0] in OWNERS])
+@pytest.mark.parametrize("key, value", sorted(  # objective last: a list value's id is its index
+    [(key, value) for key, value in BAD_VALUES if key.split(".")[0] in OWNERS],
+    key=lambda case: case[0].startswith("objective.")))
 def test_constructors_refuse_what_the_parser_refuses(key, value):
     owner, error = OWNERS[key.split(".")[0]]
     with pytest.raises(error):

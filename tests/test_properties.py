@@ -6,6 +6,10 @@ deterministic.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,13 +421,18 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
     variant=st.sampled_from(VARIANTS),
     shared_noise=st.booleans(),
     handed_motion=st.booleans(),
+    past_theta=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 def test_em_step_is_the_out_of_place_step_bit_for_bit(
-    replicas, n, d, variant, shared_noise, handed_motion, seed
+    replicas, n, d, variant, shared_noise, handed_motion, past_theta, seed
 ):
-    cfg = sim_config(d, n, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, drift_gain=1.5,
-                     shared_noise=shared_noise, sharpness=8.0)
+    # past_theta: dt exceeds theta = 1 / a by the float slack SimConfig allows, so the
+    # logistic rate carries each lambda < 1 past 1 and the clamp fires
+    kernel = KernelSpec(variant, a=1.0, b=0.0 if past_theta else 1.0)
+    dt = kernel.theta * (1 + 5e-13) if past_theta else 0.05
+    cfg = sim_config(d, n, kernel, dt=dt, drift_gain=1.5, shared_noise=shared_noise,
+                     sharpness=8.0)
     seeds = [derive_seed(seed, r) for r in range(replicas)]
     ens = initial_ensemble(cfg, [rng_from_seed(s) for s in seeds])
     v, rate = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
@@ -437,7 +446,12 @@ def test_em_step_is_the_out_of_place_step_bit_for_bit(
     amplitude = cfg.noise_strength * math.sqrt(cfg.dt) * np.sqrt(row_sum(v * v))
     new_x = ens.x + cfg.drift_gain * cfg.dt * v + scale_rows(amplitude, noise)
     assert same_bits(out.x, new_x)
-    assert same_bits(out.lam, np.clip(ens.lam + cfg.dt * rate, 0.0, 1.0))
+    raw = ens.lam + cfg.dt * rate
+    assert same_bits(out.lam, np.clip(raw, 0.0, 1.0))
+    outside = ((raw < 0.0) | (raw > 1.0)).reshape(replicas, n)
+    assert out.clamp_events.tolist() == np.count_nonzero(outside, axis=1).tolist()
+    if past_theta and variant == "logistic":
+        assert out.clamp_events.tolist() == [n] * replicas
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +475,8 @@ def test_mass_in_ball_counts_what_the_recorder_counts(d, n, radius, seed):
     ensemble = Ensemble(x, np.full(n, 0.5))
     auxiliary = sim_config(d, n, KernelSpec("logistic", a=1.0), dt=0.1, mode="auxiliary")
     recorder.observe(ensemble, sde.consensus_fields(ensemble, auxiliary), snapshot=False)
-    count = recorder.mass[0][0, 0] * n
-    assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == round(count)
+    count = recorder.inside[0][0, 0]
+    assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == count
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +558,29 @@ def test_a_rendered_document_states_its_experiment(doc):
     assert parse_flat_config(rendered) == experiment
     assert parse_flat_config(json.loads(json.dumps(rendered))) == experiment
     assert flat_document(experiment) == rendered
+
+
+# ---------------------------------------------------------------------------
+# the suite's own settings
+
+
+def test_a_failing_property_is_reported_under_the_suites_warning_filters(tmp_path):
+    # pytest with this repo's settings on one failing property test and one that
+    # passes: the failure is reported with its example and the run goes on
+    (tmp_path / "test_failing.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    env = {key: value for key, value in os.environ.items() if key != "PYTEST_ADDOPTS"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "FAILED test_failing.py::test_small" in run.stdout
+    assert "Falsifying example" in run.stdout and "1 failed, 1 passed" in run.stdout

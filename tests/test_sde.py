@@ -150,7 +150,7 @@ def test_counts_and_the_seed_must_be_whole_numbers(field, value):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_a_seed_outside_64_bits_is_refused(seed):
-    # the streams mask a seed to 64 bits, so -1 would run the streams of 2**64 - 1
+    # outside rng_from_seed's range; the config refuses it with its own error
     with pytest.raises(ConfigError, match=re.escape(f"seed must lie in [0, 2**64), got {seed}")):
         make_config(seed=seed)
     assert make_config(seed=seed % 2**64).seed == seed % 2**64
@@ -300,6 +300,19 @@ def test_clamp_events_are_counted_per_replica():
     out = em_step(ens, make_config(), [rng_from_seed(0), rng_from_seed(1)])
     assert out.clamp_events.tolist() == [2, 5]
     assert ens.copy().clamp_events.tolist() == [2, 5]
+
+
+def test_a_step_within_thetas_slack_clamps_each_agent_it_carries_past_one():
+    # SimConfig lets dt exceed theta = 1 / a by float slack; at dt = theta (1 + 5e-13)
+    # the rate a (1 - lambda) carries every lambda < 1 just past 1, and the clip
+    # brings it back to exactly 1, a fixed point
+    dt = ABSORBING_KERNEL.theta * (1 + 5e-13)
+    cfg = make_config(kernel=ABSORBING_KERNEL, dt=dt, t_end=2 * dt, n_particles=50,
+                      init=InitialLaw.gaussian(center=(1.0,), sigma=1.0, lambda_lo=0.2,
+                                               lambda_hi=0.9))
+    for rec in sde._simulate_batch(cfg, [3, 4, 5]):
+        assert rec.clamp_events == 50
+        assert rec.lambda_max == 1.0 and rec.mean_lambda[1:].tolist() == [1.0, 1.0]
 
 
 def test_ensemble_copy_is_independent():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from infocbo import validation
-from infocbo.diagnostics import DiagnosticsError, gaussian_bump
-from infocbo.infokernel import KernelError, KernelSpec
-from infocbo.objectives import ObjectiveError, ObservableMap, quadratic
+from infocbo.diagnostics import DiagnosticsError, g_phi_replica_residuals, gaussian_bump
+from infocbo.infokernel import KernelError, KernelSpec, check_kernel_contract
+from infocbo.objectives import ObjectiveError, ObservableMap, quadratic, verify_growth
 from infocbo.sde import ConfigError, InitialLaw
 from infocbo.util import (GENERATOR_NAME, derive_seed, format_float, is_real, is_whole, jsonable,
                           rng_from_seed)
@@ -49,6 +49,30 @@ def test_derive_seed_separates_indices_and_masters():
 def test_derive_seed_not_a_trivial_offset():
     # a counter-style master+index sum would collide across replicas
     assert derive_seed(5, 1) != derive_seed(6, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
+    # read modulo 2**64, -1 would run the stream of 2**64 - 1 and 2**64 that of 0
+    message = re.escape(f"must lie in [0, 2**64), got {seed}")
+    with pytest.raises(ValueError, match="^seed " + message):
+        rng_from_seed(seed)
+    with pytest.raises(ValueError, match="^seed " + message):
+        derive_seed(seed, 0)
+    with pytest.raises(ValueError, match="^stream index " + message):
+        derive_seed(0, seed)
+    assert rng_from_seed(2**64 - 1).integers(2**62) != rng_from_seed(0).integers(2**62)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: verify_growth(quadratic(2), sample_count=10, rng_seed=seed),
+    lambda seed: check_kernel_contract(KernelSpec("logistic", a=1.0), rng_seed=seed),
+    lambda seed: g_phi_replica_residuals(validation.meanfield_config(), [0, seed, 1],
+                                         gaussian_bump(1.0)),
+], ids=["verify_growth", "check_kernel_contract", "g_phi_replica_residuals"])
+def test_every_seed_taking_entry_point_refuses_a_seed_outside_64_bits(run):
+    with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2**64), got -1")):
+        run(-1)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -1.5, 0.1, math.pi, 1e-300, 1e300, 2.0 / 3.0])
