@@ -46,7 +46,7 @@ from .sde import (
     em_step,
     simulate,
 )
-from .trajectory import Snapshot, TrajectoryRecord
+from .trajectory import TrajectoryRecord
 from .diagnostics import (
     DiagnosticsError,
     TestFunction,

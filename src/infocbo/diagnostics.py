@@ -13,18 +13,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import phi_r_expectation
+from .measures import EmpiricalMeasure, phi_r_expectation
 from .sde import (
     Ensemble,
-    Fields,
     SimConfig,
     SimulationError,
     _observer_radii,
     _trajectory,
+    consensus_fields,
     drift_and_rate,
     simulate,
 )
-from .trajectory import Snapshot, TrajectoryRecord
+from .trajectory import TrajectoryRecord
 from .util import derive_seed, is_real, is_whole, require_finite, row_sum, scale_rows, sq_norm
 
 MIN_STUDY_REPLICAS = 30
@@ -229,9 +229,9 @@ def mass_bound_fit(record: TrajectoryRecord, radius: float) -> MassBoundReport:
         raise DiagnosticsError(
             f"record has no mass series at radius {radius:g}; configure ball_radii"
         )
-    if not record.snapshots or record.snapshots[0].ensemble.time != 0.0:
+    if not record.snapshots or record.snapshots[0].time != 0.0:
         raise DiagnosticsError("mass bound fit needs a snapshot at t = 0")
-    initial = record.snapshots[0].ensemble.spatial_measure()
+    initial = EmpiricalMeasure.uniform(record.snapshots[0].x)
     smoothed = phi_r_expectation(radius, initial)
     series = record.mass_ball[radius]
     floor_ok = bool(np.all(series > 0.0))
@@ -320,7 +320,7 @@ def _residual(times, averages) -> np.ndarray:
 
 
 def g_phi_residual(
-    snapshots: Sequence[Snapshot], config: SimConfig, phi: TestFunction
+    snapshots: Sequence[Ensemble], config: SimConfig, phi: TestFunction
 ) -> float:
     """Ito-consistent weak-form residual of one run.
 
@@ -328,17 +328,18 @@ def g_phi_residual(
         + (sigma^2 / 2) ||v||^2 lap_x phi ] dt
 
     with ensemble averages inside and the trapezoid rule over the snapshot
-    grid. For the exact dynamics G is the terminal value of a mean-zero
-    martingale whose variance shrinks like 1/N; discretization adds an O(dt)
-    bias. Constant phi gives exactly zero.
+    grid, each snapshot's consensus fields computed again from it. For the
+    exact dynamics G is the terminal value of a mean-zero martingale whose
+    variance shrinks like 1/N; discretization adds an O(dt) bias. Constant
+    phi gives exactly zero.
     """
     if len(snapshots) < 2:
         raise DiagnosticsError("need at least two snapshots for the residual")
     averages = []
     for s in snapshots:
-        motion = drift_and_rate(s.ensemble, config, Fields(s.f_val, s.e_val, None))
-        averages.append(_generator_average(s.ensemble, motion, config, phi))
-    return float(_residual([s.ensemble.time for s in snapshots], averages)[0])
+        motion = drift_and_rate(s, config, consensus_fields(s, config))
+        averages.append(_generator_average(s, motion, config, phi))
+    return float(_residual([s.time for s in snapshots], averages)[0])
 
 
 def g_phi_replica_residuals(

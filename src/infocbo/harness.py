@@ -91,6 +91,8 @@ class ExperimentConfig:
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        if len(set(self.checks)) < len(self.checks):  # one report file per check
+            raise ConfigError(f"check {max(self.checks, key=self.checks.count)!r} is given twice")
         try:
             for name in self.checks:
                 if name in ("mean_decay", "second_moment_bound"):
@@ -248,13 +250,23 @@ def flat_document(experiment: ExperimentConfig) -> dict:
     return doc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's mapping; a key given twice is refused, not read at its last value."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"config key {key!r} is given twice")
+        mapping[key] = value
+    return mapping
+
+
 def load_config_file(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise RunDirectoryError(f"cannot read config {path}: {exc}") from exc
     try:
-        mapping = json.loads(text)
+        mapping = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(mapping, dict):

@@ -35,13 +35,12 @@ from .gibbs import (
     drift,
 )
 from .infokernel import KernelSpec, PopulationSummary, _rate
-from .measures import EmpiricalMeasure
 from .objectives import (
     ObjectiveSpec,
     ObservableMap,
     eval_objective_batch,
 )
-from .trajectory import Snapshot, TrajectoryRecord
+from .trajectory import TrajectoryRecord
 from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, require_finite,
                    rng_from_seed, scale_rows, sq_norm, uniform_ball)
 
@@ -96,14 +95,6 @@ class Ensemble:
         """x as (R, N, d) and lam as (R, N), sharing memory with the rows."""
         r = self.replicas
         return self.x.reshape(r, -1, self.x.shape[1]), self.lam.reshape(r, -1)
-
-    def spatial_measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure.uniform(self.x)
-
-    def copy(self) -> "Ensemble":
-        return Ensemble(
-            self.x.copy(), self.lam.copy(), self.time, self.clamp_events, self.replicas
-        )
 
 
 @dataclass(frozen=True)
@@ -260,11 +251,11 @@ def initial_ensemble(config: SimConfig, rngs: Sequence[np.random.Generator]) -> 
 class Fields(NamedTuple):
     """One state's (R, d) targets f (None in auxiliary mode) and e, scaled by
     the cutoff under truncation, and its raw crowd mean mean_x, which the rate
-    kernel and the recorder read (None: the summary computes it)."""
+    kernel and the recorder read."""
 
     f: np.ndarray | None
     e: np.ndarray
-    mean_x: np.ndarray | None
+    mean_x: np.ndarray
 
 
 def consensus_fields(ensemble: Ensemble, config: SimConfig) -> Fields:
@@ -291,8 +282,8 @@ def consensus_fields(ensemble: Ensemble, config: SimConfig) -> Fields:
 
 def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields: Fields):
     """Drift v (rows, d) and information rate T (rows,) of every agent, each
-    replica pulled toward its own consensus fields: (R, d) arrays as returned
-    by consensus_fields, or (d,) arrays for a single replica."""
+    replica pulled toward its own consensus fields, as consensus_fields
+    returns them."""
     f_val, e_val, mean_x = fields
     xs, lams = ensemble.views()
     targets = (xs.shape[0], 1, xs.shape[2])
@@ -369,10 +360,10 @@ class _Recorder:
         self.lambda_sum: list[np.ndarray] = []
         self.inside: list[np.ndarray] = []  # (len(radii), R) counts per state
         self.consensus: list[np.ndarray] = []
-        self.snapshots: dict[int, list[Snapshot]] | None = {} if keep_snapshots else None
+        self.snapshots: dict[int, list[Ensemble]] | None = {} if keep_snapshots else None
 
     def observe(self, ensemble: Ensemble, fields: Fields, snapshot: bool) -> None:
-        f_val, e_val, mean_x = fields
+        f_val, _, mean_x = fields
         xs, lams = ensemble.views()
         norms_sq = sq_norm(ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
@@ -384,10 +375,8 @@ class _Recorder:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
             for r in range(ensemble.replicas):
-                alone = Ensemble(xs[r].copy(), lams[r].copy(), ensemble.time,
-                                 ensemble.clamp_events[r])
-                self.snapshots.setdefault(r, []).append(
-                    Snapshot(alone, None if f_val is None else f_val[r], e_val[r]))
+                self.snapshots.setdefault(r, []).append(Ensemble(
+                    xs[r].copy(), lams[r].copy(), ensemble.time, ensemble.clamp_events[r]))
 
     def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
               ) -> list[TrajectoryRecord]:
@@ -488,12 +477,12 @@ def _simulate_batch(
 ) -> list[TrajectoryRecord]:
     """Integrate one run per seed, stepped as one batch; one record per seed.
 
-    Statistics are recorded at t = 0 and every record_stride-th step; full
-    ensemble snapshots (with the consensus fields in force) are kept every
-    snapshot_stride-th step when requested; the strides and ball_radii keep
-    the rules of _observer_radii. Record r equals, bit for bit,
-    the record of replace(config, seed=seeds[r]) run alone. An error names
-    the failing replica by its place in seeds.
+    Statistics are recorded at t = 0 and every record_stride-th step; each
+    replica's ensemble is kept as a snapshot every snapshot_stride-th step
+    when requested; the strides and ball_radii keep the rules of
+    _observer_radii. Record r equals, bit for bit, the record of
+    replace(config, seed=seeds[r]) run alone. An error names the failing
+    replica by its place in seeds.
     """
     radii = _observer_radii(config.n_steps, record_stride, snapshot_stride, ball_radii)
     rec = _Recorder(config, radii, snapshot_stride is not None)

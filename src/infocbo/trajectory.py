@@ -23,25 +23,14 @@ class RecordError(ValueError):
 
 
 @dataclass
-class Snapshot:
-    """Full ensemble state at one time, with the consensus fields used there.
-
-    f_val is None for auxiliary-mode runs (no consensus term).
-    """
-
-    ensemble: "Ensemble"
-    f_val: np.ndarray | None
-    e_val: np.ndarray
-
-
-@dataclass
 class TrajectoryRecord:
     """Per-stride statistics of one run.
 
     mass_ball maps each configured radius to the time series of empirical
     mass in the open ball of that radius around the origin. consensus_point
     is None in auxiliary mode. lambda_min / lambda_max are global extremes
-    over every step taken, not only recorded ones.
+    over every step taken, not only recorded ones. snapshots, when kept, are
+    the run's ensembles at each snapshot time.
     """
 
     times: np.ndarray
@@ -54,7 +43,7 @@ class TrajectoryRecord:
     mode: str
     lambda_min: float
     lambda_max: float
-    snapshots: list[Snapshot] | None = None
+    snapshots: list[Ensemble] | None = None
 
     def __post_init__(self) -> None:
         rows = len(self.times)

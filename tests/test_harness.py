@@ -211,7 +211,10 @@ def test_constructors_refuse_what_the_parser_refuses(key, value):
      "checks must be a list of strings, got 'mean_decay'"),
     (lambda sim: ExperimentConfig(sim, replicas=True), "replicas must be a whole number, got True"),
     (lambda sim: ExperimentConfig(sim, replicas=2.5), "replicas must be a whole number, got 2.5"),
-], ids=["numeral_radius", "bool_radius", "checks_string", "bool_replicas", "fractional_replicas"])
+    (lambda sim: ExperimentConfig(sim, checks=("lambda_persistence", "lambda_persistence")),
+     "check 'lambda_persistence' is given twice"),
+], ids=["numeral_radius", "bool_radius", "checks_string", "bool_replicas", "fractional_replicas",
+        "check_twice"])
 def test_hand_built_experiments_keep_the_parser_rules(build, match):
     with pytest.raises(ConfigError, match=f"^{match}$"):
         build(parse_flat_config(config()).sim)
@@ -816,6 +819,16 @@ def test_cli_nan_parameter_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_config_key_given_twice_exits_2(tmp_path, capsys):
+    # json.loads alone would run the last value, N = 4
+    text = json.dumps(config(**{"sim.N": 8}))
+    path = tmp_path / "exp.json"
+    path.write_text(text[:-1] + ', "sim.N": 4}')
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: config key 'sim.N' is given twice\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, code", [
     ("sim.d", 2),
     ("sim.N", 2),
@@ -909,8 +922,10 @@ print(code, "multiprocessing" in sys.modules, "concurrent.futures.process" in sy
     ({"observers.ball_radii": [-1.0]}, "ball radii must be positive"),
     ({"observers.stride": 4}, "observers.stride = 4 must be positive and divide 10 steps"),
     ({"sim.n": -1.0}, "sharpness must be nonnegative"),
+    ({"run.checks": ["mass_bound", "mass_bound"], "observers.snapshot_stride": 10,
+      "observers.ball_radii": [3.0]}, "check 'mass_bound' is given twice"),
 ], ids=["radius_twice", "radius_twice_int_and_float", "negative_radius", "stride_not_dividing",
-        "negative_sharpness"])
+        "negative_sharpness", "check_twice"])
 def test_cli_ball_radius_given_twice_exits_2_before_any_csv(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, config(**overrides, **{"run.replicas": 2}))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -401,8 +401,7 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
     cfg = sim_config(2, 7, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, t_end=0.25)
     seeds = [derive_seed(master, r) for r in range(replicas)]
     for rec in _simulate_batch(cfg, seeds, snapshot_stride=1, ball_radii=[radius]):
-        inside = [np.count_nonzero(row_sum(s.ensemble.x * s.ensemble.x) < radius * radius)
-                  for s in rec.snapshots]
+        inside = [np.count_nonzero(row_sum(s.x * s.x) < radius * radius) for s in rec.snapshots]
         assert rec.mass_ball[radius].dtype == np.float64
         assert rec.mass_ball[radius].tolist() == [count / 7 for count in inside]
     rngs = [rng_from_seed(seed) for seed in seeds]

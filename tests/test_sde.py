@@ -299,7 +299,6 @@ def test_clamp_events_are_counted_per_replica():
     assert Ensemble(x=np.zeros((2, 1)), lam=np.full(2, 0.5)).clamp_events.tolist() == [0]
     out = em_step(ens, make_config(), [rng_from_seed(0), rng_from_seed(1)])
     assert out.clamp_events.tolist() == [2, 5]
-    assert ens.copy().clamp_events.tolist() == [2, 5]
 
 
 def test_a_step_within_thetas_slack_clamps_each_agent_it_carries_past_one():
@@ -313,13 +312,6 @@ def test_a_step_within_thetas_slack_clamps_each_agent_it_carries_past_one():
     for rec in sde._simulate_batch(cfg, [3, 4, 5]):
         assert rec.clamp_events == 50
         assert rec.lambda_max == 1.0 and rec.mean_lambda[1:].tolist() == [1.0, 1.0]
-
-
-def test_ensemble_copy_is_independent():
-    ens = two_atom_ensemble([-1.0, 1.0], 0.5)
-    dup = ens.copy()
-    dup.x[0, 0] = 99.0
-    assert ens.x[0, 0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +453,13 @@ def test_snapshot_stride_must_be_a_multiple_of_the_record_stride():
         simulate(make_config(), record_stride=2, snapshot_stride=5)
 
 
-def test_snapshots_carry_consensus_fields_in_full_mode():
-    rec = simulate(make_config(n_particles=6), snapshot_stride=5)
-    assert rec.snapshots is not None
-    assert len(rec.snapshots) == 3
-    assert rec.snapshots[0].f_val is not None
-    assert rec.snapshots[0].e_val.shape == (1,)
+def test_snapshots_are_one_replica_ensembles_with_consensus_fields_in_full_mode():
+    cfg = make_config(n_particles=6)
+    rec = simulate(cfg, snapshot_stride=5)
+    assert [s.time for s in rec.snapshots] == rec.times[::5].tolist()  # 3 of 11
+    assert all(s.replicas == 1 and s.x.shape == (6, 1) for s in rec.snapshots)
+    f, e, _ = consensus_fields(rec.snapshots[0], cfg)
+    assert f.shape == e.shape == (1, 1)
 
 
 def test_auxiliary_records_have_no_consensus_series():
@@ -718,11 +711,13 @@ def golden_config(**overrides):
     return make_config(**fields)
 
 
-def record_digest(record):
-    """sha256 of the CSV, extended by the raw bytes of any snapshots."""
+def record_digest(record, config):
+    """sha256 of the CSV, extended by the raw bytes of any snapshots and of
+    the consensus targets f, e that config gives each one."""
     digest = hashlib.sha256(record.to_csv().encode())
     for snap in record.snapshots or ():
-        for arr in (snap.ensemble.x, snap.ensemble.lam, snap.f_val, snap.e_val):
+        f, e, _ = consensus_fields(snap, config)
+        for arr in (snap.x, snap.lam, f, e):
             if arr is not None:
                 digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
@@ -731,8 +726,9 @@ def record_digest(record):
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_statistics_hash_is_stable(case):
     overrides, sim_kwargs, expected = GOLDEN_CASES[case]
-    record = simulate(golden_config(**overrides), ball_radii=(1.0,), **sim_kwargs)
-    assert record_digest(record) == expected
+    cfg = golden_config(**overrides)
+    record = simulate(cfg, ball_radii=(1.0,), **sim_kwargs)
+    assert record_digest(record, cfg) == expected
 
 
 @pytest.mark.parametrize("stride", sorted(COUPLED_SHA256))
@@ -784,16 +780,38 @@ def test_batch_records_equal_single_runs_bit_for_bit(case):
     cfg = golden_config(**overrides)
     seeds = [3, 1, 4]
     def scalars(rec):
-        snapshots = [(s.ensemble.time, s.ensemble.clamp_events.tolist())
-                     for s in rec.snapshots or ()]
+        snapshots = [(s.time, s.clamp_events.tolist()) for s in rec.snapshots or ()]
         return rec.clamp_events, rec.lambda_min, rec.lambda_max, snapshots
 
     batch = sde._simulate_batch(cfg, seeds, ball_radii=(1.0,), **sim_kwargs)
     for record, seed in zip(batch, seeds, strict=True):
         alone = simulate(dataclasses.replace(cfg, seed=seed), ball_radii=(1.0,), **sim_kwargs)
-        assert record_digest(record) == record_digest(alone)
+        assert record_digest(record, cfg) == record_digest(alone, cfg)
         assert scalars(record) == scalars(alone)
         assert type(record.clamp_events) is int and type(record.lambda_max) is float
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_a_kept_snapshot_is_the_batch_state_and_recomputes_its_fields(case, stride):
+    # the residual oracle recomputes each snapshot's fields; they must be the
+    # fields that were in force on that replica's rows of the batch
+    cfg = golden_config(**GOLDEN_CASES[case][0])
+    seeds = [3, 1, 4]
+    states = [state for state in sde._trajectory(cfg, 1, seeds) if state[0] % stride == 0]
+    batch = sde._simulate_batch(cfg, seeds, snapshot_stride=stride)
+    for r, record in enumerate(batch):
+        assert len(record.snapshots) == len(states)
+        for snap, (_, ens, fields, _, _) in zip(record.snapshots, states):
+            xs, lams = ens.views()
+            assert snap.x.tobytes() == xs[r].tobytes()
+            assert snap.lam.tobytes() == lams[r].tobytes()
+            assert snap.time == ens.time
+            assert snap.clamp_events.tolist() == [ens.clamp_events[r]]
+            for own, batched in zip(consensus_fields(snap, cfg), fields, strict=True):
+                assert (own is None) == (batched is None)
+                if own is not None:
+                    assert own.tobytes() == batched[r].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +824,7 @@ def coupled_pair(full, stride=1, ball_radii=()):
     two draw the same initial agents and the same noise."""
     records = [simulate(cfg, stride, stride, ball_radii)
                for cfg in (full, dataclasses.replace(full, mode="auxiliary"))]
-    gap_sq = [float(row_sum((f.ensemble.x - a.ensemble.x) ** 2).mean())
+    gap_sq = [float(row_sum((f.x - a.x) ** 2).mean())
               for f, a in zip(records[0].snapshots, records[1].snapshots, strict=True)]
     return records, np.array(gap_sq)
 
