@@ -42,7 +42,7 @@ from .objectives import (
 )
 from .trajectory import TrajectoryRecord
 from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, require_finite,
-                   rng_from_seed, scale_rows, sq_norm, uniform_ball)
+                   rng_from_seed, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -321,11 +321,20 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     dt = config.dt
     if motion is None:
         motion = drift_and_rate(ensemble, config, consensus_fields(ensemble, config))
+    # every full-size temporary is released as soon as it is spent, so the
+    # allocator reuses it instead of faulting in fresh pages; the bits are
+    # those of x + (gain dt) v + amplitude * noise (addition commutes)
     v, rate = motion
-    new_x = x + config.drift_gain * dt * v
+    new_x = config.drift_gain * dt * v
+    new_x += x
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(sq_norm(v))
-        new_x = new_x + scale_rows(amplitude, _draw_noise(rngs, ensemble, config.shared_noise))
+        del v, motion  # a v computed here is freed before the noise is drawn
+        noise = _draw_noise(rngs, ensemble, config.shared_noise)
+        for k in range(noise.shape[1]):  # noise[:, k] *= would copy the column back
+            np.multiply(amplitude, noise[:, k], out=noise[:, k])
+        new_x += noise
+        del noise, amplitude
     new_lam, clamps = lam + dt * rate, ensemble.clamp_events
     if not (new_lam.min() >= 0.0 and new_lam.max() <= 1.0):  # holds at dt <= theta; NaN fails
         outside = ((new_lam < 0.0) | (new_lam > 1.0)).reshape(ensemble.replicas, -1)

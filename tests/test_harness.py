@@ -965,6 +965,13 @@ def test_cli_missing_config_exits_3(tmp_path):
     assert main(["run", missing, "--out", str(tmp_path / "out")]) == 3
 
 
+def test_cli_output_under_a_regular_file_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, config())
+    (tmp_path / "afile").write_text("")
+    assert main(["run", str(path), "--out", str(tmp_path / "afile" / "sub")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+
+
 def test_cli_sweep_comma_values(tmp_path):
     path = write_config(tmp_path, config())
     code = main(["sweep", str(path), "--axis", "n", "--values", "1,4",

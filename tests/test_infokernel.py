@@ -203,6 +203,21 @@ def test_contract_reports_keep_their_bits(variant, seed, t1_hex):
     assert (report.trial_count, report.t2_violations, report.t3_violations) == (2000, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "variant,a,b,theta,t2,t3",
+    [("logistic", 1.0, 1.0, 2.0, 1336, 0),  # a step past 1 / (a + b) leaves [0, 1]
+     ("crowd-coupled", 0.0, 0.5, 1.0, 0, 2000)],  # no gain: T = 0 at lambda = 0
+)
+def test_contract_counts_the_violations_its_constructor_refuses(variant, a, b, theta, t2, t3):
+    # KernelSpec refuses both kernels, so they are built past its checks
+    kernel = object.__new__(KernelSpec)
+    for name, value in dict(variant=variant, a=a, b=b, theta=theta).items():
+        object.__setattr__(kernel, name, value)
+    report = check_kernel_contract(kernel, rng_seed=0)
+    assert (report.t2_violations, report.t3_violations) == (t2, t3)
+    assert not report.ok
+
+
 def test_contract_report_is_deterministic_in_the_seed():
     k = KernelSpec(variant="crowd-coupled", a=0.8, b=0.2)
     r1 = check_kernel_contract(k, rng_seed=5)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,6 +589,26 @@ def test_shared_noise_keeps_coincident_agents_together():
     split = dataclasses.replace(shared, shared_noise=False)
     rec2 = simulate(split)
     assert rec2.m2_sq[-1] > rec2.mean_x[-1, 0] ** 2 + 1e-8
+
+
+@pytest.mark.parametrize("mode", sde.MODES)
+def test_a_noisy_step_holds_at_most_three_and_a_half_position_arrays(mode):
+    # the step frees its own drift before the noise is drawn and scales the noise in
+    # place; holding every temporary to the end peaks at 5 position arrays
+    cfg = make_config(d=2, n_particles=20_000, objective=quadratic(2), mode=mode,
+                      noise_strength=0.5, init=InitialLaw.gaussian((1.0, 1.0), 1.0))
+    rngs = [rng_from_seed(1)]
+    ens = sde.initial_ensemble(cfg, rngs)
+    em_step(ens, cfg, rngs)  # first calls allocate caches that a step does not hold
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        em_step(ens, cfg, rngs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * ens.x.nbytes + 16 * 1024  # slack for the Python objects
 
 
 @pytest.mark.parametrize("shared_noise", [False, True], ids=["per_agent", "shared"])
