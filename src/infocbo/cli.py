@@ -86,6 +86,9 @@ def _cmd_report(args) -> int:
     gen = manifest.get("generator", {})
     print(f"generator: {gen.get('name')} (numpy {gen.get('numpy')})")
     print(f"replicas: {manifest.get('replicas')} seeds {manifest.get('replica_seeds')}")
+    for i, lam in enumerate(manifest.get("replica_lambda", [])):
+        print(f"  replica {i}: clamp_events {lam.get('clamp_events')}, "
+              f"lambda_min {lam.get('lambda_min')!r}, lambda_max {lam.get('lambda_max')!r}")
     checks_passed = manifest.get("checks_passed")
     if checks_passed is not None:
         print(f"checks: {manifest.get('checks')} passed={checks_passed}")

@@ -412,6 +412,9 @@ def run(
         "config": document,
         "replicas": experiment.replicas,
         "replica_seeds": _replica_seeds(experiment.sim.seed, 0, experiment.replicas),
+        # the lambda invariant, which no CSV column holds: clamps and extremes over every step
+        "replica_lambda": [{"clamp_events": r.clamp_events, "lambda_min": r.lambda_min,
+                            "lambda_max": r.lambda_max} for r in records],
         "checks": list(experiment.checks),
         "checks_passed": not failed if experiment.checks else None,
         "files": files,
@@ -487,4 +490,7 @@ def load_manifest(run_dir: str | Path) -> dict:
         raise RunDirectoryError(f"{path}: files must map names to digest strings")
     if not isinstance(manifest.get("generator", {}), dict):
         raise RunDirectoryError(f"{path}: generator must be a JSON object")
+    lam = manifest.get("replica_lambda", [])
+    if not isinstance(lam, list) or not all(isinstance(entry, dict) for entry in lam):
+        raise RunDirectoryError(f"{path}: replica_lambda must be a list of JSON objects")
     return manifest

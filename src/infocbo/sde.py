@@ -17,6 +17,14 @@ one configuration, stored replica-major as (R * N, d) rows. Elementwise work
 runs on the rows; every reduction (means, Gibbs weights, summaries) runs per
 replica on (R, N, d) views, and each replica draws from its own stream, so a
 replica's numbers do not depend on the batch it runs in.
+
+A small batch steps in blocks of steps, each spanning at most BLOCK_ROWS
+rows: the stepping loop draws a block's noise in one fill per replica, and
+the recorder reduces a block of recorded states at once. A step's noise does
+not depend on the state, and one fill of S * m normals draws, in order, what
+S fills of m draw, so a block gives every step the bits it draws alone. A
+state of BLOCK_ROWS rows or more is a block of one step: it draws its noise
+inside em_step and is reduced as it arrives, as an unblocked loop does.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, re
                    rng_from_seed, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
+
+# rows (agents of all replicas, times steps) that one block of steps spans
+BLOCK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -295,24 +306,33 @@ def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields: Fields):
 
 
 def _draw_noise(rngs: Sequence[np.random.Generator], ensemble: Ensemble,
-                shared: bool) -> np.ndarray:
-    """One increment per row, replica r drawing in order from rngs[r]."""
+                shared: bool, steps: int = 1) -> np.ndarray:
+    """Increments of the next steps steps, one per row, step-major: step k
+    takes rows k * rows to (k + 1) * rows - 1 of the (steps * rows, d)
+    result. Replica r fills its (steps, N, d) block from rngs[r] in one
+    call; one fill of steps * N * d normals draws, in order, what steps
+    fills of N * d draw, so each step of a block has the bits it draws
+    alone. Shared noise fills (steps, 1, d): one increment per step, taken
+    by every agent of the replica."""
     n, d = ensemble.n_agents, ensemble.dimension
-    if shared:
-        # one Brownian increment shared by every agent of a replica
-        return np.repeat([rng.standard_normal(d) for rng in rngs], n, axis=0)
-    noise = np.empty(ensemble.x.shape)
+    noise = np.empty((len(rngs), steps, 1 if shared else n, d))
     for r, rng in enumerate(rngs):
-        rng.standard_normal(out=noise[r * n:(r + 1) * n])
-    return noise
+        rng.standard_normal(out=noise[r])
+    if shared:
+        noise = np.repeat(noise, n, axis=2)
+    return noise.swapaxes(0, 1).reshape(-1, d)  # a copy only for several replicas and steps
 
 
-def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble:
+def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None,
+            noise=None) -> Ensemble:
     """One Euler-Maruyama step; consensus fields are frozen at the pre-step state.
 
     rng is one generator per replica, or a bare generator for one replica.
     motion is the pre-step (v, rate) of drift_and_rate, when the caller has
-    it already; None computes it here.
+    it already; None computes it here. noise is this step's (rows, d)
+    increments, a step of a _draw_noise block the caller drew from the same
+    generators, and the step scales it in place; None draws it here from
+    rng, once the drift is released. Neither changes a bit of the result.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(rngs) != ensemble.replicas:
@@ -330,7 +350,8 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None) -> Ensemble
     if config.noise_strength > 0:
         amplitude = config.noise_strength * math.sqrt(dt) * np.sqrt(sq_norm(v))
         del v, motion  # a v computed here is freed before the noise is drawn
-        noise = _draw_noise(rngs, ensemble, config.shared_noise)
+        if noise is None:
+            noise = _draw_noise(rngs, ensemble, config.shared_noise)
         for k in range(noise.shape[1]):  # noise[:, k] *= would copy the column back
             np.multiply(amplitude, noise[:, k], out=noise[:, k])
         new_x += noise
@@ -355,48 +376,71 @@ class _Recorder:
     """(R,) statistics of each recorded state, split per replica by build;
     radii as _observer_radii returns them.
 
-    observe keeps each state's per-replica sums (of ||x||^2, of lambda, and
-    the count inside each ball); build divides the stacked series by N once,
-    the same bits as each state's sum divided by N."""
+    observe takes each state's time, crowd mean and consensus, and keeps the
+    state itself until the kept states hold BLOCK_ROWS rows; reduce then
+    takes their per-replica sums (of ||x||^2, of lambda, and the count
+    inside each ball) from one stack. Each row is reduced in the order it is
+    alone, so the bits are those of one reduction per state; a state of
+    BLOCK_ROWS rows or more is reduced as it arrives, without a stack copy.
+    A state given to observe is read later, so it must never be written
+    again (em_step always returns new arrays). build reduces what is left
+    and divides the series by N once, the same bits as each state's sum
+    divided by N."""
 
     def __init__(self, config: SimConfig, radii: list[float], keep_snapshots: bool):
         self.config = config
         self.radii = radii
-        self.radii_sq = np.array([r * r for r in radii]).reshape(-1, 1, 1)
+        self.radii_sq = np.array([r * r for r in radii]).reshape(-1, 1, 1, 1)
         self.times: list[float] = []
-        self.m2_sum: list[np.ndarray] = []
         self.mean_x: list[np.ndarray] = []
-        self.lambda_sum: list[np.ndarray] = []
-        self.inside: list[np.ndarray] = []  # (len(radii), R) counts per state
         self.consensus: list[np.ndarray] = []
+        self.kept: list[Ensemble] = []  # observed, not yet reduced
+        self.kept_rows = 0
+        self.m2_sum: list[np.ndarray] = []  # (R, states) per reduced block
+        self.lambda_sum: list[np.ndarray] = []
+        self.inside: list[np.ndarray] = []  # (len(radii), R, states) counts per block
         self.snapshots: dict[int, list[Ensemble]] | None = {} if keep_snapshots else None
 
     def observe(self, ensemble: Ensemble, fields: Fields, snapshot: bool) -> None:
         f_val, _, mean_x = fields
-        xs, lams = ensemble.views()
-        norms_sq = sq_norm(ensemble.x).reshape(lams.shape)
         self.times.append(ensemble.time)
-        self.m2_sum.append(np.add.reduce(norms_sq, axis=1))
         self.mean_x.append(mean_x)
-        self.lambda_sum.append(np.add.reduce(lams, axis=1))
-        self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=2))
         if f_val is not None:
             self.consensus.append(f_val)
         if snapshot and self.snapshots is not None:
+            xs, lams = ensemble.views()
             for r in range(ensemble.replicas):
                 self.snapshots.setdefault(r, []).append(Ensemble(
                     xs[r].copy(), lams[r].copy(), ensemble.time, ensemble.clamp_events[r]))
+        self.kept.append(ensemble)
+        self.kept_rows += ensemble.x.shape[0]
+        if self.kept_rows >= BLOCK_ROWS:
+            self.reduce()
+
+    def reduce(self) -> None:
+        """Reduce the kept states, (states, R, N) at once, and drop them."""
+        kept = self.kept
+        if len(kept) == 1:
+            x, lam = kept[0].x[None], kept[0].lam[None]
+        else:
+            x, lam = np.stack([s.x for s in kept]), np.stack([s.lam for s in kept])
+        norms_sq = sq_norm(x).reshape(len(kept), kept[0].replicas, -1)
+        self.m2_sum.append(np.add.reduce(norms_sq, axis=2).T)
+        self.lambda_sum.append(np.add.reduce(lam.reshape(norms_sq.shape), axis=2).T)
+        self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=3).transpose(0, 2, 1))
+        self.kept, self.kept_rows = [], 0
 
     def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
               ) -> list[TrajectoryRecord]:
-        # replica-major (R, times, ...) stacks; no consensus in auxiliary mode
-        m2_sum, mean_x, lambda_sum, consensus = (
-            np.stack(series, axis=1) if series else None
-            for series in (self.m2_sum, self.mean_x, self.lambda_sum, self.consensus)
-        )
+        if self.kept:
+            self.reduce()
+        # replica-major (R, times, ...) series; no consensus in auxiliary mode
+        mean_x, consensus = (np.stack(series, axis=1) if series else None
+                             for series in (self.mean_x, self.consensus))
         n = final.n_agents
-        m2_sq, mean_lambda = m2_sum / n, lambda_sum / n
-        mass = np.stack(self.inside, axis=2) / n  # (len(radii), R, times)
+        m2_sq, mean_lambda = (np.concatenate(blocks, axis=1) / n
+                              for blocks in (self.m2_sum, self.lambda_sum))
+        mass = np.concatenate(self.inside, axis=2) / n  # (len(radii), R, times)
         return [
             TrajectoryRecord(
                 times=np.asarray(self.times),
@@ -441,7 +485,8 @@ def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None 
 
 def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
     """Step one batch; yield (step, ensemble, fields, lam_min, lam_max) at
-    step 0 and every record_stride-th step.
+    step 0 and every record_stride-th step. A yielded ensemble is never
+    written again, so a caller may keep it.
 
     The batch holds one replica per seed (default: the single config.seed).
     fields are the consensus fields of the yielded state, for the caller.
@@ -451,21 +496,34 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     each replica's running extremes over every state so far, recorded or
     not. Each replica draws its initial agents and then each step's noise
     from its own stream, so two configs that differ only in mode see the
-    same draws, and a replica's draws do not depend on the batch. An error
-    names the step (0 for the initial state) and the failing replica by its
-    place in the batch.
+    same draws, and a replica's draws do not depend on the batch. A noisy
+    batch of fewer than BLOCK_ROWS rows draws the noise of
+    BLOCK_ROWS // rows steps at a time (_draw_noise; fewer for the last
+    block) and hands each step its slice, the bits the step draws alone; a
+    larger batch leaves the draw to em_step, after the drift is released,
+    so the step's peak memory stays its own. An error names the step (0 for
+    the initial state) and the failing replica by its place in the batch.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
+    # steps per noise block: at most BLOCK_ROWS rows, one step if the state alone fills it
+    rows = ens.x.shape[0]
+    span = max(1, BLOCK_ROWS // rows) if config.noise_strength > 0 else 1
     lam_min, lam_max = np.full(ens.replicas, np.inf), np.full(ens.replicas, -np.inf)
-    motion = None
+    motion = noise = None
     for k in range(steps + 1):  # k = 0 evaluates the initial state
         recorded = k % record_stride == 0
         try:
             if k > 0:
-                ens = em_step(ens, config, rngs, motion)
+                if span > 1:
+                    j = (k - 1) % span  # the step's place in its block
+                    if j == 0:
+                        block = _draw_noise(rngs, ens, config.shared_noise,
+                                            min(span, steps + 1 - k))
+                    noise = block[j * rows:(j + 1) * rows]
+                ens = em_step(ens, config, rngs, motion, noise)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc

@@ -397,6 +397,30 @@ def test_manifest_inventory_matches_disk(tmp_path):
         assert digest == f"sha256:{recomputed}"
 
 
+@pytest.mark.parametrize("overrides, clamped", [
+    ({}, False),
+    # dt past theta = 1 / a by the float slack SimConfig allows: each lambda < 1 steps past 1
+    ({"kernel.b": 0.0, "sim.dt": 1 + 5e-13, "sim.t_end": 2 * (1 + 5e-13)}, True),
+], ids=["stable", "clamped"])
+def test_manifest_and_report_carry_each_replicas_lambda_invariant(
+    tmp_path, capsys, overrides, clamped
+):
+    doc = config(**{"run.replicas": 3, "sim.noise_strength": 0.5, "init.lambda": "uniform",
+                    "init.lambda_min": 0.1, "init.lambda_max": 0.4, **overrides})
+    run(parse_flat_config(doc), output_dir=tmp_path / "out")
+    records = _replica_batch(flat_document(parse_flat_config(doc)), 0, 3)
+    assert load_manifest(tmp_path / "out")["replica_lambda"] == [
+        {"clamp_events": r.clamp_events, "lambda_min": r.lambda_min, "lambda_max": r.lambda_max}
+        for r in records
+    ]
+    assert all((r.clamp_events > 0) == clamped for r in records)
+    assert main(["report", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    for i, r in enumerate(records):
+        assert (f"  replica {i}: clamp_events {r.clamp_events}, lambda_min {r.lambda_min!r}, "
+                f"lambda_max {r.lambda_max!r}\n") in out
+
+
 def test_rerun_refused_then_forced(tmp_path):
     exp = parse_flat_config(config())
     outdir = tmp_path / "out"
@@ -1008,7 +1032,8 @@ def test_cli_report_missing_run_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("text", ['{"files": ', "[1, 2]", '{"files": [1, 2]}',
-                                  '{"files": {"replica_000.csv": 1}}', '{"generator": "x"}'])
+                                  '{"files": {"replica_000.csv": 1}}', '{"generator": "x"}',
+                                  '{"replica_lambda": {}}', '{"replica_lambda": [0.5]}'])
 def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
     (tmp_path / MANIFEST_NAME).write_text(text)
     assert main(["report", str(tmp_path)]) == 3

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,6 +454,80 @@ def test_em_step_is_the_out_of_place_step_bit_for_bit(
         assert out.clamp_events.tolist() == [n] * replicas
 
 
+@given(
+    replicas=st.integers(1, 3),
+    n=st.integers(1, 6),
+    d=st.integers(1, 9),
+    noise=st.sampled_from(["independent", "shared", "off"]),
+    mode=st.sampled_from(sde.MODES),
+    stride=st.integers(1, 4),
+    records=st.integers(1, 6),
+    block_rows=st.integers(1, 48),
+    seed=st.integers(0, 2**32),
+)
+def test_blocked_steps_and_records_are_the_step_by_step_loop_bit_for_bit(
+    replicas, n, d, noise, mode, stride, records, block_rows, seed
+):
+    # a small BLOCK_ROWS ends noise blocks and recorder blocks mid-run, with a
+    # partial last block, at strides that do and do not divide the block
+    steps = stride * records
+    cfg = sim_config(d, n, KernelSpec("logistic", a=1.0, b=1.0), dt=0.05, t_end=0.05 * steps,
+                     mode=mode, noise_strength=0.0 if noise == "off" else 0.5,
+                     shared_noise=noise == "shared", sharpness=8.0)
+    seeds = [derive_seed(seed, r) for r in range(replicas)]
+    rngs = [rng_from_seed(s) for s in seeds]
+    states = [initial_ensemble(cfg, rngs)]
+    for _ in range(steps):  # each step draws its own noise
+        states.append(em_step(states[-1], cfg, rngs))
+    with mock.patch.object(sde, "BLOCK_ROWS", block_rows):
+        yielded = list(sde._trajectory(cfg, stride, seeds))
+        batch = _simulate_batch(cfg, seeds, stride, ball_radii=[0.5, 1.5])
+    assert [k for k, *_ in yielded] == list(range(0, steps + 1, stride))
+    for k, ens, _, _, _ in yielded:
+        assert same_bits(ens.x, states[k].x) and same_bits(ens.lam, states[k].lam)
+        assert ens.clamp_events.tolist() == states[k].clamp_events.tolist()
+    recorded = states[::stride]
+    for r, record in enumerate(batch):
+        xs = [s.views()[0][r] for s in recorded]
+        lams = [s.views()[1][r] for s in recorded]
+        assert record.times.tolist() == [s.time for s in recorded]
+        assert same_bits(record.m2_sq, np.array([row_sum(x * x).mean() for x in xs]))
+        assert same_bits(record.mean_x, np.array([x.mean(axis=0) for x in xs]))
+        assert same_bits(record.mean_lambda, np.array([lam.mean() for lam in lams]))
+        for radius, mass in record.mass_ball.items():
+            inside = [np.count_nonzero(row_sum(x * x) < radius * radius) for x in xs]
+            assert same_bits(mass, np.array(inside) / n)
+        if mode == "full":
+            want = np.array([consensus_fields(s, cfg).f[r] for s in recorded])
+            assert same_bits(record.consensus_point, want)
+        assert record.clamp_events == states[-1].clamp_events[r]
+        every = [s.views()[1][r] for s in states]
+        assert record.lambda_min == min(lam.min() for lam in every)
+        assert record.lambda_max == max(lam.max() for lam in every)
+
+
+@pytest.mark.parametrize("seeds, drawn_ahead", [([1], True), ([1, 2], False), ([1, 2, 3], False)])
+def test_a_batch_of_block_rows_draws_its_noise_inside_each_step(monkeypatch, seeds, drawn_ahead):
+    # 4 agents per replica against BLOCK_ROWS = 12: one replica takes blocks of
+    # three steps; two (8 rows, 12 // 8 = 1) and three (12 rows) take one step
+    # each, drawn by em_step after it releases the drift
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 12)
+    handed, step = [], sde.em_step
+
+    def spy(ensemble, config, rng, motion=None, noise=None):
+        handed.append(noise)
+        return step(ensemble, config, rng, motion, noise)
+
+    monkeypatch.setattr(sde, "em_step", spy)
+    cfg = sim_config(2, 4, KernelSpec("logistic", a=1.0), dt=0.05, t_end=0.5)
+    list(sde._trajectory(cfg, 1, seeds))
+    assert len(handed) == 10
+    if drawn_ahead:
+        assert all(noise.shape == (4, 2) for noise in handed)
+    else:
+        assert all(noise is None for noise in handed)
+
+
 # ---------------------------------------------------------------------------
 # ball mass
 
@@ -474,7 +549,8 @@ def test_mass_in_ball_counts_what_the_recorder_counts(d, n, radius, seed):
     ensemble = Ensemble(x, np.full(n, 0.5))
     auxiliary = sim_config(d, n, KernelSpec("logistic", a=1.0), dt=0.1, mode="auxiliary")
     recorder.observe(ensemble, sde.consensus_fields(ensemble, auxiliary), snapshot=False)
-    count = recorder.inside[0][0, 0]
+    recorder.reduce()  # a state of fewer than BLOCK_ROWS rows waits for its block
+    count = recorder.inside[0][0, 0, 0]
     assert round(mass_in_ball(EmpiricalMeasure.uniform(x), radius) * n) == count
 
 
