@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import agent_mean, apply_field_rules, in_unit_interval, rng_from_seed, sq_norm
+from .util import agent_mean, apply_field_rules, in_unit_interval, rng_from_seed, sq_dist
 
 VARIANTS = ("logistic", "crowd-coupled")
 
@@ -92,16 +92,15 @@ def eval_kernel(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, l
 def _rate(kernel: KernelSpec, summary: PopulationSummary, x: np.ndarray, lam: np.ndarray):
     """eval_kernel's arithmetic on float arrays, lam not checked: the step
     keeps lam in [0, 1] by construction (Ensemble checks the initial lam,
-    em_step clips it, and x is checked finite, so the rate is finite)."""
+    em_step clips it, and x is checked finite, so the rate is finite).
+    The crowd distance ||x - mean_x|| is sq_dist's, one pass per column
+    with no (R, N, d) gap array for d <= 7: the bits of the broadcast."""
     if kernel.variant == "logistic":
         return kernel.a * (1.0 - lam) - kernel.b * lam
     mean_x = np.asarray(summary.mean_x, dtype=float)
     if mean_x.ndim > 1:  # one mean per stacked batch
         mean_x = mean_x[..., None, :]
-    gap = np.empty_like(x)  # x's layout, which np.sum's order follows from d = 8
-    for k in range(x.shape[-1]):  # x - mean_x per column, as in gibbs.drift
-        np.subtract(x[..., k], mean_x[..., k], out=gap[..., k])
-    dist = np.sqrt(sq_norm(gap))
+    dist = np.sqrt(sq_dist(x, mean_x))
     return (1.0 - lam) * kernel.a / (1.0 + dist) - kernel.b * lam
 
 

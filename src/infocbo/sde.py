@@ -19,12 +19,14 @@ replica on (R, N, d) views, and each replica draws from its own stream, so a
 replica's numbers do not depend on the batch it runs in.
 
 A small batch steps in blocks of steps, each spanning at most BLOCK_ROWS
-rows: the stepping loop draws a block's noise in one fill per replica, and
-the recorder reduces a block of recorded states at once. A step's noise does
-not depend on the state, and one fill of S * m normals draws, in order, what
-S fills of m draw, so a block gives every step the bits it draws alone. A
-state of BLOCK_ROWS rows or more is a block of one step: it draws its noise
-inside em_step and is reduced as it arrives, as an unblocked loop does.
+rows: the stepping loop draws a block's noise in one fill per replica and
+takes the lambda extremes of a block's states at once, and the recorder
+reduces a block of recorded states at once. A step's noise does not depend
+on the state, and one fill of S * m normals draws, in order, what S fills of
+m draw, so a block gives every step the bits it draws alone; min and max are
+exact, so a block's extremes are those of its states. A state of BLOCK_ROWS
+rows or more is a block of one step: it draws its noise inside em_step and
+is reduced as it arrives, as an unblocked loop does.
 """
 
 from __future__ import annotations
@@ -372,6 +374,11 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None,
     return successor
 
 
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.stack(arrays), a view without the copy when there is one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class _Recorder:
     """(R,) statistics of each recorded state, split per replica by build;
     radii as _observer_radii returns them.
@@ -420,10 +427,7 @@ class _Recorder:
     def reduce(self) -> None:
         """Reduce the kept states, (states, R, N) at once, and drop them."""
         kept = self.kept
-        if len(kept) == 1:
-            x, lam = kept[0].x[None], kept[0].lam[None]
-        else:
-            x, lam = np.stack([s.x for s in kept]), np.stack([s.lam for s in kept])
+        x, lam = _stacked([s.x for s in kept]), _stacked([s.lam for s in kept])
         norms_sq = sq_norm(x).reshape(len(kept), kept[0].replicas, -1)
         self.m2_sum.append(np.add.reduce(norms_sq, axis=2).T)
         self.lambda_sum.append(np.add.reduce(lam.reshape(norms_sq.shape), axis=2).T)
@@ -492,44 +496,55 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     fields are the consensus fields of the yielded state, for the caller.
     A caller that has computed the (v, rate) of a yielded state sends it
     back, and the step leaving that state uses it; otherwise (a plain for
-    loop sends None) em_step computes it. lam_min / lam_max hold
-    each replica's running extremes over every state so far, recorded or
-    not. Each replica draws its initial agents and then each step's noise
-    from its own stream, so two configs that differ only in mode see the
-    same draws, and a replica's draws do not depend on the batch. A noisy
-    batch of fewer than BLOCK_ROWS rows draws the noise of
-    BLOCK_ROWS // rows steps at a time (_draw_noise; fewer for the last
-    block) and hands each step its slice, the bits the step draws alone; a
-    larger batch leaves the draw to em_step, after the drift is released,
-    so the step's peak memory stays its own. An error names the step (0 for
-    the initial state) and the failing replica by its place in the batch.
+    loop sends None) em_step computes it. Each replica draws its initial
+    agents and then each step's noise from its own stream, so two configs
+    that differ only in mode see the same draws, and a replica's draws do
+    not depend on the batch. An error names the step (0 for the initial
+    state) and the failing replica by its place in the batch.
+
+    The steps run in blocks of span = max(1, BLOCK_ROWS // rows): the
+    initial state alone, then steps 1 to span, span + 1 to 2 span, and so
+    on, the last block cut at the final step. A noisy block of several
+    steps draws its noise at once (_draw_noise) and hands each step its
+    slice, the bits the step draws alone; a batch of BLOCK_ROWS rows or more
+    leaves the draw to em_step, after the drift is released, so the step's
+    peak memory stays its own. lam_min / lam_max are each replica's extremes
+    over every state, recorded or not, of the blocks finished so far: a
+    block's lambda is reduced once, at its end, so inside a block they lag
+    the state, and at the final step they cover the whole run. Min and max
+    are exact, so the order of reduction moves no bit.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
-    # steps per noise block: at most BLOCK_ROWS rows, one step if the state alone fills it
+    # steps per block: at most BLOCK_ROWS rows, one step if the state alone fills it
     rows = ens.x.shape[0]
-    span = max(1, BLOCK_ROWS // rows) if config.noise_strength > 0 else 1
+    span = max(1, BLOCK_ROWS // rows)
+    drawn_ahead = span > 1 and config.noise_strength > 0
     lam_min, lam_max = np.full(ens.replicas, np.inf), np.full(ens.replicas, -np.inf)
+    lam_block = []  # the lambda of each state of the current block
     motion = noise = None
     for k in range(steps + 1):  # k = 0 evaluates the initial state
         recorded = k % record_stride == 0
         try:
             if k > 0:
-                if span > 1:
+                if drawn_ahead:
                     j = (k - 1) % span  # the step's place in its block
                     if j == 0:
-                        block = _draw_noise(rngs, ens, config.shared_noise,
-                                            min(span, steps + 1 - k))
-                    noise = block[j * rows:(j + 1) * rows]
+                        noise_block = _draw_noise(rngs, ens, config.shared_noise,
+                                                  min(span, steps + 1 - k))
+                    noise = noise_block[j * rows:(j + 1) * rows]
                 ens = em_step(ens, config, rngs, motion, noise)
             fields = consensus_fields(ens, config) if recorded else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc
-        lams = ens.lam.reshape(ens.replicas, -1)
-        lam_min = np.minimum(lam_min, lams.min(axis=1))
-        lam_max = np.maximum(lam_max, lams.max(axis=1))
+        lam_block.append(ens.lam)
+        if k % span == 0 or k == steps:  # the block ends
+            lams = _stacked(lam_block).reshape(len(lam_block), ens.replicas, -1)
+            lam_min = np.minimum(lam_min, lams.min(axis=(0, 2)))
+            lam_max = np.maximum(lam_max, lams.max(axis=(0, 2)))
+            lam_block = []
         motion = None
         if recorded:
             motion = yield k, ens, fields, lam_min, lam_max

@@ -83,6 +83,26 @@ def sq_norm(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def sq_dist(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sq_norm(a - c), bit for bit, for centers c that broadcast against a.
+
+    For 1 <= d <= 7 float64 columns each column's difference is squared in
+    place and added in sq_norm's order, with no difference array. From d = 8
+    and for other dtypes np.sum's order follows the layout of a - c, so
+    those build the difference as numpy lays it out.
+    """
+    d = a.shape[-1]
+    if not 1 <= d <= 7 or np.result_type(a, c) != np.float64:
+        return sq_norm(a - c)
+    total = a[..., 0] - c[..., 0]
+    total *= total
+    for k in range(1, d):
+        column = a[..., k] - c[..., k]
+        column *= column
+        total += column
+    return total
+
+
 def scale_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1].
 

@@ -27,7 +27,8 @@ from infocbo.measures import EmpiricalMeasure
 from infocbo.objectives import ObservableMap, eval_observable_batch, quadratic
 from infocbo.sde import (Ensemble, InitialLaw, SimConfig, _draw_noise, _simulate_batch,
                          consensus_fields, drift_and_rate, em_step, initial_ensemble)
-from infocbo.util import agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_norm
+from infocbo.util import (agent_mean, derive_seed, rng_from_seed, row_sum, scale_rows, sq_dist,
+                          sq_norm)
 from oracles import elementwise_bump_parts, mass_in_ball
 
 unit = st.floats(0.0, 1.0)
@@ -296,6 +297,22 @@ def test_row_sum_and_its_norm_are_numpys_bit_for_bit(a):
 @given(a=stacks())
 def test_sq_norm_is_the_row_sum_of_the_square_bit_for_bit(a):
     assert same_bits(sq_norm(a), row_sum(a * a))
+
+
+@given(a=stacks(), data=st.data())
+def test_sq_dist_is_the_sq_norm_of_the_difference_bit_for_bit(a, data):
+    # centers as the crowd-coupled kernel takes them, (d,) or one (R, 1, d) row per
+    # stack, drawn in C layout or as a's own mean, whose layout follows a's
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans(), label="point"):
+        a = a[(0,) * (a.ndim - 1)]
+    if a.ndim > 1 and data.draw(st.booleans(), label="own mean"):
+        c = a.mean(axis=-2)
+    else:
+        c = signed_values(data.draw, rng, a.shape[:-2] + a.shape[-1:])
+    if a.ndim == 3:
+        c = c[..., None, :]
+    assert same_bits(np.asarray(sq_dist(a, c)), np.asarray(sq_norm(a - c)))
 
 
 @given(a=stacks())

@@ -315,6 +315,51 @@ def test_a_step_within_thetas_slack_clamps_each_agent_it_carries_past_one():
         assert rec.lambda_max == 1.0 and rec.mean_lambda[1:].tolist() == [1.0, 1.0]
 
 
+LAMBDA_EXTREME_CASES = {
+    # dt past theta = 1 / a by SimConfig's float slack: every lambda < 1 steps past 1
+    # and is clipped
+    "clamped": (ABSORBING_KERNEL, 1 + 5e-13, (0.1, 0.4), 0.5),
+    "clamped noiseless": (ABSORBING_KERNEL, 1 + 5e-13, (0.1, 0.4), 0.0),
+    # lambda starts at 1, falls toward the crowd-coupled rate's fixed point while the
+    # agents are spread and rises as they gather: each minimum is on an unrecorded step
+    "unrecorded minimum": (CROWD_KERNEL, 0.5, (1.0, 1.0), 0.5),
+    "unrecorded minimum noiseless": (CROWD_KERNEL, 0.5, (1.0, 1.0), 0.0),
+    # lambda rises toward 1/2 at every step: each maximum is at the final step
+    "final maximum": (SYMMETRIC_KERNEL, 0.25, (0.1, 0.4), 0.5),
+}
+
+
+@pytest.mark.parametrize("block_rows", [8, 24, 40])  # blocks of 1, 3 and 5 steps of 8 rows
+@pytest.mark.parametrize("case", sorted(LAMBDA_EXTREME_CASES))
+def test_lambda_extremes_and_clamps_of_blocked_steps_are_the_step_by_step_loops(
+    monkeypatch, case, block_rows
+):
+    # two replicas of 4 agents, 12 steps recorded every 4th, so blocks end mid-run
+    # and, in blocks of 5, the last is cut short
+    kernel, dt, (lam_lo, lam_hi), noise = LAMBDA_EXTREME_CASES[case]
+    cfg = make_config(d=2, objective=quadratic(2), kernel=kernel, dt=dt, t_end=12 * dt,
+                      mode="auxiliary", noise_strength=noise,
+                      init=InitialLaw.gaussian(center=(1.0, -1.0), sigma=3.0,
+                                               lambda_lo=lam_lo, lambda_hi=lam_hi))
+    seeds = [5, 6]
+    rngs = [rng_from_seed(seed) for seed in seeds]
+    states = [sde.initial_ensemble(cfg, rngs)]
+    for _ in range(12):  # each step draws its own noise
+        states.append(em_step(states[-1], cfg, rngs))
+    monkeypatch.setattr(sde, "BLOCK_ROWS", block_rows)
+    records = sde._simulate_batch(cfg, seeds, record_stride=4)
+    lams = np.array([s.lam.reshape(2, 4) for s in states])  # (steps + 1, R, N)
+    for r, rec in enumerate(records):
+        assert rec.lambda_min == lams[:, r].min() and rec.lambda_max == lams[:, r].max()
+        assert rec.clamp_events == states[-1].clamp_events[r]
+        if case.startswith("clamped"):
+            assert rec.clamp_events == 4 and rec.lambda_max == 1.0
+        elif case.startswith("unrecorded"):
+            assert lams[:, r].min(axis=1).argmin() % 4 != 0
+        else:
+            assert lams[:, r].max(axis=1).argmax() == 12
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
