@@ -361,10 +361,12 @@ def g_phi_replica_residuals(
     times, averages, motion = [], [], None
     try:
         while True:
-            _, ens, fields, _, _ = states.send(motion)
-            motion = drift_and_rate(ens, config, fields)
-            times.append(ens.time)
-            averages.append(_generator_average(ens, motion, config, phi))
+            _, ens, fields = states.send(motion)
+            motion = None  # an off-stride state is only stepped
+            if fields is not None:
+                motion = drift_and_rate(ens, config, fields)
+                times.append(ens.time)
+                averages.append(_generator_average(ens, motion, config, phi))
     except StopIteration:
         pass
     except SimulationError as exc:

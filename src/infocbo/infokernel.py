@@ -73,9 +73,9 @@ class PopulationSummary(NamedTuple):
     mean_x: np.ndarray
 
     @classmethod
-    def from_arrays(cls, x: np.ndarray, lam: np.ndarray, mean_x=None) -> "PopulationSummary":
-        """The summary of one population (x: (N, d), lam: (N,)) or a stack
-        (x: (R, N, d), lam: (R, N)): the given mean, else agent_mean(x)."""
+    def from_arrays(cls, x: np.ndarray, mean_x=None) -> "PopulationSummary":
+        """The summary of one population (x: (N, d)) or a stack (x: (R, N, d)):
+        the given mean, else agent_mean(x)."""
         return cls(agent_mean(x) if mean_x is None else mean_x)
 
 

@@ -18,15 +18,15 @@ runs on the rows; every reduction (means, Gibbs weights, summaries) runs per
 replica on (R, N, d) views, and each replica draws from its own stream, so a
 replica's numbers do not depend on the batch it runs in.
 
-A small batch steps in blocks of steps, each spanning at most BLOCK_ROWS
-rows: the stepping loop draws a block's noise in one fill per replica and
-takes the lambda extremes of a block's states at once, and the recorder
-reduces a block of recorded states at once. A step's noise does not depend
-on the state, and one fill of S * m normals draws, in order, what S fills of
-m draw, so a block gives every step the bits it draws alone; min and max are
-exact, so a block's extremes are those of its states. A state of BLOCK_ROWS
-rows or more is a block of one step: it draws its noise inside em_step and
-is reduced as it arrives, as an unblocked loop does.
+A small batch works in blocks of _block_steps(rows) steps, at most
+BLOCK_ROWS rows each, in two places: the stepping loop draws a block's noise
+in one fill per replica, and the recorder reduces a block of states at once
+(the lambda extremes of all of them, the sums of the recorded ones). One
+fill of S * m normals draws, in order, what S fills of m draw, so every step
+gets the bits it draws alone; each row is reduced in the order it is alone,
+and min and max are exact, so a block gives the bits of one reduction per
+state. A state of BLOCK_ROWS rows or more is a block of one step: it draws
+its noise inside em_step and is reduced as it arrives.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ MODES = ("full", "auxiliary")
 
 # rows (agents of all replicas, times steps) that one block of steps spans
 BLOCK_ROWS = 4096
+
+
+def _block_steps(rows: int) -> int:
+    """Steps (and states) in one block of a batch of rows rows: at most
+    BLOCK_ROWS rows, one if the state alone fills it."""
+    return max(1, BLOCK_ROWS // rows)
 
 
 class ConfigError(ValueError):
@@ -302,7 +308,7 @@ def drift_and_rate(ensemble: Ensemble, config: SimConfig, fields: Fields):
     targets = (xs.shape[0], 1, xs.shape[2])
     f_val = None if f_val is None else f_val.reshape(targets)
     v = drift(xs, lams, f_val, e_val.reshape(targets))
-    summary = PopulationSummary.from_arrays(xs, lams, mean_x=mean_x)
+    summary = PopulationSummary.from_arrays(xs, mean_x=mean_x)
     rate = _rate(config.kernel, summary, xs, lams)  # lams in [0, 1]: see _rate
     return v.reshape(ensemble.x.shape), rate.reshape(-1)
 
@@ -383,16 +389,17 @@ class _Recorder:
     """(R,) statistics of each recorded state, split per replica by build;
     radii as _observer_radii returns them.
 
-    observe takes each state's time, crowd mean and consensus, and keeps the
-    state itself until the kept states hold BLOCK_ROWS rows; reduce then
-    takes their per-replica sums (of ||x||^2, of lambda, and the count
-    inside each ball) from one stack. Each row is reduced in the order it is
-    alone, so the bits are those of one reduction per state; a state of
-    BLOCK_ROWS rows or more is reduced as it arrives, without a stack copy.
-    A state given to observe is read later, so it must never be written
-    again (em_step always returns new arrays). build reduces what is left
-    and divides the series by N once, the same bits as each state's sum
-    divided by N."""
+    observe takes every state, with its fields on the record stride (the
+    time, crowd mean and consensus it records) and None off it, and keeps
+    the state until the block holds _block_steps(rows) states. reduce then
+    takes, per replica, the lambda min and max over all of the block's
+    states and the sums (of ||x||^2, of lambda, and the count inside each
+    ball) over its recorded ones, each from one (states, R, N) stack. Each
+    row is reduced in the order it is alone, and min and max are exact, so
+    the bits are those of one reduction per state. A state given to observe
+    is read later, so it must never be written again (em_step always
+    returns new arrays). build reduces what is left and divides the series
+    by N once, the same bits as each state's sum divided by N."""
 
     def __init__(self, config: SimConfig, radii: list[float], keep_snapshots: bool):
         self.config = config
@@ -401,42 +408,48 @@ class _Recorder:
         self.times: list[float] = []
         self.mean_x: list[np.ndarray] = []
         self.consensus: list[np.ndarray] = []
-        self.kept: list[Ensemble] = []  # observed, not yet reduced
-        self.kept_rows = 0
+        self.block: list[Ensemble] = []  # observed, not yet reduced
+        self.kept: list[Ensemble] = []  # the block's recorded states
+        self.lam_min: list[np.ndarray] = []  # (R,) per reduced block
+        self.lam_max: list[np.ndarray] = []
         self.m2_sum: list[np.ndarray] = []  # (R, states) per reduced block
         self.lambda_sum: list[np.ndarray] = []
         self.inside: list[np.ndarray] = []  # (len(radii), R, states) counts per block
         self.snapshots: dict[int, list[Ensemble]] | None = {} if keep_snapshots else None
 
-    def observe(self, ensemble: Ensemble, fields: Fields, snapshot: bool) -> None:
-        f_val, _, mean_x = fields
-        self.times.append(ensemble.time)
-        self.mean_x.append(mean_x)
-        if f_val is not None:
-            self.consensus.append(f_val)
+    def observe(self, ensemble: Ensemble, fields: Fields | None, snapshot: bool) -> None:
+        if fields is not None:
+            f_val, _, mean_x = fields
+            self.times.append(ensemble.time)
+            self.mean_x.append(mean_x)
+            if f_val is not None:
+                self.consensus.append(f_val)
+            self.kept.append(ensemble)
         if snapshot and self.snapshots is not None:
             xs, lams = ensemble.views()
             for r in range(ensemble.replicas):
                 self.snapshots.setdefault(r, []).append(Ensemble(
                     xs[r].copy(), lams[r].copy(), ensemble.time, ensemble.clamp_events[r]))
-        self.kept.append(ensemble)
-        self.kept_rows += ensemble.x.shape[0]
-        if self.kept_rows >= BLOCK_ROWS:
+        self.block.append(ensemble)
+        if len(self.block) == _block_steps(ensemble.x.shape[0]):
             self.reduce()
 
     def reduce(self) -> None:
-        """Reduce the kept states, (states, R, N) at once, and drop them."""
-        kept = self.kept
-        x, lam = _stacked([s.x for s in kept]), _stacked([s.lam for s in kept])
-        norms_sq = sq_norm(x).reshape(len(kept), kept[0].replicas, -1)
-        self.m2_sum.append(np.add.reduce(norms_sq, axis=2).T)
-        self.lambda_sum.append(np.add.reduce(lam.reshape(norms_sq.shape), axis=2).T)
-        self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=3).transpose(0, 2, 1))
-        self.kept, self.kept_rows = [], 0
+        """Reduce the block's states, (states, R, N) at once, and drop them."""
+        block, kept = self.block, self.kept
+        lams = _stacked([s.lam for s in block]).reshape(len(block), block[0].replicas, -1)
+        self.lam_min.append(lams.min(axis=(0, 2)))
+        self.lam_max.append(lams.max(axis=(0, 2)))
+        if kept:
+            x, lam = _stacked([s.x for s in kept]), _stacked([s.lam for s in kept])
+            norms_sq = sq_norm(x).reshape(len(kept), kept[0].replicas, -1)
+            self.m2_sum.append(np.add.reduce(norms_sq, axis=2).T)
+            self.lambda_sum.append(np.add.reduce(lam.reshape(norms_sq.shape), axis=2).T)
+            self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=3).transpose(0, 2, 1))
+        self.block, self.kept = [], []
 
-    def build(self, final: Ensemble, lam_min: np.ndarray, lam_max: np.ndarray
-              ) -> list[TrajectoryRecord]:
-        if self.kept:
+    def build(self, final: Ensemble) -> list[TrajectoryRecord]:
+        if self.block:
             self.reduce()
         # replica-major (R, times, ...) series; no consensus in auxiliary mode
         mean_x, consensus = (np.stack(series, axis=1) if series else None
@@ -445,6 +458,7 @@ class _Recorder:
         m2_sq, mean_lambda = (np.concatenate(blocks, axis=1) / n
                               for blocks in (self.m2_sum, self.lambda_sum))
         mass = np.concatenate(self.inside, axis=2) / n  # (len(radii), R, times)
+        lam_min, lam_max = np.min(self.lam_min, axis=0), np.max(self.lam_max, axis=0)
         return [
             TrajectoryRecord(
                 times=np.asarray(self.times),
@@ -488,12 +502,12 @@ def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None 
 
 
 def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
-    """Step one batch; yield (step, ensemble, fields, lam_min, lam_max) at
-    step 0 and every record_stride-th step. A yielded ensemble is never
+    """Step one batch; yield (step, ensemble, fields) for every state, step 0
+    included, where fields are the state's consensus fields on every
+    record_stride-th step and None off it. A yielded ensemble is never
     written again, so a caller may keep it.
 
     The batch holds one replica per seed (default: the single config.seed).
-    fields are the consensus fields of the yielded state, for the caller.
     A caller that has computed the (v, rate) of a yielded state sends it
     back, and the step leaving that state uses it; otherwise (a plain for
     loop sends None) em_step computes it. Each replica draws its initial
@@ -502,31 +516,22 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     not depend on the batch. An error names the step (0 for the initial
     state) and the failing replica by its place in the batch.
 
-    The steps run in blocks of span = max(1, BLOCK_ROWS // rows): the
-    initial state alone, then steps 1 to span, span + 1 to 2 span, and so
-    on, the last block cut at the final step. A noisy block of several
-    steps draws its noise at once (_draw_noise) and hands each step its
+    When a block holds several steps (_block_steps: steps 1 to S, S + 1 to
+    2 S and so on, the last block cut at the final step), a noisy batch
+    draws a block's noise at once (_draw_noise) and hands each step its
     slice, the bits the step draws alone; a batch of BLOCK_ROWS rows or more
     leaves the draw to em_step, after the drift is released, so the step's
-    peak memory stays its own. lam_min / lam_max are each replica's extremes
-    over every state, recorded or not, of the blocks finished so far: a
-    block's lambda is reduced once, at its end, so inside a block they lag
-    the state, and at the final step they cover the whole run. Min and max
-    are exact, so the order of reduction moves no bit.
+    peak memory stays its own.
     """
     steps = config.n_steps
     seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
-    # steps per block: at most BLOCK_ROWS rows, one step if the state alone fills it
     rows = ens.x.shape[0]
-    span = max(1, BLOCK_ROWS // rows)
+    span = _block_steps(rows)
     drawn_ahead = span > 1 and config.noise_strength > 0
-    lam_min, lam_max = np.full(ens.replicas, np.inf), np.full(ens.replicas, -np.inf)
-    lam_block = []  # the lambda of each state of the current block
     motion = noise = None
     for k in range(steps + 1):  # k = 0 evaluates the initial state
-        recorded = k % record_stride == 0
         try:
             if k > 0:
                 if drawn_ahead:
@@ -536,18 +541,10 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
                                                   min(span, steps + 1 - k))
                     noise = noise_block[j * rows:(j + 1) * rows]
                 ens = em_step(ens, config, rngs, motion, noise)
-            fields = consensus_fields(ens, config) if recorded else None
+            fields = consensus_fields(ens, config) if k % record_stride == 0 else None
         except (SimulationError, GibbsError) as exc:
             raise SimulationError(f"step {k}/{steps}: {exc}") from exc
-        lam_block.append(ens.lam)
-        if k % span == 0 or k == steps:  # the block ends
-            lams = _stacked(lam_block).reshape(len(lam_block), ens.replicas, -1)
-            lam_min = np.minimum(lam_min, lams.min(axis=(0, 2)))
-            lam_max = np.maximum(lam_max, lams.max(axis=(0, 2)))
-            lam_block = []
-        motion = None
-        if recorded:
-            motion = yield k, ens, fields, lam_min, lam_max
+        motion = yield k, ens, fields
 
 
 def _simulate_batch(
@@ -568,9 +565,9 @@ def _simulate_batch(
     """
     radii = _observer_radii(config.n_steps, record_stride, snapshot_stride, ball_radii)
     rec = _Recorder(config, radii, snapshot_stride is not None)
-    for k, ens, fields, lam_min, lam_max in _trajectory(config, record_stride, seeds):
+    for k, ens, fields in _trajectory(config, record_stride, seeds):
         rec.observe(ens, fields, snapshot_stride is not None and k % snapshot_stride == 0)
-    return rec.build(ens, lam_min, lam_max)
+    return rec.build(ens)
 
 
 def simulate(config: SimConfig, record_stride: int = 1, snapshot_stride: int | None = None,

@@ -90,11 +90,10 @@ def test_logistic_rate_ignores_the_population():
 def test_summary_from_arrays_is_the_given_mean_or_the_agent_mean():
     rng = rng_from_seed(3)
     x = rng.standard_normal((7, 2))
-    lam = rng.uniform(size=7)
-    taken = PopulationSummary.from_arrays(x, lam).mean_x
+    taken = PopulationSummary.from_arrays(x).mean_x
     assert taken.tobytes() == x.mean(axis=0).tobytes()
     given = np.array([0.25, -1.5])
-    assert PopulationSummary.from_arrays(x, lam, mean_x=given).mean_x is given
+    assert PopulationSummary.from_arrays(x, mean_x=given).mean_x is given
 
 
 def test_stacked_summary_and_rate_match_each_population_alone():
@@ -102,10 +101,10 @@ def test_stacked_summary_and_rate_match_each_population_alone():
     rng = rng_from_seed(4)
     xs = rng.standard_normal((3, 5, 2))
     lams = rng.uniform(size=(3, 5))
-    stacked = PopulationSummary.from_arrays(xs, lams)
+    stacked = PopulationSummary.from_arrays(xs)
     rates = eval_kernel(k, stacked, xs, lams)
     for r in range(3):
-        alone = PopulationSummary.from_arrays(xs[r], lams[r])
+        alone = PopulationSummary.from_arrays(xs[r])
         assert np.array_equal(stacked.mean_x[r], alone.mean_x)
         assert np.array_equal(rates[r], eval_kernel(k, alone, xs[r], lams[r]))
 
@@ -117,7 +116,7 @@ def test_crowd_coupled_rate_on_fortran_ordered_agents_is_the_broadcast():
     rng = np.random.default_rng(3)
     x = np.asfortranarray(rng.standard_normal((2, 8)))
     lam = rng.random(2)
-    summary = PopulationSummary.from_arrays(x, lam)
+    summary = PopulationSummary.from_arrays(x)
     gap = x - summary.mean_x
     want = (1.0 - lam) * k.a / (1.0 + np.sqrt(np.sum(gap * gap, axis=-1))) - k.b * lam
     assert eval_kernel(k, summary, x, lam).tobytes() == want.tobytes()

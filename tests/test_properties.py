@@ -391,7 +391,7 @@ def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
     if data.draw(st.booleans(), label="point"):
         x = x[(0,) * (x.ndim - 1)]
     lam = per_agent(data.draw, rng, x.shape[:-1])
-    summary = PopulationSummary.from_arrays(x, lam) if x.ndim > 1 else (
+    summary = PopulationSummary.from_arrays(x) if x.ndim > 1 else (
         PopulationSummary(mean_x=signed_values(data.draw, rng, x.shape)))
     mean_x = summary.mean_x[..., None, :] if x.ndim == 3 else summary.mean_x
     gap = x - mean_x
@@ -499,8 +499,10 @@ def test_blocked_steps_and_records_are_the_step_by_step_loop_bit_for_bit(
     with mock.patch.object(sde, "BLOCK_ROWS", block_rows):
         yielded = list(sde._trajectory(cfg, stride, seeds))
         batch = _simulate_batch(cfg, seeds, stride, ball_radii=[0.5, 1.5])
-    assert [k for k, *_ in yielded] == list(range(0, steps + 1, stride))
-    for k, ens, _, _, _ in yielded:
+    assert [k for k, *_ in yielded] == list(range(steps + 1))
+    assert [fields is not None for _, _, fields in yielded] == [
+        k % stride == 0 for k in range(steps + 1)]
+    for k, ens, _ in yielded:
         assert same_bits(ens.x, states[k].x) and same_bits(ens.lam, states[k].lam)
         assert ens.clamp_events.tolist() == states[k].clamp_events.tolist()
     recorded = states[::stride]

@@ -360,6 +360,29 @@ def test_lambda_extremes_and_clamps_of_blocked_steps_are_the_step_by_step_loops(
             assert lams[:, r].max(axis=1).argmax() == 12
 
 
+@pytest.mark.parametrize("stride", [1, 5])
+def test_a_recorder_block_stacks_at_most_block_rows(monkeypatch, stride):
+    # 3 replicas of 100 agents: the 31 states of 30 steps reduce in blocks of
+    # 4096 // 300 = 13, the last cut to 5, at either stride
+    blocks, stacked, reduce, stack = [], [], sde._Recorder.reduce, sde._stacked
+
+    def spy_reduce(recorder):
+        blocks.append(len(recorder.block))
+        reduce(recorder)
+
+    def spy_stack(arrays):
+        stacked.append(sum(a.shape[0] for a in arrays))
+        return stack(arrays)
+
+    monkeypatch.setattr(sde._Recorder, "reduce", spy_reduce)
+    monkeypatch.setattr(sde, "_stacked", spy_stack)
+    cfg = make_config(n_particles=100, t_end=3.0, noise_strength=0.5)
+    sde._simulate_batch(cfg, [1, 2, 3], record_stride=stride)
+    assert sde._block_steps(300) == 13
+    assert blocks == [13, 13, 5]
+    assert stacked and max(stacked) <= sde.BLOCK_ROWS
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
@@ -817,7 +840,7 @@ def test_batched_trajectory_steps_each_replica_as_if_alone(case):
     batch = list(sde._trajectory(cfg, 1, seeds))
     for r, seed in enumerate(seeds):
         alone = sde._trajectory(dataclasses.replace(cfg, seed=seed), 1)
-        for (_, ens, fields, _, _), (_, single, single_fields, _, _) in zip(batch, alone):
+        for (_, ens, fields), (_, single, single_fields) in zip(batch, alone):
             xs, lams = ens.views()
             assert np.array_equal(xs[r], single.x)
             assert np.array_equal(lams[r], single.lam)
@@ -868,7 +891,7 @@ def test_a_kept_snapshot_is_the_batch_state_and_recomputes_its_fields(case, stri
     batch = sde._simulate_batch(cfg, seeds, snapshot_stride=stride)
     for r, record in enumerate(batch):
         assert len(record.snapshots) == len(states)
-        for snap, (_, ens, fields, _, _) in zip(record.snapshots, states):
+        for snap, (_, ens, fields) in zip(record.snapshots, states):
             xs, lams = ens.views()
             assert snap.x.tobytes() == xs[r].tobytes()
             assert snap.lam.tobytes() == lams[r].tobytes()
