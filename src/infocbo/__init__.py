@@ -49,6 +49,7 @@ from .sde import (
 from .trajectory import TrajectoryRecord
 from .diagnostics import (
     DiagnosticsError,
+    Parts,
     TestFunction,
     concentration_sweep,
     g_phi_replica_residuals,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .sde import (
     simulate,
 )
 from .trajectory import TrajectoryRecord
-from .util import derive_seed, is_real, is_whole, require_finite, row_sum, scale_rows, sq_norm
+from .util import derive_seed, is_real, is_whole, require_finite, row_sum, scale_rows
 
 MIN_STUDY_REPLICAS = 30
 
@@ -41,43 +41,88 @@ class DiagnosticsError(ValueError):
 # test functions
 
 
+class Parts(NamedTuple):
+    """A test function's value, grad_x, grad_lambda and laplacian_x at rows
+    agents in d dimensions: (rows,), (rows, d), (rows,) and (rows,) arrays."""
+
+    value: np.ndarray
+    grad_x: np.ndarray
+    grad_lambda: np.ndarray
+    laplacian_x: np.ndarray
+
+    @classmethod
+    def empty(cls, rows: int, d: int) -> "Parts":
+        """Fresh C-contiguous float64 buffers, their values unset."""
+        return cls(np.empty(rows), np.empty((rows, d)), np.empty(rows), np.empty(rows))
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Smooth bounded observable phi(x, lambda) with analytic derivatives.
 
-    parts(x, lam) is vectorized over agents (x: (N, d), lam: (N,)) and
-    returns (value, grad_x, grad_lambda, laplacian_x) with shapes (N,),
-    (N, d), (N,) and (N,), sharing the factors the four have in common.
+    parts(x, lam, out) is vectorized over agents: x is (N, d) C-contiguous
+    float64 rows, as an Ensemble holds them, and lam (N,) float64. out is a
+    Parts of C-contiguous float64 buffers of shapes (N,), (N, d), (N,) and
+    (N,). parts writes every entry of the four and returns out. It may use
+    any of the buffers as scratch before it writes its part there, and it
+    reads nothing they held before the call, so a caller may hand the same
+    buffers to every call. evaluate(x, lam) is parts into fresh buffers.
     """
 
     name: str
-    parts: Callable
+    parts: Callable[[np.ndarray, np.ndarray, Parts], Parts]
+
+    def evaluate(self, x: np.ndarray, lam: np.ndarray) -> Parts:
+        return self.parts(x, lam, Parts.empty(*x.shape))
 
 
 def gaussian_bump(scale: float = 1.0) -> TestFunction:
     """phi(x, lam) = exp(-||x||^2 / (2 s^2)) * (1 + cos(pi lam)) / 2.
 
     The lambda factor has vanishing slope at both endpoints, so the clamped
-    boundary dynamics cannot excite it.
+    boundary dynamics cannot excite it. Its parts allocate no array of N
+    entries.
     """
     require_finite(DiagnosticsError, scale=scale)
     if scale <= 0:
         raise DiagnosticsError("bump scale must be positive")
     s2 = scale * scale
 
-    def parts(x, lam):
-        norm_sq = sq_norm(x)
-        radial = np.exp(-norm_sq / (2.0 * s2))
+    def parts(x, lam, out):
+        # the operations of
+        #   radial = exp(-||x||^2 / (2 s2))
+        #   value = radial * (0.5 * (1 + cos(pi lam)))
+        #   grad_x = scale_rows(-value / s2, x)
+        #   grad_lambda = radial * (-0.5 pi sin(pi lam))
+        #   laplacian_x = value * (||x||^2 / (s2 s2) - d / s2)
+        # in out's buffers; grad_x holds the scratch until it is written last
+        value, grad_x, grad_lambda, laplacian_x = out
+        norm_sq = row_sum(np.multiply(x, x, out=grad_x), out=laplacian_x)  # sq_norm(x)
+        radial = np.negative(norm_sq, out=grad_lambda)
+        radial /= 2.0 * s2
+        np.exp(radial, out=radial)
         bits = lam.view(f"i{lam.itemsize}")  # bit patterns, so +0.0 is not -0.0
         if bits.size and bits.min() == bits.max():  # one lam for all: trig once
             lam = lam[:1]
-        value = radial * (0.5 * (1.0 + np.cos(np.pi * lam)))
-        return (
-            value,
-            scale_rows(-value / s2, x),
-            radial * (-0.5 * np.pi * np.sin(np.pi * lam)),
-            value * (norm_sq / (s2 * s2) - x.shape[1] / s2),
-        )
+        trig = grad_x.reshape(-1)[:lam.size]  # the cos factor, then the sin factor
+        np.multiply(np.pi, lam, out=trig)
+        np.cos(trig, out=trig)
+        np.add(1.0, trig, out=trig)
+        np.multiply(0.5, trig, out=trig)
+        np.multiply(radial, trig, out=value)
+        np.multiply(np.pi, lam, out=trig)
+        np.sin(trig, out=trig)
+        np.multiply(-0.5 * np.pi, trig, out=trig)
+        np.multiply(radial, trig, out=grad_lambda)
+        # -value / s2 into grad_x's last column; negating value twice restores it
+        np.negative(value, out=value)
+        row_factor = np.divide(value, s2, out=grad_x[:, -1])
+        np.negative(value, out=value)
+        scale_rows(row_factor, x, out=grad_x)
+        norm_sq /= s2 * s2
+        norm_sq -= x.shape[1] / s2
+        np.multiply(value, norm_sq, out=laplacian_x)
+        return out
 
     return TestFunction(name=f"gaussian_bump(scale={scale:g})", parts=parts)
 
@@ -294,17 +339,30 @@ def _replica_means(ensemble: Ensemble, values: np.ndarray) -> np.ndarray:
 
 
 def _generator_average(
-    ensemble: Ensemble, motion, config: SimConfig, phi: TestFunction
+    ensemble: Ensemble, motion, config: SimConfig, phi: TestFunction, out: Parts
 ) -> tuple[np.ndarray, np.ndarray]:
     """<phi> and <nu v . grad_x phi + T d_lam phi + (sigma^2 / 2) ||v||^2 lap_x phi>
     per replica, each of shape (R,), from the state's (v, T) as drift_and_rate
-    returns it."""
+    returns it. out is a workspace of the ensemble's shapes (Parts.empty),
+    spent by the call: the parts are written there and each buffer takes a
+    term once its part is read, with the operations, in their order, of
+
+        terms = nu * row_sum(v * grad_x)
+        terms += T * grad_lambda
+        terms += sigma^2 / 2 * sq_norm(v) * laplacian_x
+
+    (sq_norm(v) as row_sum(v * v), its bits). The returned means are new
+    arrays, so nothing of the workspace is kept."""
     v, rate = motion
-    value, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam)
-    terms = config.drift_gain * row_sum(v * grad_x)
-    terms += rate * grad_lambda
-    terms += 0.5 * config.noise_strength**2 * sq_norm(v) * laplacian_x
-    return _replica_means(ensemble, value), _replica_means(ensemble, terms)
+    value, grad_x, grad_lambda, laplacian_x = phi.parts(ensemble.x, ensemble.lam, out)
+    phi_mean = _replica_means(ensemble, value)
+    terms = row_sum(np.multiply(v, grad_x, out=grad_x), out=value)
+    np.multiply(config.drift_gain, terms, out=terms)
+    terms += np.multiply(rate, grad_lambda, out=grad_lambda)
+    diffusion = row_sum(np.multiply(v, v, out=grad_x), out=grad_lambda)
+    np.multiply(0.5 * config.noise_strength**2, diffusion, out=diffusion)
+    terms += np.multiply(diffusion, laplacian_x, out=laplacian_x)
+    return phi_mean, _replica_means(ensemble, terms)
 
 
 def _residual(times, averages) -> np.ndarray:
@@ -335,10 +393,14 @@ def g_phi_residual(
     """
     if len(snapshots) < 2:
         raise DiagnosticsError("need at least two snapshots for the residual")
+    shape = snapshots[0].x.shape
+    if any(s.x.shape != shape for s in snapshots):  # they share one workspace
+        raise DiagnosticsError("snapshots must hold the same agents in the same dimension")
+    out = Parts.empty(*shape)
     averages = []
     for s in snapshots:
         motion = drift_and_rate(s, config, consensus_fields(s, config))
-        averages.append(_generator_average(s, motion, config, phi))
+        averages.append(_generator_average(s, motion, config, phi, out))
     return float(_residual([s.time for s in snapshots], averages)[0])
 
 
@@ -358,6 +420,7 @@ def g_phi_replica_residuals(
     if config.n_steps == 0:
         raise DiagnosticsError("need at least one step for the residual")
     states = _trajectory(config, snapshot_stride, seeds)
+    out = Parts.empty(len(seeds) * config.n_particles, config.d)  # the batch's workspace
     times, averages, motion = [], [], None
     try:
         while True:
@@ -366,7 +429,7 @@ def g_phi_replica_residuals(
             if fields is not None:
                 motion = drift_and_rate(ens, config, fields)
                 times.append(ens.time)
-                averages.append(_generator_average(ens, motion, config, phi))
+                averages.append(_generator_average(ens, motion, config, phi, out))
     except StopIteration:
         pass
     except SimulationError as exc:

@@ -394,7 +394,8 @@ class _Recorder:
     the state until the block holds _block_steps(rows) states. reduce then
     takes, per replica, the lambda min and max over all of the block's
     states and the sums (of ||x||^2, of lambda, and the count inside each
-    ball) over its recorded ones, each from one (states, R, N) stack. Each
+    ball) over its recorded ones, each from one (states, R, N) stack; when
+    every state is recorded the lambda sums read the extremes' stack. Each
     row is reduced in the order it is alone, and min and max are exact, so
     the bits are those of one reduction per state. A state given to observe
     is read later, so it must never be written again (em_step always
@@ -441,10 +442,11 @@ class _Recorder:
         self.lam_min.append(lams.min(axis=(0, 2)))
         self.lam_max.append(lams.max(axis=(0, 2)))
         if kept:
-            x, lam = _stacked([s.x for s in kept]), _stacked([s.lam for s in kept])
-            norms_sq = sq_norm(x).reshape(len(kept), kept[0].replicas, -1)
+            norms_sq = sq_norm(_stacked([s.x for s in kept])).reshape(len(kept), *lams.shape[1:])
+            if len(kept) < len(block):  # off the stride: the recorded states' lambdas alone
+                lams = _stacked([s.lam for s in kept]).reshape(norms_sq.shape)
             self.m2_sum.append(np.add.reduce(norms_sq, axis=2).T)
-            self.lambda_sum.append(np.add.reduce(lam.reshape(norms_sq.shape), axis=2).T)
+            self.lambda_sum.append(np.add.reduce(lams, axis=2).T)
             self.inside.append(np.add.reduce(norms_sq < self.radii_sq, axis=3).transpose(0, 2, 1))
         self.block, self.kept = [], []
 

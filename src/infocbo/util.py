@@ -53,8 +53,9 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
     return scale_rows(radii, directions)
 
 
-def row_sum(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1), bit for bit, as column adds where that is faster.
+def row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.sum(a, axis=-1), bit for bit, as column adds where that is faster;
+    written into out when it is given.
 
     For 1 <= d <= 7 float64 columns numpy adds left to right from 0.0 (so an
     all -0.0 row sums to +0.0); from d = 8 its unrolled pairwise order
@@ -63,21 +64,23 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     """
     d = a.shape[-1]
     if not 1 <= d <= 7 or a.dtype != np.float64:
-        return np.sum(a, axis=-1)
-    total = a[..., 0] + 0.0
+        return np.sum(a, axis=-1, out=out)
+    total = np.add(a[..., 0], 0.0, out=out)
     for k in range(1, d):
         total += a[..., k]
     return total
 
 
-def sq_norm(a: np.ndarray) -> np.ndarray:
+def sq_norm(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """row_sum(a * a), bit for bit: each column squared on its own and added
     in row_sum's order (a square is never -0.0, so the first needs no
-    + 0.0). From d = 8 and for other dtypes it is row_sum(a * a)."""
+    + 0.0). From d = 8 and for other dtypes it is row_sum(a * a). The sum is
+    written into out when it is given; the squares of the later columns are
+    still temporaries."""
     d = a.shape[-1]
     if not 1 <= d <= 7 or a.dtype != np.float64:
-        return row_sum(a * a)
-    total = a[..., 0] * a[..., 0]
+        return row_sum(a * a, out=out)
+    total = np.multiply(a[..., 0], a[..., 0], out=out)
     for k in range(1, d):
         total += a[..., k] * a[..., k]
     return total
@@ -103,13 +106,17 @@ def sq_dist(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return total
 
 
-def scale_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1].
+def scale_rows(s: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s[..., None] * a, bit for bit, for row factors s of shape a.shape[:-1];
+    written into out when it is given.
 
     Computed one column at a time: numpy's broadcast along a short last axis
     runs its inner loop d elements at a time, which is several times slower.
+    The columns are written in order, so s may be out's last column: every
+    other column is written from it before it is scaled in place.
     """
-    out = np.empty(a.shape, np.result_type(s, a))
+    if out is None:
+        out = np.empty(a.shape, np.result_type(s, a))
     for k in range(a.shape[-1]):
         np.multiply(s, a[..., k], out=out[..., k])
     return out

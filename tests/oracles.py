@@ -13,7 +13,8 @@ hold the simulator against them.
   attraction targets, the Gibbs consensus and the mean, are scaled by the
   cutoff eta_R at the measure's first moment.
 - Two test functions for the weak-form residual: the constant, on which it
-  vanishes, and a lambda-free coordinate window.
+  vanishes, and a lambda-free coordinate window. Each fills the buffers it
+  is given, as TestFunction.parts does.
 - The Gaussian bump's parts with the lambda factor taken agent by agent,
   which gaussian_bump must match bit for bit when it takes the trig of a
   shared lambda once.
@@ -119,9 +120,12 @@ def truncated_drift(radius, params, measure, x, lam):
 def constant_test_function():
     """phi = 1. Every weak-form residual vanishes identically on it."""
 
-    def parts(x, lam):
-        n = x.shape[0]
-        return np.ones(n), np.zeros_like(x), np.zeros(n), np.zeros(n)
+    def parts(x, lam, out):
+        value, grad_x, grad_lambda, laplacian_x = out
+        value.fill(1.0)
+        for part in (grad_x, grad_lambda, laplacian_x):
+            part.fill(0.0)
+        return out
 
     return TestFunction(name="constant", parts=parts)
 
@@ -133,22 +137,21 @@ def coordinate_window():
     all bounded, which is what the product derivatives below use.
     """
 
-    def parts(x, lam):
+    def parts(x, lam, out):
+        value, grad_x, grad_lambda, laplacian_x = out
         w_inv = 1.0 + x * x
-        value = np.prod(1.0 / w_inv, axis=1)
-        return (
-            value,
-            scale_rows(value, -2.0 * x / w_inv),
-            np.zeros(x.shape[0]),
-            value * np.sum((6.0 * x * x - 2.0) / w_inv**2, axis=1),
-        )
+        np.prod(1.0 / w_inv, axis=1, out=value)
+        scale_rows(value, -2.0 * x / w_inv, out=grad_x)
+        grad_lambda.fill(0.0)
+        np.multiply(value, np.sum((6.0 * x * x - 2.0) / w_inv**2, axis=1), out=laplacian_x)
+        return out
 
     return TestFunction(name="coordinate_window", parts=parts)
 
 
 def elementwise_bump_parts(scale, x, lam):
-    """gaussian_bump(scale).parts(x, lam) with cos(pi lam) and sin(pi lam)
-    computed for every agent."""
+    """gaussian_bump(scale).evaluate(x, lam) as the formula reads, with
+    cos(pi lam) and sin(pi lam) computed for every agent."""
     s2 = scale * scale
     norm_sq = sq_norm(x)
     radial = np.exp(-norm_sq / (2.0 * s2))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from infocbo import diagnostics, sde
 from infocbo.diagnostics import (
     DiagnosticsError,
+    Parts,
     g_phi_replica_residuals,
     g_phi_residual,
     g_phi_scaling_study,
@@ -279,7 +281,7 @@ def finite_difference_check(phi, d, seed):
 
     def at(x, lam):
         """parts of phi at the single state (x, lam)"""
-        return [part[0] for part in phi.parts(x[None, :], np.array([lam]))]
+        return [part[0] for part in phi.evaluate(x[None, :], np.array([lam]))]
 
     for _ in range(10):
         x = rng.standard_normal(d)
@@ -320,7 +322,7 @@ def test_gaussian_bump_takes_the_trig_of_a_shared_lambda_once(monkeypatch, lam, 
 
     monkeypatch.setattr(np, "cos", counted(np.cos))
     monkeypatch.setattr(np, "sin", counted(np.sin))
-    gaussian_bump(2.0).parts(np.ones((len(lam), 2)), np.array(lam))
+    gaussian_bump(2.0).evaluate(np.ones((len(lam), 2)), np.array(lam))
     assert sizes == [("cos", trig_size), ("sin", trig_size)]
 
 
@@ -339,7 +341,7 @@ def test_constant_test_function_has_vanishing_derivatives():
     phi = constant_test_function()
     x = np.zeros((3, 2))
     lam = np.full(3, 0.5)
-    value, grad_x, grad_lambda, laplacian_x = phi.parts(x, lam)
+    value, grad_x, grad_lambda, laplacian_x = phi.evaluate(x, lam)
     assert np.all(value == 1.0)
     assert np.all(grad_x == 0.0)
     assert np.all(grad_lambda == 0.0)
@@ -369,6 +371,15 @@ def test_residual_needs_at_least_two_snapshots():
     record = simulate(cfg, record_stride=cfg.n_steps, snapshot_stride=cfg.n_steps)
     with pytest.raises(DiagnosticsError):
         g_phi_residual(record.snapshots[:1], cfg, gaussian_bump())
+
+
+def test_residual_refuses_snapshots_of_different_sizes():
+    # a one-agent snapshot would broadcast into the others' workspace
+    cfg = full_config(t_end=1.0)
+    snapshots = simulate(cfg, record_stride=10, snapshot_stride=10).snapshots
+    one = sde.Ensemble(snapshots[1].x[:1], snapshots[1].lam[:1], snapshots[1].time)
+    with pytest.raises(DiagnosticsError, match="^snapshots must hold the same agents"):
+        g_phi_residual([snapshots[0], one, *snapshots[2:]], cfg, gaussian_bump())
 
 
 def test_noise_free_residual_shrinks_linearly_with_the_step():
@@ -477,6 +488,51 @@ def test_the_residual_study_evaluates_each_state_once(stride, monkeypatch):
     g_phi_replica_residuals(cfg, [3, 1, 4], gaussian_bump(2.0), stride)
     assert len(fields_at) == len(motion_at) == cfg.n_steps + 1
     assert len(set(fields_at)) == len(set(motion_at)) == cfg.n_steps + 1
+
+
+def traced(call):
+    """call()'s result, its traced peak and the traced memory it leaves, in
+    bytes above the start of the call (tracemalloc sees numpy's buffers)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, current - start
+
+
+@pytest.mark.parametrize("lambda_hi", [0.2, 0.4], ids=["one lambda", "lambda per agent"])
+def test_the_generator_average_allocates_no_array_of_its_rows(lambda_hi):
+    # every temporary of the rows' size is a buffer of the workspace; the
+    # first call is the reference, the second is measured on the same buffers
+    # 4 x 500 rows: a few kB of small arrays and views stay below 8 bytes a row
+    cfg = full_config(n_particles=500, init=InitialLaw.gaussian(
+        center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2, lambda_hi=lambda_hi))
+    ens = sde.initial_ensemble(cfg, [rng_from_seed(seed) for seed in range(4)])
+    motion = sde.drift_and_rate(ens, cfg, sde.consensus_fields(ens, cfg))
+    rows = ens.x.shape[0]
+    out, phi = Parts.empty(rows, cfg.d), gaussian_bump(2.0)
+    want = diagnostics._generator_average(ens, motion, cfg, phi, out)
+    got, peak, _ = traced(lambda: diagnostics._generator_average(ens, motion, cfg, phi, out))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert peak < rows * 8 <= traced(lambda: np.ones(rows))[1]
+
+
+def test_no_workspace_outlives_its_batch():
+    # a batch of another size first loads what numpy imports lazily; the
+    # first batch of this size (47 agents, which no other test runs) is the
+    # traced one, so a workspace kept for the next batch would be left behind
+    cfg = full_config(t_end=0.2, n_particles=47)
+    seeds, phi = list(range(30)), gaussian_bump(2.0)
+    g_phi_replica_residuals(dataclasses.replace(cfg, n_particles=5), seeds, phi)
+    got, peak, left = traced(lambda: g_phi_replica_residuals(cfg, seeds, phi))
+    want = g_phi_replica_residuals(cfg, seeds, phi)
+    rows = len(seeds) * cfg.n_particles
+    assert got.tobytes() == want.tobytes()
+    assert peak >= (3 + cfg.d) * rows * 8  # the workspace was traced
+    assert left < rows * 8  # not one buffer of the rows is left
 
 
 def test_study_divergence_names_the_replica_and_the_step():

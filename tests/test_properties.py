@@ -4,6 +4,7 @@ The profile in conftest.py derandomizes the draws, so the suite stays
 deterministic.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infocbo import sde
-from infocbo.diagnostics import g_phi_replica_residuals, gaussian_bump
+from infocbo.diagnostics import (Parts, g_phi_replica_residuals, g_phi_scaling_study,
+                                 gaussian_bump)
 from infocbo.gibbs import ConsensusParams, _stabilized_weights, consensus_from_energies, drift
 from infocbo.harness import flat_document, parse_flat_config
 from infocbo.infokernel import VARIANTS, KernelSpec, PopulationSummary, eval_kernel
@@ -214,9 +216,28 @@ def test_gaussian_bump_parts_is_the_elementwise_formula_bit_for_bit(data, scale,
             lam[0], data.draw(st.sampled_from([-1.0, 2.0])))
     if case == "signed zeros":  # at least one of each
         lam[:] = np.where(rng.permutation(n) % 2, -0.0, 0.0)
-    got = gaussian_bump(scale).parts(x, lam)
+    got = gaussian_bump(scale).evaluate(x, lam)
     want = elementwise_bump_parts(scale, x, lam)
     assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+
+@given(data=st.data(), scale=st.floats(0.1, 10.0), first_shared=st.booleans())
+def test_gaussian_bump_parts_into_reused_buffers_is_the_elementwise_formula_bit_for_bit(
+        data, scale, first_shared):
+    # NaN-filled buffers, then the same buffers for a second state: an entry
+    # left unwritten, or read from the call before, changes the bits
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    n, d = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 4))
+    out = Parts(*(np.full(part.shape, np.nan) for part in Parts.empty(n, d)))
+    phi = gaussian_bump(scale)
+    for shared in (first_shared, not first_shared):
+        x = signed_values(data.draw, rng, (n, d))
+        lam = per_agent(data.draw, rng, (n,))
+        if shared:
+            lam[:] = lam[0]
+        assert phi.parts(x, lam, out) is out
+        want = elementwise_bump_parts(scale, x, lam)
+        assert all(same_bits(g, w) for g, w in zip(out, want, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +268,33 @@ def test_a_replica_residual_does_not_depend_on_its_batch(
     batch = g_phi_replica_residuals(cfg, seeds, phi, stride)
     alone = g_phi_replica_residuals(cfg, [seeds[replica]], phi, stride)
     assert batch[replica].tobytes() == alone[0].tobytes()
+
+
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True),
+    master=st.integers(0, 2**63),
+    variant=st.sampled_from(VARIANTS),
+    stride=st.sampled_from([1, 5]),
+    lambda_law=st.sampled_from([(0.2, 0.2), (0.1, 0.4)]),
+)
+def test_a_scaling_study_over_two_sizes_is_each_size_alone_bit_for_bit(
+    sizes, master, variant, stride, lambda_law
+):
+    # each size's batch evaluates in its own workspace, so a size's statistics
+    # do not depend on the size stepped before it
+    init = InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=lambda_law[0],
+                               lambda_hi=lambda_law[1])
+    cfg = sim_config(2, 1, KernelSpec(variant, a=1.0, b=1.0), dt=0.05, t_end=0.25,
+                     sharpness=4.0, init=init, seed=master)
+    phi = gaussian_bump(2.0)
+    study = g_phi_scaling_study(cfg, sizes, 30, phi, stride)
+    for idx, n in enumerate(sizes):
+        size_seed = derive_seed(master, idx)
+        alone = g_phi_replica_residuals(dataclasses.replace(cfg, n_particles=n),
+                                        [derive_seed(size_seed, r) for r in range(30)],
+                                        phi, stride)
+        assert study[n].mean.hex() == float(alone.mean()).hex()
+        assert study[n].variance.hex() == float(alone.var(ddof=1)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +345,24 @@ def test_row_sum_and_its_norm_are_numpys_bit_for_bit(a):
 @given(a=stacks())
 def test_sq_norm_is_the_row_sum_of_the_square_bit_for_bit(a):
     assert same_bits(sq_norm(a), row_sum(a * a))
+
+
+@given(a=stacks(), data=st.data())
+def test_row_sum_sq_norm_and_scale_rows_into_a_buffer_are_their_fresh_forms_bit_for_bit(
+        a, data):
+    # into NaN-filled C buffers, which every entry must overwrite; scale_rows
+    # also with its factors in the buffer's last column, as gaussian_bump has them
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    total = np.full(a.shape[:-1], np.nan)
+    assert row_sum(a, out=total) is total and same_bits(total, row_sum(a))
+    total.fill(np.nan)
+    assert sq_norm(a, out=total) is total and same_bits(total, sq_norm(a))
+    s = signed_values(data.draw, rng, a.shape[:-1])
+    scaled = np.full(a.shape, np.nan)
+    assert scale_rows(s, a, out=scaled) is scaled and same_bits(scaled, scale_rows(s, a))
+    scaled.fill(np.nan)
+    scaled[..., -1] = s
+    assert same_bits(scale_rows(scaled[..., -1], a, out=scaled), scale_rows(s, a))
 
 
 @given(a=stacks(), data=st.data())

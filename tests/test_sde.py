@@ -363,7 +363,8 @@ def test_lambda_extremes_and_clamps_of_blocked_steps_are_the_step_by_step_loops(
 @pytest.mark.parametrize("stride", [1, 5])
 def test_a_recorder_block_stacks_at_most_block_rows(monkeypatch, stride):
     # 3 replicas of 100 agents: the 31 states of 30 steps reduce in blocks of
-    # 4096 // 300 = 13, the last cut to 5, at either stride
+    # 4096 // 300 = 13, the last cut to 5, at either stride. A block stacks
+    # its lambdas, its recorded x and, off stride 1, its recorded lambdas
     blocks, stacked, reduce, stack = [], [], sde._Recorder.reduce, sde._stacked
 
     def spy_reduce(recorder):
@@ -381,6 +382,7 @@ def test_a_recorder_block_stacks_at_most_block_rows(monkeypatch, stride):
     assert sde._block_steps(300) == 13
     assert blocks == [13, 13, 5]
     assert stacked and max(stacked) <= sde.BLOCK_ROWS
+    assert len(stacked) == (2 if stride == 1 else 3) * len(blocks)
 
 
 # ---------------------------------------------------------------------------
