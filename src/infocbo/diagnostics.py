@@ -81,7 +81,7 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
 
     The lambda factor has vanishing slope at both endpoints, so the clamped
     boundary dynamics cannot excite it. Its parts allocate no array of N
-    entries.
+    entries and negate nothing: x / -y has the bits of -x / y.
     """
     require_finite(DiagnosticsError, scale=scale)
     if scale <= 0:
@@ -98,8 +98,7 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
         # in out's buffers; grad_x holds the scratch until it is written last
         value, grad_x, grad_lambda, laplacian_x = out
         norm_sq = row_sum(np.multiply(x, x, out=grad_x), out=laplacian_x)  # sq_norm(x)
-        radial = np.negative(norm_sq, out=grad_lambda)
-        radial /= 2.0 * s2
+        radial = np.divide(norm_sq, -2.0 * s2, out=grad_lambda)
         np.exp(radial, out=radial)
         bits = lam.view(f"i{lam.itemsize}")  # bit patterns, so +0.0 is not -0.0
         if bits.size and bits.min() == bits.max():  # one lam for all: trig once
@@ -114,10 +113,8 @@ def gaussian_bump(scale: float = 1.0) -> TestFunction:
         np.sin(trig, out=trig)
         np.multiply(-0.5 * np.pi, trig, out=trig)
         np.multiply(radial, trig, out=grad_lambda)
-        # -value / s2 into grad_x's last column; negating value twice restores it
-        np.negative(value, out=value)
-        row_factor = np.divide(value, s2, out=grad_x[:, -1])
-        np.negative(value, out=value)
+        # -value / s2 (the bits of value / -s2) into grad_x's last column
+        row_factor = np.divide(value, -s2, out=grad_x[:, -1])
         scale_rows(row_factor, x, out=grad_x)
         norm_sq /= s2 * s2
         norm_sq -= x.shape[1] / s2
@@ -504,7 +501,8 @@ def _require_concentration_hypotheses(config: SimConfig) -> None:
     if config.init.mean_lambda() <= 0.0:
         raise DiagnosticsError(
             "hypothesis violated: initial information level must have positive "
-            "mean, E[lambda_0] > 0"
+            "mean, E[lambda_0] > 0 (every admissible kernel is positive at "
+            "lambda = 0, contract T3, so one step from lambda_0 = 0 meets it)"
         )
     if not config.init.charges_origin_balls():
         raise DiagnosticsError(

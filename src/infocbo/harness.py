@@ -99,6 +99,9 @@ class ExperimentConfig:
                     require_consensus_free(self.sim.mode)
                 if name == "second_moment_bound":
                     second_moment_constant(self.sim.noise_strength, self.sim.d)
+                    init = self.sim.init  # an atom whose |c|^2 is 0 gives the ceiling no base
+                    if init.spatial_kind == "point" and not any(c * c for c in init.center):
+                        raise DiagnosticsError("initial second moment must be positive")
         except DiagnosticsError as exc:
             raise ConfigError(f"{name} check: {exc}") from exc
         if "mass_bound" in self.checks:

@@ -52,7 +52,7 @@ from .objectives import (
 )
 from .trajectory import TrajectoryRecord
 from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, require_finite,
-                   rng_from_seed, sq_norm, uniform_ball)
+                   rng_from_seed, scale_rows, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -339,8 +339,8 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None,
     motion is the pre-step (v, rate) of drift_and_rate, when the caller has
     it already; None computes it here. noise is this step's (rows, d)
     increments, a step of a _draw_noise block the caller drew from the same
-    generators, and the step scales it in place; None draws it here from
-    rng, once the drift is released. Neither changes a bit of the result.
+    generators, scaled in place by scale_rows(amplitude, noise, out=noise);
+    None draws it here from rng, once the drift is released. Neither moves a bit.
     """
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(rngs) != ensemble.replicas:
@@ -360,8 +360,7 @@ def em_step(ensemble: Ensemble, config: SimConfig, rng, motion=None,
         del v, motion  # a v computed here is freed before the noise is drawn
         if noise is None:
             noise = _draw_noise(rngs, ensemble, config.shared_noise)
-        for k in range(noise.shape[1]):  # noise[:, k] *= would copy the column back
-            np.multiply(amplitude, noise[:, k], out=noise[:, k])
+        scale_rows(amplitude, noise, out=noise)
         new_x += noise
         del noise, amplitude
     new_lam, clamps = lam + dt * rate, ensemble.clamp_events

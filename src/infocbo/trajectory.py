@@ -66,22 +66,18 @@ class TrajectoryRecord:
     def dimension(self) -> int:
         return self.mean_x.shape[1]
 
-    def column_names(self) -> list[str]:
-        names = ["time", "m2_sq"]
-        names += [f"mean_x_{k}" for k in range(self.dimension)]
-        names.append("mean_lambda")
-        names += [f"mass_ball_{format_float(r)}" for r in sorted(self.mass_ball)]
-        if self.consensus_point is not None:
-            names += [f"consensus_{k}" for k in range(self.dimension)]
-        return names
-
     def to_csv(self) -> str:
-        columns = [self.times, self.m2_sq, self.mean_x, self.mean_lambda]
-        columns += [self.mass_ball[r] for r in sorted(self.mass_ball)]
+        # header name -> that column's values, in the file's order
+        d = self.dimension
+        columns = {"time": self.times, "m2_sq": self.m2_sq}
+        columns.update((f"mean_x_{k}", self.mean_x[:, k]) for k in range(d))
+        columns["mean_lambda"] = self.mean_lambda
+        columns.update((f"mass_ball_{format_float(r)}", self.mass_ball[r])
+                       for r in sorted(self.mass_ball))
         if self.consensus_point is not None:
-            columns.append(self.consensus_point)
-        table = np.column_stack(columns)
+            columns.update((f"consensus_{k}", self.consensus_point[:, k]) for k in range(d))
+        table = np.column_stack(list(columns.values()))
         # the format of util.format_float, every row in one % call
         row = ",".join(["%.17g"] * table.shape[1]) + "\n"
         rows = (row * table.shape[0]) % tuple(table.ravel().tolist())
-        return ",".join(self.column_names()) + "\n" + rows
+        return ",".join(columns) + "\n" + rows

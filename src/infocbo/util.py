@@ -71,16 +71,15 @@ def row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def sq_norm(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """row_sum(a * a), bit for bit: each column squared on its own and added
-    in row_sum's order (a square is never -0.0, so the first needs no
-    + 0.0). From d = 8 and for other dtypes it is row_sum(a * a). The sum is
-    written into out when it is given; the squares of the later columns are
-    still temporaries."""
+def sq_norm(a: np.ndarray) -> np.ndarray:
+    """row_sum(a * a), bit for bit, as a fresh array: each column squared on
+    its own and added in row_sum's order (a square is never -0.0, so the
+    first needs no + 0.0). From d = 8 and for other dtypes it is
+    row_sum(a * a)."""
     d = a.shape[-1]
     if not 1 <= d <= 7 or a.dtype != np.float64:
-        return row_sum(a * a, out=out)
-    total = np.multiply(a[..., 0], a[..., 0], out=out)
+        return row_sum(a * a)
+    total = np.multiply(a[..., 0], a[..., 0])
     for k in range(1, d):
         total += a[..., k] * a[..., k]
     return total

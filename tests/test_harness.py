@@ -322,6 +322,21 @@ def test_parse_check_hypotheses(overrides, match):
         parse_flat_config(config(**overrides))
 
 
+# an atom at the origin, and one whose |c|^2 underflows to 0 (1e-200 squared)
+@pytest.mark.parametrize("center", [[0.0, 0.0], [1e-200, -0.0]])
+def test_second_moment_bound_on_an_atom_at_the_origin_is_refused_before_any_run(
+        tmp_path, center):
+    # every agent starts where m2_sq(0) = 0, so the ceiling C * m2_sq(0) has no base
+    doc = config(**{"sim.mode": "auxiliary", "init.spatial": "point",
+                    "init.center": center, "run.checks": ["second_moment_bound"]})
+    with pytest.raises(ConfigError, match="^second_moment_bound check: initial second "
+                                          "moment must be positive$"):
+        parse_flat_config(doc)
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_hand_built_mass_bound_experiment_is_refused_before_writing(tmp_path):
     sim = parse_flat_config(config()).sim
     with pytest.raises(ConfigError, match="snapshot_stride"):
@@ -470,16 +485,18 @@ def test_a_failed_csv_write_leaves_no_partial_csv_and_no_manifest(tmp_path, monk
     assert sorted(p.name for p in outdir.iterdir()) == ["replica_000.csv"]
 
 
-def test_check_that_raises_leaves_the_earlier_run_intact(tmp_path):
+def test_check_that_raises_leaves_the_earlier_run_intact(tmp_path, monkeypatch):
     outdir = tmp_path / "out"
     run(parse_flat_config(config(**{"run.replicas": 2})), output_dir=outdir)
     before = {p.name: p.read_bytes() for p in outdir.iterdir()}
-    # every agent starts at the origin, so the ceiling has no base to scale
-    at_origin = config(**{"sim.mode": "auxiliary", "init.spatial": "point",
-                          "init.center": [0.0, 0.0],
-                          "run.checks": ["second_moment_bound"]})
-    with pytest.raises(DiagnosticsError, match="initial second moment"):
-        run(parse_flat_config(at_origin), output_dir=outdir, force=True)
+
+    def refuse(record, exp):  # a check that fails to report once every replica has run
+        raise DiagnosticsError("no report on this record")
+
+    monkeypatch.setitem(harness.CHECKS, "lambda_persistence", refuse)
+    doc = config(**{"run.checks": ["lambda_persistence"]})
+    with pytest.raises(DiagnosticsError, match="no report on this record"):
+        run(parse_flat_config(doc), output_dir=outdir, force=True)
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
 

@@ -348,21 +348,21 @@ def test_sq_norm_is_the_row_sum_of_the_square_bit_for_bit(a):
 
 
 @given(a=stacks(), data=st.data())
-def test_row_sum_sq_norm_and_scale_rows_into_a_buffer_are_their_fresh_forms_bit_for_bit(
-        a, data):
+def test_row_sum_and_scale_rows_into_a_buffer_are_their_fresh_forms_bit_for_bit(a, data):
     # into NaN-filled C buffers, which every entry must overwrite; scale_rows
-    # also with its factors in the buffer's last column, as gaussian_bump has them
+    # also with its factors in the buffer's last column, as gaussian_bump has
+    # them, and in place, as em_step scales its noise
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     total = np.full(a.shape[:-1], np.nan)
     assert row_sum(a, out=total) is total and same_bits(total, row_sum(a))
-    total.fill(np.nan)
-    assert sq_norm(a, out=total) is total and same_bits(total, sq_norm(a))
     s = signed_values(data.draw, rng, a.shape[:-1])
     scaled = np.full(a.shape, np.nan)
     assert scale_rows(s, a, out=scaled) is scaled and same_bits(scaled, scale_rows(s, a))
     scaled.fill(np.nan)
     scaled[..., -1] = s
     assert same_bits(scale_rows(scaled[..., -1], a, out=scaled), scale_rows(s, a))
+    scaled[...] = a
+    assert same_bits(scale_rows(s, scaled, out=scaled), scale_rows(s, a))
 
 
 @given(a=stacks(), data=st.data())
