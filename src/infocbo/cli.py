@@ -108,23 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one experiment config")
-    p_run.add_argument("config", help="flat JSON config file")
-    p_run.add_argument("--out", help="output directory (overrides run.output_dir)")
-    p_run.add_argument("--force", action="store_true", help="overwrite a completed run")
-    p_run.add_argument("--workers", type=int, help="replica worker processes")
+    # the options of one run, which a sweep makes once per value
+    running = argparse.ArgumentParser(add_help=False)
+    running.add_argument("config", help="flat JSON config file")
+    running.add_argument("--out", help="output directory (overrides run.output_dir)")
+    running.add_argument("--force", action="store_true", help="overwrite a completed run")
+    running.add_argument("--workers", type=int,
+                         help="replica worker processes, a whole number >= 1 (default 1)")
+
+    p_run = sub.add_parser("run", parents=[running], help="execute one experiment config")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a config across one axis")
-    p_sweep.add_argument("config")
+    p_sweep = sub.add_parser("sweep", parents=[running], help="run a config across one axis")
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument(
         "--values", required=True, nargs="+",
         help="axis values, space or comma separated",
     )
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--force", action="store_true")
-    p_sweep.add_argument("--workers", type=int)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run a committed validation suite")

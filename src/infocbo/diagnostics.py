@@ -66,14 +66,11 @@ class TestFunction:
     (N,). parts writes every entry of the four and returns out. It may use
     any of the buffers as scratch before it writes its part there, and it
     reads nothing they held before the call, so a caller may hand the same
-    buffers to every call. evaluate(x, lam) is parts into fresh buffers.
+    buffers to every call.
     """
 
     name: str
     parts: Callable[[np.ndarray, np.ndarray, Parts], Parts]
-
-    def evaluate(self, x: np.ndarray, lam: np.ndarray) -> Parts:
-        return self.parts(x, lam, Parts.empty(*x.shape))
 
 
 def gaussian_bump(scale: float = 1.0) -> TestFunction:
@@ -301,6 +298,7 @@ def gronwall_envelope_constant(
 @dataclass(frozen=True)
 class EnvelopeReport:
     a_constant: float
+    peak_ratio: float  # max of m2_sq / envelope over t > 0: how far from binding
     violated_at: float | None
 
     @property
@@ -323,6 +321,7 @@ def second_moment_envelope_check(record: TrajectoryRecord, config: SimConfig) ->
     bad = np.flatnonzero(record.m2_sq > envelope)
     return EnvelopeReport(
         a_constant=a_const,
+        peak_ratio=float(np.max(record.m2_sq[1:] / envelope[1:], initial=0.0)),
         violated_at=float(record.times[bad[0]]) if bad.size else None,
     )
 

@@ -39,7 +39,8 @@ from .objectives import ObjectiveSpec, ObservableMap, quadratic, rastrigin_like
 from .sde import (ConfigError, InitialLaw, SimConfig, SimulationError, _observer_radii,
                   _simulate_batch)
 from .trajectory import TrajectoryRecord
-from .util import GENERATOR_NAME, apply_field_rules, derive_seed, field_value, jsonable
+from .util import (GENERATOR_NAME, apply_field_rules, derive_seed, field_value, is_whole,
+                   jsonable)
 
 ENV_OUTPUT_ROOT = "INFOCBO_OUTPUT_ROOT"
 
@@ -335,11 +336,6 @@ def _resolve_output_dir(experiment: ExperimentConfig, output_dir) -> Path:
     return path
 
 
-def worker_count(workers: int | None) -> int:
-    """Worker processes for a run: one by default, never fewer than one."""
-    return 1 if workers is None else max(1, int(workers))
-
-
 def run(
     experiment: ExperimentConfig,
     output_dir: str | Path | None = None,
@@ -352,15 +348,18 @@ def run(
     never overlap and adding replicas never perturbs existing ones. The
     replicas step as one batch; workers > 1 splits it into contiguous
     sub-batches, one per process. Every batch executes, and the manifest
-    records, the flat document rendered from experiment.
+    records, the flat document rendered from experiment. workers is None (one
+    process) or a whole number >= 1, else ConfigError before any directory exists.
     """
+    if workers is not None and not (is_whole(workers) and workers >= 1):
+        raise ConfigError(f"workers must be a whole number >= 1, got {workers!r}")
     document = flat_document(experiment)
     outdir = _resolve_output_dir(experiment, output_dir)
     if (outdir / MANIFEST_NAME).exists() and not force:
         raise RunDirectoryError(
             f"{outdir} already holds a completed run; pass force to overwrite"
         )
-    n_workers = min(worker_count(workers), experiment.replicas)
+    n_workers = min(int(workers or 1), experiment.replicas)
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.now(timezone.utc).isoformat()

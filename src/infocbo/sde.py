@@ -502,13 +502,13 @@ def _observer_radii(steps: int, record_stride: int, snapshot_stride: int | None 
     return radii
 
 
-def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | None = None):
+def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int]):
     """Step one batch; yield (step, ensemble, fields) for every state, step 0
     included, where fields are the state's consensus fields on every
     record_stride-th step and None off it. A yielded ensemble is never
     written again, so a caller may keep it.
 
-    The batch holds one replica per seed (default: the single config.seed).
+    The batch holds one replica per seed.
     A caller that has computed the (v, rate) of a yielded state sends it
     back, and the step leaving that state uses it; otherwise (a plain for
     loop sends None) em_step computes it. Each replica draws its initial
@@ -525,7 +525,6 @@ def _trajectory(config: SimConfig, record_stride: int, seeds: Sequence[int] | No
     peak memory stays its own.
     """
     steps = config.n_steps
-    seeds = (config.seed,) if seeds is None else seeds
     rngs = [rng_from_seed(seed) for seed in seeds]
     ens = initial_ensemble(config, rngs)
     rows = ens.x.shape[0]

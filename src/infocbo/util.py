@@ -18,8 +18,11 @@ GENERATOR_NAME = "numpy.random.Philox"
 
 
 def _seed64(name: str, value) -> int:
-    """int(value), or ValueError naming value when it lies outside [0, 2**64):
-    read modulo 2**64 it would alias a seed inside (-1 as 2**64 - 1)."""
+    """int(value), or ValueError naming value when it is not a whole number
+    (int() would run 2.7 and True as 2 and 1, and "7" as 7) or lies outside
+    [0, 2**64): read modulo 2**64 it would alias a seed inside (-1 as 2**64 - 1)."""
+    if not is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     seed = int(value)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
@@ -27,13 +30,13 @@ def _seed64(name: str, value) -> int:
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Philox stream for a seed in [0, 2**64); any other is a ValueError."""
+    """Philox stream for a whole-number seed in [0, 2**64); any other is a ValueError."""
     return np.random.Generator(np.random.Philox(_seed64("seed", seed)))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Stable 64-bit seed for stream `index` under `master_seed`, both in
-    [0, 2**64) (else ValueError).
+    """Stable 64-bit seed for stream `index` under `master_seed`, both whole
+    numbers in [0, 2**64) (else ValueError).
 
     BLAKE2b over the packed pair, so the derivation does not depend on
     platform word size or numpy version.

@@ -14,7 +14,8 @@ hold the simulator against them.
   cutoff eta_R at the measure's first moment.
 - Two test functions for the weak-form residual: the constant, on which it
   vanishes, and a lambda-free coordinate window. Each fills the buffers it
-  is given, as TestFunction.parts does.
+  is given, as TestFunction.parts does; evaluate gives a test function's
+  parts in fresh buffers.
 - The Gaussian bump's parts with the lambda factor taken agent by agent,
   which gaussian_bump must match bit for bit when it takes the trig of a
   shared lambda once.
@@ -22,7 +23,7 @@ hold the simulator against them.
 
 import numpy as np
 
-from infocbo.diagnostics import TestFunction
+from infocbo.diagnostics import Parts, TestFunction
 from infocbo.gibbs import _stabilized_weights, cutoff_eta, drift, weighted_consensus
 from infocbo.measures import MASS_TOL, MeasureError, mean_point
 from infocbo.objectives import eval_objective_batch
@@ -117,6 +118,11 @@ def truncated_drift(radius, params, measure, x, lam):
     return drift(x, lam, f_val, e_val)
 
 
+def evaluate(phi, x, lam):
+    """phi's Parts at the agents (x, lam), in fresh buffers."""
+    return phi.parts(x, lam, Parts.empty(*x.shape))
+
+
 def constant_test_function():
     """phi = 1. Every weak-form residual vanishes identically on it."""
 
@@ -150,7 +156,7 @@ def coordinate_window():
 
 
 def elementwise_bump_parts(scale, x, lam):
-    """gaussian_bump(scale).evaluate(x, lam) as the formula reads, with
+    """evaluate(gaussian_bump(scale), x, lam) as the formula reads, with
     cos(pi lam) and sin(pi lam) computed for every agent."""
     s2 = scale * scale
     norm_sq = sq_norm(x)

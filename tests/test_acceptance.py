@@ -4,18 +4,21 @@ The pass condition of criteria 1-6, criterion 7's Euler bound and criterion
 8 is stated once, in infocbo.validation, by the function that also feeds
 the `infocbo validate` suites; each test asserts the outcomes that function
 returns. What the tests add is their own: pins on the committed configs,
-wall-time budgets on the heavy runs, the W1 and consensus oracles of
-criterion 7 and the rerun determinism of criterion 9. Each test prints a
+wall-time budgets on the heavy runs, a planted defect that criterion 2's
+verdict must catch, the W1 and consensus oracles of criterion 7 and the
+rerun determinism of criterion 9. Each test prints a
 single PASS/FAIL line with the measured numbers (run with
 `pytest tests/test_acceptance.py -v -rA` to see them).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from infocbo import validation
+from infocbo import sde, validation
+from infocbo.diagnostics import mean_decay_check
 from infocbo.gibbs import ConsensusParams, weighted_consensus
 from infocbo.harness import parse_flat_config, run
 from infocbo.measures import EmpiricalMeasure
@@ -74,12 +77,32 @@ def test_criterion_1_lambda_constraint_preservation():
 
 
 def test_criterion_2_mean_decay_law():
-    cfg, _, elapsed = validation.decay_record()
+    cfg = validation.decay_config()
     assert cfg.mode == "auxiliary"
     assert cfg.n_particles == 10_000
     assert cfg.noise_strength ** 2 * cfg.d == pytest.approx(0.5)
     assert cfg.dt == 1e-2 and cfg.t_end == 5.0
+    _, elapsed = validation.decay_record()
     report(2, validation.mean_decay_outcomes() + [budget(elapsed, 60.0)])
+
+
+def test_criterion_2_verdict_fails_when_the_drift_pulls_with_lambda(monkeypatch):
+    # the auxiliary drift pulls toward the mean with 1 - lambda; planted, it
+    # pulls with lambda. Simulated here, never through the cached decay_record
+    cfg = dataclasses.replace(validation.decay_config(), n_particles=2000)
+
+    def max_rel_error():
+        return mean_decay_check(sde.simulate(cfg, record_stride=1)).max_rel_error
+
+    clean = max_rel_error()
+    real_drift = sde.drift
+    monkeypatch.setattr(sde, "drift", lambda x, lam, f_val, e_val:
+                        real_drift(x, 1.0 - lam, f_val, e_val))
+    planted = max_rel_error()
+    tolerance = validation.DECAY_TOLERANCE
+    print(f"criterion 2 planted defect: max rel error {clean:.2%} clean, "
+          f"{planted:.2%} planted (tolerance {tolerance:.0%})")
+    assert clean <= tolerance < planted
 
 
 def test_criterion_3_second_moment_ceiling():
@@ -99,8 +122,11 @@ def test_criterion_5_meanfield_residual_scaling():
 
 
 def test_criterion_6_mass_in_ball_floor():
-    cfg, _ = validation.concentration_record_sharp()
-    assert cfg.sharpness == validation.CONCENTRATION_SHARPNESS[-1] == 64.0
+    # the sharp run re-records the sweep's last entry: its stepping, bit for bit
+    record, _ = validation.concentration_record_sharp()
+    table, _ = validation.concentration_table()
+    assert validation.CONCENTRATION_SHARPNESS[-1] == 64.0
+    assert record.m2_sq[-1] == table[64.0]
     assert validation.MASS_RADIUS == 0.5
     report(6, validation.mass_floor_outcomes())
 

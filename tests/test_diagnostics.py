@@ -28,7 +28,7 @@ from infocbo.objectives import ObservableMap, quadratic
 from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
 from infocbo.trajectory import TrajectoryRecord
 from infocbo.util import derive_seed, rng_from_seed
-from oracles import constant_test_function, coordinate_window
+from oracles import constant_test_function, coordinate_window, evaluate
 
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)
@@ -266,9 +266,17 @@ def test_truncated_run_respects_the_envelope():
     obs = ObservableMap(variant="saturated", m_g=2.0)
     cfg = make_config(mode="full", observable=obs, truncation_radius=3.0,
                       n_particles=300, noise_strength=0.5, t_end=1.0)
-    report = second_moment_envelope_check(simulate(cfg), cfg)
+    record = simulate(cfg)
+    report = second_moment_envelope_check(record, cfg)
     assert report.ok
     assert report.a_constant == gronwall_envelope_constant(1.0, 0.5, 1, 2.0)
+    # the peak share of the envelope after t = 0, where the two agree by construction
+    a, t = report.a_constant, record.times[1:]
+    envelope = (record.m2_sq[0] + a * t) * np.exp(a * t)
+    assert report.peak_ratio == np.max(record.m2_sq[1:] / envelope)
+    assert 0.0 < report.peak_ratio <= 1.0
+    start = dataclasses.replace(cfg, t_end=0.0)  # no t > 0: nothing of the envelope is used
+    assert second_moment_envelope_check(simulate(start), start).peak_ratio == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,7 @@ def finite_difference_check(phi, d, seed):
 
     def at(x, lam):
         """parts of phi at the single state (x, lam)"""
-        return [part[0] for part in phi.evaluate(x[None, :], np.array([lam]))]
+        return [part[0] for part in evaluate(phi, x[None, :], np.array([lam]))]
 
     for _ in range(10):
         x = rng.standard_normal(d)
@@ -322,7 +330,7 @@ def test_gaussian_bump_takes_the_trig_of_a_shared_lambda_once(monkeypatch, lam, 
 
     monkeypatch.setattr(np, "cos", counted(np.cos))
     monkeypatch.setattr(np, "sin", counted(np.sin))
-    gaussian_bump(2.0).evaluate(np.ones((len(lam), 2)), np.array(lam))
+    evaluate(gaussian_bump(2.0), np.ones((len(lam), 2)), np.array(lam))
     assert sizes == [("cos", trig_size), ("sin", trig_size)]
 
 
@@ -341,7 +349,7 @@ def test_constant_test_function_has_vanishing_derivatives():
     phi = constant_test_function()
     x = np.zeros((3, 2))
     lam = np.full(3, 0.5)
-    value, grad_x, grad_lambda, laplacian_x = phi.evaluate(x, lam)
+    value, grad_x, grad_lambda, laplacian_x = evaluate(phi, x, lam)
     assert np.all(value == 1.0)
     assert np.all(grad_x == 0.0)
     assert np.all(grad_lambda == 0.0)

@@ -21,7 +21,7 @@ import pytest
 
 from infocbo import harness
 from infocbo import cli, validation
-from infocbo.cli import EXIT_DIVERGED, EXIT_INTERNAL, main
+from infocbo.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INTERNAL, main
 from infocbo.diagnostics import DiagnosticsError
 from infocbo.harness import (
     CONFIG_KEYS,
@@ -36,7 +36,6 @@ from infocbo.harness import (
     parse_flat_config,
     run,
     sweep,
-    worker_count,
 )
 from infocbo.infokernel import KernelError, KernelSpec
 from infocbo.objectives import ObjectiveError, ObjectiveSpec, ObservableMap, quadratic
@@ -737,10 +736,26 @@ def test_output_root_env_leaves_absolute_dirs_alone(tmp_path, monkeypatch):
     assert (outdir / MANIFEST_NAME).exists()
 
 
-def test_worker_count_precedence():
-    assert worker_count(None) == 1
-    assert worker_count(3) == 3
-    assert worker_count(0) == 1  # floored at one process
+@pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
+def test_a_worker_count_that_is_not_a_whole_number_of_at_least_one_is_refused(
+        tmp_path, workers):
+    # unchecked, each ran one process in silence; refused before any directory is made
+    message = f"workers must be a whole number >= 1, got {workers!r}"
+    exp = parse_flat_config(config())
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run(exp, output_dir=out, workers=workers)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep(exp, axis="n", values=[1.0, 4.0], output_dir=out, workers=workers)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_refuses_a_worker_count_below_one(tmp_path, workers):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, config())
+    assert main(["run", str(path), "--out", str(out), "--workers", workers]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_load_manifest_requires_completed_run(tmp_path):

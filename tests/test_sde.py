@@ -623,7 +623,7 @@ def test_truncated_drift_of_a_batch_agrees_with_gibbs_truncated_drift():
     # consensus_fields against the per-measure oracle of the truncated drift
     # (tests/oracles.py); a radius inside the cutoff's ramp tests both
     radius = 1.2
-    cfg = dataclasses.replace(validation._truncated_run()[0], truncation_radius=radius)
+    cfg = dataclasses.replace(validation.truncation_config(), truncation_radius=radius)
     x, lam = zip(*(cfg.init.sample(rng_from_seed(seed), cfg.n_particles) for seed in (1, 2)))
     ens = Ensemble(np.concatenate(x), np.concatenate(lam), replicas=2)
     v, _ = drift_and_rate(ens, cfg, consensus_fields(ens, cfg))
@@ -841,7 +841,7 @@ def test_batched_trajectory_steps_each_replica_as_if_alone(case):
     seeds = [3, 1, 4]
     batch = list(sde._trajectory(cfg, 1, seeds))
     for r, seed in enumerate(seeds):
-        alone = sde._trajectory(dataclasses.replace(cfg, seed=seed), 1)
+        alone = sde._trajectory(cfg, 1, [seed])
         for (_, ens, fields), (_, single, single_fields) in zip(batch, alone):
             xs, lams = ens.views()
             assert np.array_equal(xs[r], single.x)

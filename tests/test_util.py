@@ -64,15 +64,39 @@ def test_a_seed_outside_64_bits_is_refused_not_aliased(seed):
     assert rng_from_seed(2**64 - 1).integers(2**62) != rng_from_seed(0).integers(2**62)
 
 
-@pytest.mark.parametrize("run", [
+@pytest.mark.parametrize("seed", [1.5, True, "7"])
+def test_a_seed_that_is_not_a_whole_number_is_refused_not_cast(seed):
+    # int() would run 1.5 and True as seed 1 and "7" as seed 7
+    message = re.escape(f"must be a whole number, got {seed!r}")
+    with pytest.raises(ValueError, match="^seed " + message):
+        rng_from_seed(seed)
+    with pytest.raises(ValueError, match="^seed " + message):
+        derive_seed(seed, 0)
+    with pytest.raises(ValueError, match="^stream index " + message):
+        derive_seed(0, seed)
+    assert derive_seed(7.0, 2) == derive_seed(7, 2)
+
+
+seed_entry_points = pytest.mark.parametrize("run", [
     lambda seed: verify_growth(quadratic(2), sample_count=10, rng_seed=seed),
     lambda seed: check_kernel_contract(KernelSpec("logistic", a=1.0), rng_seed=seed),
     lambda seed: g_phi_replica_residuals(validation.meanfield_config(), [0, seed, 1],
                                          gaussian_bump(1.0)),
 ], ids=["verify_growth", "check_kernel_contract", "g_phi_replica_residuals"])
+
+
+@seed_entry_points
 def test_every_seed_taking_entry_point_refuses_a_seed_outside_64_bits(run):
     with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2**64), got -1")):
         run(-1)
+
+
+@seed_entry_points
+@pytest.mark.parametrize("seed", [1.5, True, "7"])
+def test_every_seed_taking_entry_point_refuses_a_seed_that_is_not_a_whole_number(run, seed):
+    # check_kernel_contract ran rng_seed=2.7 as seed 2 when int() read it
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a whole number, got {seed!r}")):
+        run(seed)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -1.5, 0.1, math.pi, 1e-300, 1e300, 2.0 / 3.0])
