@@ -44,7 +44,7 @@ from .gibbs import (
     cutoff_eta,
     drift,
 )
-from .infokernel import KernelSpec, PopulationSummary, _rate
+from .infokernel import RANGE_EPS, KernelSpec, PopulationSummary, _rate
 from .objectives import (
     ObjectiveSpec,
     ObservableMap,
@@ -52,7 +52,7 @@ from .objectives import (
 )
 from .trajectory import TrajectoryRecord
 from .util import (agent_mean, apply_field_rules, in_unit_interval, is_whole, require_finite,
-                   rng_from_seed, scale_rows, sq_norm, uniform_ball)
+                   require_seed, rng_from_seed, scale_rows, sq_norm, uniform_ball)
 
 MODES = ("full", "auxiliary")
 
@@ -217,8 +217,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         apply_field_rules(self, ConfigError)
-        if not 0 <= self.seed < 2**64:  # rng_from_seed's range, refused here as a ConfigError
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+        require_seed(ConfigError, "seed", self.seed)  # rng_from_seed's rule, as a ConfigError
         if self.d < 1 or self.n_particles < 1:
             raise ConfigError("need d >= 1 and at least one particle")
         if self.objective.dimension != self.d:
@@ -229,7 +228,7 @@ class SimConfig:
             raise ConfigError("initial law center does not match the dimension")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.dt > self.kernel.theta * (1.0 + 1e-12):
+        if self.dt > self.kernel.theta * (1.0 + RANGE_EPS):
             raise ConfigError(
                 f"dt = {self.dt} exceeds the kernel stability step theta = {self.kernel.theta}"
             )

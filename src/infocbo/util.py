@@ -17,21 +17,21 @@ import numpy as np
 GENERATOR_NAME = "numpy.random.Philox"
 
 
-def _seed64(name: str, value) -> int:
-    """int(value), or ValueError naming value when it is not a whole number
+def require_seed(error: type[Exception], name: str, value) -> int:
+    """int(value), or error naming value when it is not a whole number
     (int() would run 2.7 and True as 2 and 1, and "7" as 7) or lies outside
     [0, 2**64): read modulo 2**64 it would alias a seed inside (-1 as 2**64 - 1)."""
     if not is_whole(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise error(f"{name} must be a whole number, got {value!r}")
     seed = int(value)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+        raise error(f"{name} must lie in [0, 2**64), got {value!r}")
     return seed
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Philox stream for a whole-number seed in [0, 2**64); any other is a ValueError."""
-    return np.random.Generator(np.random.Philox(_seed64("seed", seed)))
+    return np.random.Generator(np.random.Philox(require_seed(ValueError, "seed", seed)))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -41,8 +41,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     BLAKE2b over the packed pair, so the derivation does not depend on
     platform word size or numpy version.
     """
-    payload = (_seed64("seed", master_seed).to_bytes(8, "little")
-               + _seed64("stream index", index).to_bytes(8, "little"))
+    payload = (require_seed(ValueError, "seed", master_seed).to_bytes(8, "little")
+               + require_seed(ValueError, "stream index", index).to_bytes(8, "little"))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

@@ -45,37 +45,33 @@ SEED_ORACLE = 0x5ACE
 CI_Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def constraint_config() -> SimConfig:
-    """Long full-mode run at the largest admissible lambda step (dt = theta/2)."""
-    return SimConfig(
+def _committed(**fields) -> SimConfig:
+    """A committed SimConfig: the choices every committed run shares, updated
+    by fields, which state what sets the run apart. Built per call, so that
+    importing the module does no work."""
+    shared = dict(
         d=2,
-        n_particles=500,
-        dt=0.25,
-        t_end=2500.0,
-        seed=SEED_CONSTRAINT,
         objective=quadratic(2),
         observable=ObservableMap(),
         kernel=KernelSpec("logistic", a=1.0, b=1.0),
         init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2),
-        sharpness=8.0,
         noise_strength=0.5,
         mode="full",
     )
+    return SimConfig(**{**shared, **fields})
+
+
+def constraint_config() -> SimConfig:
+    """Long full-mode run at the largest admissible lambda step (dt = theta/2)."""
+    return _committed(n_particles=500, dt=0.25, t_end=2500.0, seed=SEED_CONSTRAINT,
+                      sharpness=8.0)
 
 
 def decay_config() -> SimConfig:
     """Large consensus-free ensemble for the mean decay law (sigma^2 d = 0.5)."""
-    return SimConfig(
-        d=2,
-        n_particles=10_000,
-        dt=1e-2,
-        t_end=5.0,
-        seed=SEED_DECAY,
-        objective=quadratic(2),
-        observable=ObservableMap(),
-        kernel=KernelSpec("logistic", a=1.0, b=1.0),
+    return _committed(
+        n_particles=10_000, dt=1e-2, t_end=5.0, seed=SEED_DECAY,
         init=InitialLaw.gaussian(center=(2.0, 2.0), sigma=1.0, lambda_lo=0.0),
-        noise_strength=0.5,
         mode="auxiliary",
     )
 
@@ -89,20 +85,8 @@ def concentration_config() -> SimConfig:
     minimizer. A symmetric kernel stalls near lambda = 1/2 and leaves half the
     drift pointed at the crowd mean.
     """
-    return SimConfig(
-        d=2,
-        n_particles=2000,
-        dt=1e-2,
-        t_end=10.0,
-        seed=SEED_CONCENTRATION,
-        objective=quadratic(2),
-        observable=ObservableMap(),
-        kernel=KernelSpec("logistic", a=16.0, b=0.0),
-        init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2),
-        sharpness=1.0,
-        noise_strength=0.5,
-        mode="full",
-    )
+    return _committed(n_particles=2000, dt=1e-2, t_end=10.0, seed=SEED_CONCENTRATION,
+                      kernel=KernelSpec("logistic", a=16.0, b=0.0))
 
 
 def meanfield_config() -> SimConfig:
@@ -114,38 +98,18 @@ def meanfield_config() -> SimConfig:
     function's lambda curvature; a slow rate keeps that bias far below the
     replica noise floor while every term of the generator stays exercised.
     """
-    return SimConfig(
-        d=2,
-        n_particles=250,
-        dt=1e-2,
-        t_end=2.0,
-        seed=SEED_MEANFIELD,
-        objective=quadratic(2),
-        observable=ObservableMap(),
-        kernel=KernelSpec("logistic", a=0.25, b=0.25),
-        init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.2),
-        sharpness=4.0,
-        noise_strength=math.sqrt(0.5),
-        mode="full",
-    )
+    return _committed(n_particles=250, dt=1e-2, t_end=2.0, seed=SEED_MEANFIELD,
+                      kernel=KernelSpec("logistic", a=0.25, b=0.25), sharpness=4.0,
+                      noise_strength=math.sqrt(0.5))
 
 
 def truncation_config() -> SimConfig:
     """Truncated full-mode run with a saturated observable, for the Gronwall envelope."""
-    return SimConfig(
-        d=2,
-        n_particles=400,
-        dt=1e-2,
-        t_end=2.0,
-        seed=SEED_DECAY + 1,
-        objective=quadratic(2),
+    return _committed(
+        n_particles=400, dt=1e-2, t_end=2.0, seed=SEED_DECAY + 1,
         observable=ObservableMap("saturated", m_g=2.0),
-        kernel=KernelSpec("logistic", a=1.0, b=1.0),
         init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.3),
-        sharpness=4.0,
-        noise_strength=0.5,
-        mode="full",
-        truncation_radius=3.0,
+        sharpness=4.0, truncation_radius=3.0,
     )
 
 

@@ -4,8 +4,8 @@ The pass condition of criteria 1-6, criterion 7's Euler bound and criterion
 8 is stated once, in infocbo.validation, by the function that also feeds
 the `infocbo validate` suites; each test asserts the outcomes that function
 returns. What the tests add is their own: pins on the committed configs,
-wall-time budgets on the heavy runs, a planted defect that criterion 2's
-verdict must catch, the W1 and consensus oracles of criterion 7 and the
+wall-time budgets on the heavy runs, planted defects that the verdicts of
+criteria 1-3 must catch, the W1 and consensus oracles of criterion 7 and the
 rerun determinism of criterion 9. Each test prints a
 single PASS/FAIL line with the measured numbers (run with
 `pytest tests/test_acceptance.py -v -rA` to see them).
@@ -65,6 +65,13 @@ def budget(elapsed: float, seconds: float) -> CheckOutcome:
     )
 
 
+def outcomes_on(monkeypatch, cached_run, record, outcomes) -> list[CheckOutcome]:
+    """What outcomes() returns when its cached run returns record: the
+    suite's own verdicts judge it, and the real cache is never filled."""
+    monkeypatch.setattr(validation, cached_run, lambda: (record, 0.0))
+    return outcomes()
+
+
 def test_criterion_1_lambda_constraint_preservation():
     cfg = validation.constraint_config()
     assert cfg.d == 2 and cfg.n_particles == 500
@@ -74,6 +81,22 @@ def test_criterion_1_lambda_constraint_preservation():
     assert cfg.n_steps == 10_000
     _, elapsed = validation.constraint_record()
     report(1, validation.lambda_range_outcomes() + [budget(elapsed, 10.0)])
+
+
+def test_criterion_1_verdict_fails_when_the_rate_points_out_of_the_unit_interval(
+        monkeypatch):
+    # planted: the rate's sign flipped, so every step pushes lambda past 0 or 1
+    # and the clamp fires; 100 steps of the committed run, simulated here
+    cfg = dataclasses.replace(validation.constraint_config(), t_end=25.0)
+    clean = sde.simulate(cfg, record_stride=1)
+    real_rate = sde._rate
+    monkeypatch.setattr(sde, "_rate", lambda *args: -real_rate(*args))
+    planted = sde.simulate(cfg, record_stride=1)
+    judged = [outcomes_on(monkeypatch, "constraint_record", record,
+                          validation.lambda_range_outcomes) for record in (clean, planted)]
+    print("criterion 1 planted defect: " + "; ".join(o[0].line() for o in judged))
+    assert [[o.passed for o in outcomes] for outcomes in judged] == [[True], [False]]
+    assert planted.clamp_events > 0 == clean.clamp_events
 
 
 def test_criterion_2_mean_decay_law():
@@ -107,6 +130,21 @@ def test_criterion_2_verdict_fails_when_the_drift_pulls_with_lambda(monkeypatch)
 
 def test_criterion_3_second_moment_ceiling():
     report(3, validation.second_moment_outcomes())
+
+
+def test_criterion_3_verdict_fails_when_the_drift_pushes_away_from_the_mean(monkeypatch):
+    # planted: the auxiliary drift's sign flipped, so the agents flee the crowd
+    # mean and the second moment grows past its ceiling; simulated at N = 2000
+    cfg = dataclasses.replace(validation.decay_config(), n_particles=2000)
+    clean = sde.simulate(cfg, record_stride=1)
+    real_drift = sde.drift
+    monkeypatch.setattr(sde, "drift", lambda *args: -real_drift(*args))
+    planted = sde.simulate(cfg, record_stride=1)
+    judged = [outcomes_on(monkeypatch, "decay_record", record,
+                          validation.second_moment_outcomes) for record in (clean, planted)]
+    print("criterion 3 planted defect: " + "; ".join(o[1].line() for o in judged))
+    # the first verdict checks the ceiling constant, which no record moves
+    assert [[o.passed for o in outcomes] for outcomes in judged] == [[True, True], [True, False]]
 
 
 def test_criterion_4_concentration_with_persistent_information():

@@ -22,7 +22,7 @@ import pytest
 from infocbo import harness
 from infocbo import cli, validation
 from infocbo.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INTERNAL, main
-from infocbo.diagnostics import DiagnosticsError
+from infocbo.diagnostics import DiagnosticsError, mean_decay_check
 from infocbo.harness import (
     CONFIG_KEYS,
     MANIFEST_NAME,
@@ -40,7 +40,7 @@ from infocbo.harness import (
 from infocbo.infokernel import KernelError, KernelSpec
 from infocbo.objectives import ObjectiveError, ObjectiveSpec, ObservableMap, quadratic
 from infocbo.sde import ConfigError, InitialLaw, SimConfig, SimulationError, simulate
-from infocbo.util import derive_seed, row_sum
+from infocbo.util import derive_seed, jsonable, row_sum
 
 BASE = {
     "sim.d": 2,
@@ -66,6 +66,10 @@ DIVERGENT = {
     "kernel.a": 0.25,
     "run.checks": ["second_moment_bound"],
 }
+
+
+# configs that CI runs through the installed entry point, committed once
+CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
 def config(**overrides):
@@ -554,14 +558,17 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    # three workers get one replica each; two get an uneven split
-    doc = config(**{"sim.noise_strength": 0.25, "run.replicas": 3})
-    exp = parse_flat_config(doc)
+@pytest.mark.parametrize("stem", ["run", "blocks", "crowd"])
+def test_worker_pool_matches_serial(tmp_path, stem):
+    # CI's cross-worker configs, three replicas each: three workers get one
+    # replica each, two an uneven split. The block lengths of blocks and crowd
+    # (tier1.yml gives them) divide none of their steps
+    exp = load_config_file(CONFIGS / f"{stem}.json")
     serial = run(exp, output_dir=tmp_path / "1", workers=1)
     for workers in (2, 3):
         parallel = run(exp, output_dir=tmp_path / str(workers), workers=workers)
         assert serial.manifest["files"] == parallel.manifest["files"]
+        assert serial.manifest["replica_lambda"] == parallel.manifest["replica_lambda"]
         for name in serial.manifest["files"]:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / str(workers) / name).read_bytes()
@@ -851,6 +858,23 @@ def test_cli_run_success(tmp_path, capsys):
     assert "PASS  lambda_persistence" in out
 
 
+def test_cli_mean_decay_run_writes_its_verdict_and_reports_it(tmp_path, capsys):
+    doc = config(**{"sim.mode": "auxiliary", "run.replicas": 2, "run.checks": ["mean_decay"]})
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    records = _replica_batch(flat_document(parse_flat_config(doc)), 0, 2)
+    reports = [mean_decay_check(r) for r in records]
+    assert json.loads((out / "check_mean_decay.json").read_text()) == {
+        "check": "mean_decay", "passed": True,
+        "replicas": [{"passed": True, "replica": i, "report": jsonable(r)}
+                     for i, r in enumerate(reports)],
+    }
+    assert all(math.isfinite(r.max_rel_error) for r in reports)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert "\nchecks: ['mean_decay'] passed=True\n" in capsys.readouterr().out
+
+
 def test_cli_run_check_failure_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, config(**DIVERGENT))
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
@@ -863,6 +887,25 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    (["run"], {"init.spatial": "cube"}, "unknown initial law 'cube'"),
+    (["run"], {"init.spread": 0.0}, "gaussian/ball initial laws need a positive spread"),
+    (["run"], {"sim.N": 0}, "need d >= 1 and at least one particle"),
+    (["run"], {"sim.noise_strength": -0.5}, "noise strength must be nonnegative"),
+    (["run"], {"kernel.theta": 0.0}, "stability step theta must be positive"),
+    (["run"], {"observable.variant": "saturated", "observable.m_g": 0.0},
+     "observable bound m_g must be positive"),
+    (["sweep", "--axis", "n", "--values", ","], {}, "sweep needs at least one value"),
+], ids=["spatial", "spread", "particles", "noise", "theta", "m_g", "sweep_values"])
+def test_cli_refuses_a_bad_field_with_exit_2_and_no_directory(tmp_path, capsys, command,
+                                                               overrides, message):
+    path = write_config(tmp_path, config(**overrides))
+    out = tmp_path / "out"
+    assert main([command[0], str(path), "--out", str(out), *command[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_nan_parameter_exits_2(tmp_path, capsys):

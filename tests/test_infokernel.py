@@ -87,11 +87,8 @@ def test_logistic_rate_ignores_the_population():
     assert near == far
 
 
-def test_summary_from_arrays_is_the_given_mean_or_the_agent_mean():
-    rng = rng_from_seed(3)
-    x = rng.standard_normal((7, 2))
-    taken = PopulationSummary.from_arrays(x).mean_x
-    assert taken.tobytes() == x.mean(axis=0).tobytes()
+def test_summary_from_arrays_is_the_given_mean():
+    x = rng_from_seed(3).standard_normal((7, 2))
     given = np.array([0.25, -1.5])
     assert PopulationSummary.from_arrays(x, mean_x=given).mean_x is given
 
@@ -101,10 +98,10 @@ def test_stacked_summary_and_rate_match_each_population_alone():
     rng = rng_from_seed(4)
     xs = rng.standard_normal((3, 5, 2))
     lams = rng.uniform(size=(3, 5))
-    stacked = PopulationSummary.from_arrays(xs)
+    stacked = PopulationSummary.from_arrays(xs, mean_x=xs.mean(axis=1))
     rates = eval_kernel(k, stacked, xs, lams)
     for r in range(3):
-        alone = PopulationSummary.from_arrays(xs[r])
+        alone = PopulationSummary.from_arrays(xs[r], mean_x=xs[r].mean(axis=0))
         assert np.array_equal(stacked.mean_x[r], alone.mean_x)
         assert np.array_equal(rates[r], eval_kernel(k, alone, xs[r], lams[r]))
 
@@ -116,7 +113,7 @@ def test_crowd_coupled_rate_on_fortran_ordered_agents_is_the_broadcast():
     rng = np.random.default_rng(3)
     x = np.asfortranarray(rng.standard_normal((2, 8)))
     lam = rng.random(2)
-    summary = PopulationSummary.from_arrays(x)
+    summary = PopulationSummary.from_arrays(x, mean_x=x.mean(axis=0))
     gap = x - summary.mean_x
     want = (1.0 - lam) * k.a / (1.0 + np.sqrt(np.sum(gap * gap, axis=-1))) - k.b * lam
     assert eval_kernel(k, summary, x, lam).tobytes() == want.tobytes()
@@ -192,8 +189,8 @@ def test_crowd_coupled_contract_holds():
 
 @pytest.mark.parametrize(
     "variant,seed,t1_hex",
-    [("logistic", 0x5ACE, "0x1.dc40be00c80d3p-1"),
-     ("crowd-coupled", 0x5ACE + 1, "0x1.790a9cf437e26p-1")],
+    [("logistic", 0x5ACE, "0x1.68bbc39e8bcd7p+0"),
+     ("crowd-coupled", 0x5ACE + 1, "0x1.9f925fed91d2cp-1")],
 )
 def test_contract_reports_keep_their_bits(variant, seed, t1_hex):
     # the contracts suite's two reports; every draw of a trial moves them
@@ -204,7 +201,7 @@ def test_contract_reports_keep_their_bits(variant, seed, t1_hex):
 
 @pytest.mark.parametrize(
     "variant,a,b,theta,t2,t3",
-    [("logistic", 1.0, 1.0, 2.0, 1336, 0),  # a step past 1 / (a + b) leaves [0, 1]
+    [("logistic", 1.0, 1.0, 2.0, 1380, 0),  # a step past 1 / (a + b) leaves [0, 1]
      ("crowd-coupled", 0.0, 0.5, 1.0, 0, 2000)],  # no gain: T = 0 at lambda = 0
 )
 def test_contract_counts_the_violations_its_constructor_refuses(variant, a, b, theta, t2, t3):

@@ -457,7 +457,7 @@ def test_crowd_coupled_distance_is_the_broadcast_bit_for_bit(x, data):
     if data.draw(st.booleans(), label="point"):
         x = x[(0,) * (x.ndim - 1)]
     lam = per_agent(data.draw, rng, x.shape[:-1])
-    summary = PopulationSummary.from_arrays(x) if x.ndim > 1 else (
+    summary = PopulationSummary.from_arrays(x, mean_x=x.mean(axis=-2)) if x.ndim > 1 else (
         PopulationSummary(mean_x=signed_values(data.draw, rng, x.shape)))
     mean_x = summary.mean_x[..., None, :] if x.ndim == 3 else summary.mean_x
     gap = x - mean_x

@@ -609,7 +609,6 @@ def test_consensus_is_computed_per_step_and_per_recorded_state(stride, monkeypat
 
     monkeypatch.setattr(sde, "consensus_fields", counted)
     monkeypatch.setattr(sde, "agent_mean", counted_mean)
-    monkeypatch.setattr(infokernel, "agent_mean", counted_mean)
     cfg = make_config(n_particles=6, noise_strength=0.5, kernel=CROWD_KERNEL)
     simulate(cfg, record_stride=stride, snapshot_stride=2 * stride)
     # em_step computes the fields of each state it leaves; the recorder
