@@ -168,19 +168,24 @@ class InitialLaw:
             return center_norm < self.spread
         return center_norm == 0.0
 
-    def sample(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, rng: np.random.Generator, count: int,
+               out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """count agents' positions (count, d), drawn first, and lambdas (count,),
+        written into out = (x, lam) when it is given: C-contiguous float64
+        arrays of those shapes, such as a replica's rows of a batch. The draws
+        and their bits are the same with or without out."""
         center = np.asarray(self.center, dtype=float)
-        dim = center.shape[0]
+        x, lam = out or (np.empty((count, center.size)), np.empty(count))
         if self.spatial_kind == "gaussian":
-            x = center + self.spread * rng.standard_normal((count, dim))
+            np.multiply(rng.standard_normal(out=x), self.spread, out=x)
+            x += center
         elif self.spatial_kind == "ball":
-            x = center + uniform_ball(rng, count, dim, self.spread)
+            uniform_ball(rng, count, center.size, self.spread, out=x)
+            x += center
         else:
-            x = np.tile(center, (count, 1))
-        if self.lambda_hi > self.lambda_lo:
-            lam = rng.uniform(self.lambda_lo, self.lambda_hi, size=count)
-        else:
-            lam = np.full(count, self.lambda_lo)
+            x[:] = center
+        lam[:] = (rng.uniform(self.lambda_lo, self.lambda_hi, size=count)
+                  if self.lambda_hi > self.lambda_lo else self.lambda_lo)
         return x, lam
 
 
@@ -257,13 +262,12 @@ class SimConfig:
 
 
 def initial_ensemble(config: SimConfig, rngs: Sequence[np.random.Generator]) -> Ensemble:
-    """One replica per generator, each sampled from its own stream."""
-    draws = [config.init.sample(rng, config.n_particles) for rng in rngs]
-    return Ensemble(
-        np.concatenate([x for x, _ in draws]),
-        np.concatenate([lam for _, lam in draws]),
-        replicas=len(draws),
-    )
+    """One replica per generator, each sampled from its own stream into its own rows."""
+    n = config.n_particles
+    x, lam = np.empty((len(rngs) * n, config.d)), np.empty(len(rngs) * n)
+    for r, rng in enumerate(rngs):
+        config.init.sample(rng, n, out=(x[r * n:(r + 1) * n], lam[r * n:(r + 1) * n]))
+    return Ensemble(x, lam, replicas=len(rngs))
 
 
 class Fields(NamedTuple):

@@ -47,13 +47,13 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
-    """count points drawn uniformly from the ball of the given radius around
-    the origin in R^dim: all directions are drawn before all radii."""
-    directions = rng.standard_normal((count, dim))
+def uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float, out=None):
+    """count points drawn uniformly from the ball of the given radius around the
+    origin in R^dim, all directions before all radii; into out when it is given."""
+    directions = rng.standard_normal((count, dim), out=out)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=count) ** (1.0 / dim)
-    return scale_rows(radii, directions)
+    return scale_rows(radii, directions, out=directions)
 
 
 def row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -251,7 +251,7 @@ def lambda_range_outcomes() -> list[CheckOutcome]:
             record.clamp_events == 0
             and record.lambda_min >= 0.0
             and record.lambda_max <= 1.0,
-            f"{constraint_config().n_steps} steps, clamp events {record.clamp_events}, "
+            f"{len(record.times) - 1} steps, clamp events {record.clamp_events}, "
             f"lambda in [{record.lambda_min:.3g}, {record.lambda_max:.3g}], "
             f"{elapsed:.1f}s",
         )

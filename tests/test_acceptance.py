@@ -96,6 +96,9 @@ def test_criterion_1_verdict_fails_when_the_rate_points_out_of_the_unit_interval
                           validation.lambda_range_outcomes) for record in (clean, planted)]
     print("criterion 1 planted defect: " + "; ".join(o[0].line() for o in judged))
     assert [[o.passed for o in outcomes] for outcomes in judged] == [[True], [False]]
+    # the detail states the judged record's steps, not the committed run's 10000
+    assert judged[1][0].line().startswith(
+        "FAIL  lambda range preserved at dt = theta/2: 100 steps, clamp events ")
     assert planted.clamp_events > 0 == clean.clamp_events
 
 

@@ -558,11 +558,12 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("stem", ["run", "blocks", "crowd"])
+@pytest.mark.parametrize("stem", ["run", "blocks", "crowd", "ball"])
 def test_worker_pool_matches_serial(tmp_path, stem):
     # CI's cross-worker configs, three replicas each: three workers get one
-    # replica each, two an uneven split. The block lengths of blocks and crowd
-    # (tier1.yml gives them) divide none of their steps
+    # replica each, two an uneven split. The block lengths of blocks, crowd and
+    # ball (tier1.yml gives them) divide none of their steps; ball draws each
+    # replica from a ball into whichever batch rows its worker gives it
     exp = load_config_file(CONFIGS / f"{stem}.json")
     serial = run(exp, output_dir=tmp_path / "1", workers=1)
     for workers in (2, 3):

@@ -494,6 +494,65 @@ def test_clamp_counts_and_ball_masses_keep_their_dtypes(replicas, radius, varian
 
 
 # ---------------------------------------------------------------------------
+# initial laws
+
+
+def broadcast_draw(law, rng, n):
+    """A law's n agents as fresh broadcast arithmetic: center + spread * z, the
+    center plus the ball's scaled unit directions, or the tiled center; then
+    lambda, drawn uniform or filled."""
+    center = np.asarray(law.center, dtype=float)
+    d = center.size
+    if law.spatial_kind == "gaussian":
+        x = center + law.spread * rng.standard_normal((n, d))
+    elif law.spatial_kind == "ball":
+        z = rng.standard_normal((n, d))
+        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+        x = center + (law.spread * rng.uniform(size=n) ** (1.0 / d))[:, None] * z
+    else:
+        x = np.tile(center, (n, 1))
+    if law.lambda_hi > law.lambda_lo:
+        return x, rng.uniform(law.lambda_lo, law.lambda_hi, size=n)
+    return x, np.full(n, law.lambda_lo)
+
+
+@given(
+    kind=st.sampled_from(["gaussian", "ball", "point"]),
+    uniform_lambda=st.booleans(),
+    d=st.integers(1, 3),
+    replicas=st.sampled_from([1, 3]),
+    n=st.integers(1, 40),
+    spread=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_initial_draws_into_the_batch_rows_are_the_fresh_draws_bit_for_bit(
+    kind, uniform_lambda, d, replicas, n, spread, seed, data
+):
+    # each replica's rows of the batch get the bits of its own fresh draw, and
+    # those are the broadcast formula's; the center may hold -0.0
+    center = tuple(data.draw(st.lists(coordinate | st.just(-0.0), min_size=d, max_size=d)))
+    lo, hi = sorted(data.draw(st.lists(unit, min_size=2, max_size=2)))
+    hi = hi if uniform_lambda else lo
+    law = (InitialLaw.point(center, lo, hi) if kind == "point"
+           else getattr(InitialLaw, kind)(center, spread, lo, hi))
+    seeds = [derive_seed(seed, r) for r in range(replicas)]
+    fresh = [law.sample(rng_from_seed(s), n) for s in seeds]
+    for s, (x, lam) in zip(seeds, fresh):
+        want_x, want_lam = broadcast_draw(law, rng_from_seed(s), n)
+        assert same_bits(x, want_x) and same_bits(lam, want_lam)
+        rows = (np.full((n, d), np.nan), np.full(n, np.nan))
+        got = law.sample(rng_from_seed(s), n, out=rows)
+        assert got[0] is rows[0] and got[1] is rows[1]
+        assert same_bits(rows[0], x) and same_bits(rows[1], lam)
+    cfg = sim_config(d, n, KernelSpec("logistic", a=1.0), dt=0.05, init=law)
+    ens = initial_ensemble(cfg, [rng_from_seed(s) for s in seeds])
+    assert ens.replicas == replicas
+    assert same_bits(ens.x, np.concatenate([x for x, _ in fresh]))
+    assert same_bits(ens.lam, np.concatenate([lam for _, lam in fresh]))
+
+
+# ---------------------------------------------------------------------------
 # the Euler-Maruyama step
 
 

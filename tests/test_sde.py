@@ -680,6 +680,30 @@ def test_a_noisy_step_holds_at_most_three_and_a_half_position_arrays(mode):
     assert peak <= 3.5 * ens.x.nbytes + 16 * 1024  # slack for the Python objects
 
 
+@pytest.mark.parametrize("lambda_hi", [0.2, 0.4], ids=["constant", "uniform"])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_an_initial_batch_is_drawn_into_its_own_arrays(replicas, lambda_hi):
+    # each replica is drawn straight into its rows: a fresh draw per replica
+    # joined by np.concatenate peaks at twice the batch
+    cfg = make_config(d=2, n_particles=50_000, objective=quadratic(2),
+                      init=InitialLaw.gaussian((1.0, 1.0), 1.0, 0.2, lambda_hi))
+
+    def batch():
+        return sde.initial_ensemble(cfg, [rng_from_seed(seed) for seed in range(replicas)])
+
+    batch()  # first calls allocate caches that a draw does not hold
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ens = batch()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    batch_bytes = ens.x.nbytes + ens.lam.nbytes
+    assert peak <= 1.75 * batch_bytes
+
+
 @pytest.mark.parametrize("shared_noise", [False, True], ids=["per_agent", "shared"])
 @pytest.mark.parametrize("generators", [1, 2, 4])
 def test_a_step_needs_one_noise_generator_per_replica(shared_noise, generators):
