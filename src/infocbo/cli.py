@@ -84,7 +84,8 @@ def _cmd_report(args) -> int:
     print(f"completed: {manifest.get('completed_utc')}")
     print(f"code version: {manifest.get('code_version')}")
     gen = manifest.get("generator", {})
-    print(f"generator: {gen.get('name')} (numpy {gen.get('numpy')})")
+    simd = "" if "simd" not in gen else f", SIMD {' '.join(gen['simd']) or 'baseline'}"
+    print(f"generator: {gen.get('name')} (numpy {gen.get('numpy')}{simd})")
     print(f"replicas: {manifest.get('replicas')} seeds {manifest.get('replica_seeds')}")
     for i, lam in enumerate(manifest.get("replica_lambda", [])):
         print(f"  replica {i}: clamp_events {lam.get('clamp_events')}, "

@@ -60,7 +60,25 @@ def _require_per_population(ok: np.ndarray, message: str) -> None:
 
 def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
     """Normalized weights along the last axis: one population, or a stack of
-    them (energies (R, N)) sharing the prior, (N,) or one scalar mass."""
+    them (energies (R, N)) sharing the prior, (N,) float64 masses or one
+    scalar mass, finite and nonnegative.
+
+    At sharpness > 0, float64 energies whose plain row minima are finite (so
+    no NaN and no -inf anywhere) are weighted in one buffer: an energy of +inf
+    gets exp(-inf) = 0, the zero the masked copy writes, and the in-place
+    steps take the masked path's operations in its order with only the
+    operands of * swapped, so the bits are the masked path's. Anything else,
+    the errors included, takes the masked path.
+    """
+    if sharpness > 0.0 and energies.dtype == np.float64:
+        lowest = energies.min(axis=-1, keepdims=True, initial=np.inf)  # inf for N = 0
+        if np.isfinite(lowest).all():
+            weights = energies - lowest
+            weights *= -sharpness
+            np.exp(weights, out=weights)
+            weights *= prior
+            weights /= _total(weights)
+            return weights
     finite = np.isfinite(energies)
     _require_per_population(
         finite.any(axis=-1), "every atom has infinite energy; weights are undefined"
@@ -73,11 +91,16 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
         lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
         weights = prior * np.exp(-sharpness * (energies - lowest))
         np.copyto(weights, 0.0, where=~finite)
+    return weights / _total(weights)
+
+
+def _total(weights: np.ndarray) -> np.ndarray:
+    """The sums of weights along the last axis, kept as an axis; each must be > 0."""
     total = weights.sum(axis=-1, keepdims=True)
     _require_per_population(
         total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
     )
-    return weights / total
+    return total
 
 
 def consensus_from_energies(

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
 from .diagnostics import (
@@ -408,7 +409,9 @@ def run(
     manifest = {
         "schema_version": 1,
         "code_version": __version__,
-        "generator": {"name": GENERATOR_NAME, "numpy": np.__version__},
+        # numpy's exp, log and power round differently on different SIMD targets
+        "generator": {"name": GENERATOR_NAME, "numpy": np.__version__,
+                      "simd": [t for t in __cpu_dispatch__ if __cpu_features__[t]]},
         "started_utc": started,
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "config": document,
@@ -490,8 +493,12 @@ def load_manifest(run_dir: str | Path) -> dict:
     files = manifest.get("files", {})
     if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
         raise RunDirectoryError(f"{path}: files must map names to digest strings")
-    if not isinstance(manifest.get("generator", {}), dict):
+    generator = manifest.get("generator", {})
+    if not isinstance(generator, dict):
         raise RunDirectoryError(f"{path}: generator must be a JSON object")
+    simd = generator.get("simd", [])  # absent from manifests written before it was recorded
+    if not isinstance(simd, list) or not all(isinstance(target, str) for target in simd):
+        raise RunDirectoryError(f"{path}: generator.simd must be a list of target names")
     lam = manifest.get("replica_lambda", [])
     if not isinstance(lam, list) or not all(isinstance(entry, dict) for entry in lam):
         raise RunDirectoryError(f"{path}: replica_lambda must be a list of JSON objects")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from infocbo.gibbs import (
     ConsensusParams,
     GibbsError,
+    _stabilized_weights,
     consensus_from_energies,
     cutoff_eta,
     drift,
@@ -119,6 +121,35 @@ def test_all_infinite_energies_error():
             np.array([0.5, 0.5]),
             np.array([np.inf, np.inf]),
         )
+
+
+def test_finite_weights_that_vanish_name_the_replica():
+    # finite energies take the one-buffer path, which keeps the masked path's check:
+    # replica 1's one massive atom lies 10^4 above its massless lowest
+    energies = np.array([[1.0, 0.0], [0.0, 1e4]])
+    with pytest.raises(GibbsError, match=r"all weights vanished.*\(replica 1\)$"):
+        _stabilized_weights(1.0, energies, np.array([0.0, 1.0]))
+
+
+def test_populations_without_atoms_have_undefined_weights():
+    with pytest.raises(GibbsError, match=r"infinite energy.*\(replica 0\)$"):
+        _stabilized_weights(1.0, np.empty((2, 0)), 1.0)
+
+
+def test_finite_stacked_weights_hold_at_most_one_weight_array():
+    # finite energies are weighted in one buffer; masking every step, as
+    # infinite or NaN energies need, peaks at 2.13 weight arrays
+    energies = rng_from_seed(3).standard_normal((3, 20_000)) ** 2
+    _stabilized_weights(64.0, energies, 1 / 20_000)  # first calls allocate caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _stabilized_weights(64.0, energies, 1 / 20_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * energies.nbytes + 16 * 1024  # slack for the Python objects
 
 
 # ---------------------------------------------------------------------------

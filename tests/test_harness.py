@@ -1103,12 +1103,44 @@ def test_cli_report_json_roundtrip(tmp_path, capsys):
     assert manifest == load_manifest(tmp_path / "out")
 
 
+def test_manifest_and_report_name_numpys_simd_dispatch_targets(tmp_path, capsys):
+    # exp, log and power round differently per target, so the bits a run
+    # directory holds are those of the targets it names
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    path = write_config(tmp_path, config())
+    main(["run", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    assert load_manifest(tmp_path / "out")["generator"]["simd"] == targets
+    assert main(["report", str(tmp_path / "out")]) == 0
+    assert (f"generator: numpy.random.Philox (numpy {np.__version__}, SIMD "
+            f"{' '.join(targets) or 'baseline'})\n") in capsys.readouterr().out
+
+
+def test_a_manifest_without_simd_targets_still_reports(tmp_path, capsys):
+    # a run directory written before the targets were recorded
+    path = write_config(tmp_path, config())
+    main(["run", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    manifest_path = tmp_path / "out" / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["generator"]["simd"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_manifest(tmp_path / "out") == manifest
+    assert main(["report", str(tmp_path / "out")]) == 0
+    assert (f"generator: numpy.random.Philox (numpy {np.__version__})\n"
+            in capsys.readouterr().out)
+
+
 def test_cli_report_missing_run_exits_3(tmp_path):
     assert main(["report", str(tmp_path / "nothing")]) == 3
 
 
 @pytest.mark.parametrize("text", ['{"files": ', "[1, 2]", '{"files": [1, 2]}',
                                   '{"files": {"replica_000.csv": 1}}', '{"generator": "x"}',
+                                  '{"generator": {"simd": "AVX2"}}',
+                                  '{"generator": {"simd": [1]}}',
                                   '{"replica_lambda": {}}', '{"replica_lambda": [0.5]}'])
 def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
     (tmp_path / MANIFEST_NAME).write_text(text)

@@ -177,7 +177,11 @@ def test_zero_sharpness_gives_the_mass_weighted_mean(population, raw_masses, obs
 
 def masked_weights(sharpness, energies, prior):
     """The stabilized weights as masked copies compute them: the lowest
-    finite energy of each row, then zero weight for every non-finite one."""
+    finite energy of each row, then zero weight for every non-finite one.
+    At sharpness 0 every atom keeps its prior weight, exp(-0 * E) = 1."""
+    if sharpness == 0.0:
+        weights = np.broadcast_to(prior, energies.shape).copy()
+        return weights / weights.sum(axis=-1, keepdims=True)
     finite = np.isfinite(energies)
     lowest = np.where(finite, energies, np.inf).min(axis=-1, keepdims=True)
     weights = np.where(finite, prior * np.exp(-sharpness * (energies - lowest)), 0.0)
@@ -196,6 +200,50 @@ def test_stabilized_weights_are_the_masked_expression_bit_for_bit(data, sharpnes
     with np.errstate(all="ignore"):
         want = masked_weights(sharpness, energies, np.full(n, 1.0 / n))
     assert same_bits(_stabilized_weights(sharpness, energies, 1.0 / n), want)
+
+
+# -n (E - lowest) of an atom: in range, in exp's subnormal band, or past its underflow
+exponent_gaps = st.one_of(st.floats(0.0, 50.0), st.floats(708.5, 744.5), st.floats(746.0, 1e6))
+
+
+@given(
+    data=st.data(),
+    # "fast" three times: about half the examples take the fast path
+    case=st.sampled_from(["fast", "fast", "fast", "nan", "-inf", "zero_sharpness", "float32"]),
+    masses=st.booleans(),
+)
+def test_fast_and_masked_stabilized_weights_are_the_masked_expression_bit_for_bit(
+    data, case, masses
+):
+    # stacks of finite and +inf energies take the fast path; a NaN or -inf in
+    # one row sends the whole stack down the masked path, as do sharpness 0 and
+    # float32 energies. Gaps are drawn as exponents n (E - lowest), so they reach
+    # exp's subnormal band and its underflow to 0
+    # from 1e-30, so that -sharpness is not 0 in float32
+    sharpness = 0.0 if case == "zero_sharpness" else data.draw(st.floats(1e-30, 64.0))
+    blocker = {"nan": np.nan, "-inf": -np.inf}.get(case)
+    dtype = np.float32 if case == "float32" else np.float64
+    r = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1 if blocker is None else 2, 64))  # n = 1: a single atom
+    base = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0)))
+    gaps = data.draw(arrays(float, (r, n), elements=exponent_gaps))
+    energies = (base + gaps / (sharpness or 1.0)).astype(dtype)
+    special = data.draw(arrays(np.int8, (r, n), elements=st.integers(0, 3)))
+    energies[special == 1] = np.inf
+    energies[special == 2] = -0.0
+    keep = data.draw(st.integers(0, n - 1))
+    energies[:, keep] = base  # each row keeps a finite lowest
+    if blocker is not None:
+        where = (keep + data.draw(st.integers(1, n - 1))) % n
+        energies[data.draw(st.integers(0, r - 1)), where] = blocker
+    if masses:
+        prior = data.draw(arrays(float, n, elements=st.floats(0.01, 1.0)))
+        prior /= prior.sum()
+    else:
+        prior = 1.0 / n
+    with np.errstate(all="ignore"):
+        want = masked_weights(sharpness, energies, prior)
+    assert same_bits(_stabilized_weights(sharpness, energies, prior), want)
 
 
 # ---------------------------------------------------------------------------

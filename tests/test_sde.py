@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from infocbo import infokernel, sde, validation
+from infocbo import diagnostics, infokernel, sde, validation
 from infocbo.gibbs import ConsensusParams, GibbsError, consensus_from_energies
 from infocbo.infokernel import KernelSpec
 from infocbo.measures import EmpiricalMeasure
@@ -678,6 +678,73 @@ def test_a_noisy_step_holds_at_most_three_and_a_half_position_arrays(mode):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * ens.x.nbytes + 16 * 1024  # slack for the Python objects
+
+
+def traced_sends(states, peaks):
+    """Relay a stepping loop's states and the motions sent back, appending the
+    traced peak of each send above the memory traced before it."""
+    motion = None
+    while True:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            state = states.send(motion)
+        except StopIteration:
+            return
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        motion = yield state
+
+
+@pytest.mark.parametrize("mode", ["full", "auxiliary"])
+@pytest.mark.parametrize("loop, bound", [("simulate", 3.5), ("residual", 2.5)],
+                         ids=["simulate", "residual"])
+def test_each_step_of_a_large_batch_holds_at_most_its_position_arrays(
+    monkeypatch, mode, loop, bound
+):
+    # the loops' own consumers step 2 x 10,000 rows (at least BLOCK_ROWS, so each
+    # step draws its noise once its drift is released); stride 2 alternates
+    # recorded and unrecorded steps. The residual study's motion is traced before
+    # the send it goes back with, and the one before it is released inside, so its
+    # steps read 2.0 and 2.5 where simulate's read 3.5
+    cfg = make_config(d=2, n_particles=10_000, t_end=0.6, objective=quadratic(2), mode=mode,
+                      noise_strength=0.5, init=InitialLaw.gaussian((1.0, 1.0), 1.0))
+    seeds = [1, 2]
+    assert len(seeds) * cfg.n_particles >= sde.BLOCK_ROWS
+    peaks = []
+    module = sde if loop == "simulate" else diagnostics
+    real = module._trajectory
+    monkeypatch.setattr(module, "_trajectory", lambda *args: traced_sends(real(*args), peaks))
+    tracemalloc.start()
+    try:
+        if loop == "simulate":
+            sde._simulate_batch(cfg, seeds, record_stride=2)
+        else:
+            diagnostics.g_phi_replica_residuals(cfg, seeds, diagnostics.gaussian_bump(), 2)
+    finally:
+        tracemalloc.stop()
+    x_bytes = len(seeds) * cfg.n_particles * cfg.d * 8
+    steps = peaks[2:]  # the initial state, then a first step that allocates caches
+    assert len(steps) == cfg.n_steps - 1
+    assert max(steps) <= bound * x_bytes + 16 * 1024
+
+
+def test_full_mode_consensus_fields_hold_at_most_two_and_a_quarter_agent_arrays():
+    # the energies and the weights computed from them in place; the masked
+    # weights took 3.14 (N,) arrays
+    cfg = dataclasses.replace(validation.concentration_config(), n_particles=20_000,
+                              sharpness=64.0)
+    ens = sde.initial_ensemble(cfg, [rng_from_seed(1)])
+    consensus_fields(ens, cfg)  # first calls allocate caches that a call does not hold
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        consensus_fields(ens, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cfg.mode == "full"
+    assert peak <= 2.25 * ens.lam.nbytes + 16 * 1024
 
 
 @pytest.mark.parametrize("lambda_hi", [0.2, 0.4], ids=["constant", "uniform"])
