@@ -63,14 +63,15 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
     them (energies (R, N)) sharing the prior, (N,) float64 masses or one
     scalar mass, finite and nonnegative.
 
-    At sharpness > 0, float64 energies whose plain row minima are finite (so
-    no NaN and no -inf anywhere) are weighted in one buffer: an energy of +inf
-    gets exp(-inf) = 0, the zero the masked copy writes, and the in-place
-    steps take the masked path's operations in its order with only the
-    operands of * swapped, so the bits are the masked path's. Anything else,
-    the errors included, takes the masked path.
+    Energies are taken as float64. At sharpness > 0, energies whose plain row
+    minima are finite (so no NaN and no -inf anywhere) are weighted in one
+    buffer: an energy of +inf gets exp(-inf) = 0, the zero the masked copy
+    writes, and the in-place steps take the masked path's operations in its
+    order with only the operands of * swapped, so the bits are the masked
+    path's. Anything else, the errors included, takes the masked path.
     """
-    if sharpness > 0.0 and energies.dtype == np.float64:
+    energies = np.asarray(energies, dtype=np.float64)
+    if sharpness > 0.0:
         lowest = energies.min(axis=-1, keepdims=True, initial=np.inf)  # inf for N = 0
         if np.isfinite(lowest).all():
             weights = energies - lowest

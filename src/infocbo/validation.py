@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, wraps
 
 import numpy as np
@@ -170,12 +170,21 @@ def truncation_record():
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """A verdict: name, passed and detail. seconds is the wall time of the
+    cached run it judged (None if it judged none); == leaves it out, so two
+    runs' verdicts compare equal."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.passed))
 
     def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
+        took = "" if self.seconds is None else f" ({self.seconds:.1f}s)"
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}{took}"
 
 
 @dataclass(frozen=True)
@@ -191,23 +200,19 @@ class SuiteResult:
         return [o.line() for o in self.outcomes]
 
 
-def _outcome(name: str, passed: bool, detail: str) -> CheckOutcome:
-    return CheckOutcome(name=name, passed=bool(passed), detail=detail)
-
-
 def kernel_contract_outcomes() -> list[CheckOutcome]:
     logistic = check_kernel_contract(KernelSpec("logistic", a=1.0, b=1.0), rng_seed=SEED_ORACLE)
     crowd = check_kernel_contract(
         KernelSpec("crowd-coupled", a=1.0, b=1.0), rng_seed=SEED_ORACLE + 1
     )
     return [
-        _outcome(
+        CheckOutcome(
             "logistic kernel contract",
             logistic.ok and logistic.t1_lipschitz_estimate <= 2.0 + 1e-9,
             f"T1 estimate {logistic.t1_lipschitz_estimate:.4f} (analytic 2), "
             f"T2/T3 violations {logistic.t2_violations}/{logistic.t3_violations}",
         ),
-        _outcome(
+        CheckOutcome(
             "crowd-coupled kernel contract",
             crowd.ok and math.isfinite(crowd.t1_lipschitz_estimate),
             f"T1 estimate {crowd.t1_lipschitz_estimate:.4f}, "
@@ -221,7 +226,7 @@ def growth_outcomes() -> list[CheckOutcome]:
     for spec in (quadratic(3), rastrigin_like(3)):
         report = verify_growth(spec, sample_count=4000, radius=8.0, rng_seed=SEED_ORACLE)
         outcomes.append(
-            _outcome(
+            CheckOutcome(
                 f"growth envelope: {spec.name}",
                 report.ok,
                 f"{report.sample_count} samples in radius {report.radius:g}, "
@@ -234,7 +239,7 @@ def growth_outcomes() -> list[CheckOutcome]:
     )
     report = verify_growth(lying, sample_count=500, radius=4.0, rng_seed=SEED_ORACLE)
     outcomes.append(
-        _outcome(
+        CheckOutcome(
             "growth envelope audit catches a false claim",
             not report.ok,
             f"{len(report.violations)} violations flagged for c2 = 2 on ||x||^2",
@@ -246,14 +251,13 @@ def growth_outcomes() -> list[CheckOutcome]:
 def lambda_range_outcomes() -> list[CheckOutcome]:
     record, elapsed = constraint_record()
     return [
-        _outcome(
+        CheckOutcome(
             "lambda range preserved at dt = theta/2",
             record.clamp_events == 0
             and record.lambda_min >= 0.0
             and record.lambda_max <= 1.0,
             f"{len(record.times) - 1} steps, clamp events {record.clamp_events}, "
-            f"lambda in [{record.lambda_min:.3g}, {record.lambda_max:.3g}], "
-            f"{elapsed:.1f}s",
+            f"lambda in [{record.lambda_min:.3g}, {record.lambda_max:.3g}]", elapsed,
         )
     ]
 
@@ -262,12 +266,12 @@ def mean_decay_outcomes() -> list[CheckOutcome]:
     record, elapsed = decay_record()
     report = mean_decay_check(record)
     return [
-        _outcome(
+        CheckOutcome(
             "mean decay tracks exp(-integral of mean lambda)",
             report.max_rel_error <= DECAY_TOLERANCE,
             f"max rel error {report.max_rel_error:.3%} (tolerance {DECAY_TOLERANCE:.0%}), "
             f"final ||mean|| {report.actual_final:.4f} vs predicted "
-            f"{report.predicted_final:.4f}, N = {decay_config().n_particles}, {elapsed:.1f}s",
+            f"{report.predicted_final:.4f}", elapsed,
         )
     ]
 
@@ -275,19 +279,19 @@ def mean_decay_outcomes() -> list[CheckOutcome]:
 def second_moment_outcomes() -> list[CheckOutcome]:
     c_zero = second_moment_constant(0.0, 3)
     c_unit = second_moment_constant(1.0, 1)
-    record, _ = decay_record()
+    record, elapsed = decay_record()
     report = second_moment_bound_check(record, decay_config())
     return [
-        _outcome(
+        CheckOutcome(
             "ceiling constant endpoints",
             abs(c_zero - 2.0) < 1e-14 and abs(c_unit - 3.0) < 1e-14,
             f"C(sigma=0) = {c_zero:g}, C(sigma^2 d = 1) = {c_unit:g}",
         ),
-        _outcome(
+        CheckOutcome(
             f"second moment under {CEILING_SLACK:g} * C * m2_sq(0)",
             report.ok,
             f"peak ratio {report.peak_ratio:.3f} vs ceiling "
-            f"{report.slack * report.ceiling_constant:.3f}",
+            f"{report.slack * report.ceiling_constant:.3f}", elapsed,
         ),
     ]
 
@@ -296,16 +300,16 @@ def concentration_outcomes() -> list[CheckOutcome]:
     table, elapsed = concentration_table()
     values = [table[n] for n in CONCENTRATION_SHARPNESS]
     return [
-        _outcome(
+        CheckOutcome(
             "terminal spread non-increasing in sharpness",
             all(a >= b for a, b in zip(values, values[1:])),
-            ", ".join(f"n={n:g}: {table[n]:.3g}" for n in CONCENTRATION_SHARPNESS)
-            + f" ({elapsed:.0f}s)",
+            ", ".join(f"n={n:g}: {table[n]:.3g}" for n in CONCENTRATION_SHARPNESS), elapsed,
         ),
-        _outcome(
+        CheckOutcome(
             "terminal spread small at the sharpest setting",
             values[-1] <= 1e-2,
             f"m2_sq(T) = {values[-1]:.3g} <= 1e-2 at n = {CONCENTRATION_SHARPNESS[-1]:g}",
+            elapsed,
         ),
     ]
 
@@ -317,40 +321,40 @@ def meanfield_outcomes() -> list[CheckOutcome]:
         s = stats[size]
         half_width = CI_Z_99 * s.stderr
         outcomes.append(
-            _outcome(
+            CheckOutcome(
                 f"residual mean compatible with 0 at N = {size}",
                 abs(s.mean) <= half_width,
                 f"mean {s.mean:+.2e}, 99% CI half-width {half_width:.2e}, "
-                f"{s.replicas} replicas",
+                f"{s.replicas} replicas", elapsed,
             )
         )
     ratio = stats[MEANFIELD_SIZES[0]].variance / stats[MEANFIELD_SIZES[1]].variance
     outcomes.append(
-        _outcome(
+        CheckOutcome(
             "residual variance scales like 1/N",
             2.5 <= ratio <= 6.5,
             f"Var({MEANFIELD_SIZES[0]}) / Var({MEANFIELD_SIZES[1]}) = {ratio:.2f} "
-            f"(expect about 4), {elapsed:.0f}s total",
+            "(expect about 4)", elapsed,
         )
     )
     return outcomes
 
 
 def mass_floor_outcomes() -> list[CheckOutcome]:
-    record, _ = concentration_record_sharp()
+    record, elapsed = concentration_record_sharp()
     fit = mass_bound_fit(record, MASS_RADIUS)
     floor = fit.initial_smoothed_mass * np.exp(-fit.fitted_rate * record.times)
     series = record.mass_ball[MASS_RADIUS]
     return [
-        _outcome(
+        CheckOutcome(
             "mass near the minimizer stays positive with an exponential floor",
             fit.floor_ok
             and not fit.vacuous
             and fit.initial_smoothed_mass > 0
             and math.isfinite(fit.fitted_rate)
-            and bool(np.all(series >= floor - 1e-12)),
+            and np.all(series >= floor - 1e-12),
             f"min mass {series.min():.3g}, smoothed initial "
-            f"{fit.initial_smoothed_mass:.3g}, fitted rate {fit.fitted_rate:.3g}",
+            f"{fit.initial_smoothed_mass:.3g}, fitted rate {fit.fitted_rate:.3g}", elapsed,
         )
     ]
 
@@ -377,7 +381,7 @@ def euler_outcomes() -> list[CheckOutcome]:
     exact = logistic_closed_form(kernel, 0.0, record.times)
     max_error = float(np.abs(record.mean_lambda - exact).max())
     return [
-        _outcome(
+        CheckOutcome(
             "logistic relaxation matches closed form to O(dt)",
             max_error <= 2.0 * dt,
             f"max |lambda - exact| = {max_error:.2e} <= 2 dt = {2 * dt:.2e}",
@@ -424,22 +428,22 @@ def gibbs_algebra_outcomes() -> list[CheckOutcome]:
     laplace_err = float(np.linalg.norm(laplace - best))
 
     return [
-        _outcome(
+        CheckOutcome(
             "consensus invariant under energy shifts",
             shift_worst <= 1e-12,
             f"worst relative drift {shift_worst:.1e} over shifts up to 100",
         ),
-        _outcome(
+        CheckOutcome(
             "consensus of a single atom returns it exactly",
             dirac_exact,
             "bitwise equality on a one-atom measure",
         ),
-        _outcome(
+        CheckOutcome(
             "sharpness 0 reduces to the plain mean",
             flat_err <= 1e-14,
             f"||f_0 - mean|| = {flat_err:.1e}",
         ),
-        _outcome(
+        CheckOutcome(
             "large sharpness selects the best atom",
             laplace_err <= 1e-6,
             f"||f_1000 - argmin atom|| = {laplace_err:.1e}",
@@ -448,16 +452,16 @@ def gibbs_algebra_outcomes() -> list[CheckOutcome]:
 
 
 def gronwall_outcomes() -> list[CheckOutcome]:
-    record, _ = truncation_record()
+    record, elapsed = truncation_record()
     report = second_moment_envelope_check(record, truncation_config())
     return [
-        _outcome(
+        CheckOutcome(
             "Gronwall envelope on a truncated run",
             report.ok,
             f"A = {report.a_constant:.2f}, peak m2_sq / envelope {report.peak_ratio:.3f}, "
             "no crossing"
             if report.ok
-            else f"violated at t = {report.violated_at}",
+            else f"violated at t = {report.violated_at}", elapsed,
         )
     ]
 

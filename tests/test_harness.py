@@ -1148,6 +1148,21 @@ def test_cli_report_damaged_manifest_exits_3(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+# the outcomes that judge a cached, timed run; every other outcome carries no seconds
+TIMED_OUTCOMES = {
+    "lambda range preserved at dt = theta/2",
+    "mean decay tracks exp(-integral of mean lambda)",
+    "second moment under 1.1 * C * m2_sq(0)",
+    "Gronwall envelope on a truncated run",
+    "residual mean compatible with 0 at N = 250",
+    "residual mean compatible with 0 at N = 1000",
+    "residual variance scales like 1/N",
+    "terminal spread non-increasing in sharpness",
+    "terminal spread small at the sharpest setting",
+    "mass near the minimizer stays positive with an exponential floor",
+}
+
+
 @pytest.mark.parametrize("name", sorted(validation.SUITES))
 def test_cli_validate_suite(name, capsys, monkeypatch):
     # the heavy runs are cached, so this reuses those test_acceptance.py made
@@ -1164,3 +1179,18 @@ def test_cli_validate_suite(name, capsys, monkeypatch):
     assert code == 0 and result.outcomes
     assert out == result.lines() + [f"suite {name}: PASS"]
     assert all(line.startswith("PASS  ") for line in out[:-1])
+    # a time is printed once, as the line's suffix, and only for a timed run
+    for outcome in result.outcomes:
+        assert type(outcome.passed) is bool
+        assert not re.search(r"\d+(\.\d+)?s\b", outcome.detail), outcome.detail
+        verdict = f"PASS  {outcome.name}: {outcome.detail}"
+        if outcome.name in TIMED_OUTCOMES:
+            assert outcome.seconds >= 0
+            assert outcome.line() == f"{verdict} ({outcome.seconds:.1f}s)"
+        else:
+            assert outcome.seconds is None and outcome.line() == verdict
+        # == and hash read the verdict alone, so two runs' outcomes compare equal
+        for seconds in (None, 0.0, 1234.5):
+            other = dataclasses.replace(outcome, seconds=seconds)
+            assert other == outcome and hash(other) == hash(outcome)
+    assert validation.CheckOutcome("hand-built", np.float64(0.5) < 1.0, "").passed is True

@@ -216,18 +216,20 @@ def test_fast_and_masked_stabilized_weights_are_the_masked_expression_bit_for_bi
     data, case, masses
 ):
     # stacks of finite and +inf energies take the fast path; a NaN or -inf in
-    # one row sends the whole stack down the masked path, as do sharpness 0 and
-    # float32 energies. Gaps are drawn as exponents n (E - lowest), so they reach
-    # exp's subnormal band and its underflow to 0
-    # from 1e-30, so that -sharpness is not 0 in float32
-    sharpness = 0.0 if case == "zero_sharpness" else data.draw(st.floats(1e-30, 64.0))
+    # one row sends the whole stack down the masked path, as does sharpness 0.
+    # float32 energies are weighted as their float64 values. Gaps are drawn as
+    # exponents n (E - lowest), so they reach exp's subnormal band and its
+    # underflow to 0
+    sharpness = 0.0 if case == "zero_sharpness" else data.draw(
+        st.floats(0.0, 64.0, exclude_min=True))
     blocker = {"nan": np.nan, "-inf": -np.inf}.get(case)
     dtype = np.float32 if case == "float32" else np.float64
     r = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1 if blocker is None else 2, 64))  # n = 1: a single atom
     base = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0)))
     gaps = data.draw(arrays(float, (r, n), elements=exponent_gaps))
-    energies = (base + gaps / (sharpness or 1.0)).astype(dtype)
+    with np.errstate(over="ignore"):  # a gap past the dtype's range, at a tiny sharpness: +inf
+        energies = (base + gaps / (sharpness or 1.0)).astype(dtype)
     special = data.draw(arrays(np.int8, (r, n), elements=st.integers(0, 3)))
     energies[special == 1] = np.inf
     energies[special == 2] = -0.0
@@ -242,7 +244,7 @@ def test_fast_and_masked_stabilized_weights_are_the_masked_expression_bit_for_bi
     else:
         prior = 1.0 / n
     with np.errstate(all="ignore"):
-        want = masked_weights(sharpness, energies, prior)
+        want = masked_weights(sharpness, energies.astype(np.float64), prior)
     assert same_bits(_stabilized_weights(sharpness, energies, prior), want)
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from scipy.integrate import solve_ivp
 
 from infocbo import diagnostics, infokernel, sde, validation
@@ -31,6 +32,24 @@ from oracles import cutoff_phi_measure, truncated_drift
 SYMMETRIC_KERNEL = KernelSpec("logistic", a=1.0, b=1.0)
 ABSORBING_KERNEL = KernelSpec("logistic", a=1.0, b=0.0)  # lambda = 1 is a fixed point
 CROWD_KERNEL = KernelSpec("crowd-coupled", a=1.0, b=1.0)
+
+# numpy rounds float64 exp and power differently under its AVX-512 kernels
+# (X86_V4 and up) than under AVX2 or its baseline, which agree. A recorded
+# value that passes through them is keyed by whether X86_V4 is enabled; the
+# False values were recorded with numpy 2.4.6 under
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
+SIMD_TARGETS = " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]) or "baseline"
+AVX512 = "X86_V4" in SIMD_TARGETS.split()
+
+
+def on_this_dispatch(recorded):
+    """The value recorded for this host's dispatch family: recorded itself if
+    every family shares it, else recorded[AVX512]."""
+    if isinstance(recorded, str):
+        return recorded
+    if AVX512 not in recorded:
+        pytest.fail(f"no value recorded for numpy dispatch {SIMD_TARGETS}")
+    return recorded[AVX512]
 
 
 def make_config(**overrides):
@@ -221,9 +240,10 @@ def test_ball_initial_law_draws_are_stable():
     x, lam = law.sample(rng_from_seed(3), 64)
     digest = hashlib.sha256(x.tobytes())
     digest.update(lam.tobytes())
-    assert digest.hexdigest() == (
-        "c82ed28d7d772a4d1ec325e55e00183be4df84f348d3fb52721d598d32960f82"
-    )
+    assert digest.hexdigest() == on_this_dispatch({
+        True: "c82ed28d7d772a4d1ec325e55e00183be4df84f348d3fb52721d598d32960f82",
+        False: "1b44d6df8977368fbb501cb1439dc9aacc708d379c592d1907b7f449bc56a4bd",
+    }), SIMD_TARGETS
 
 
 def test_origin_charging_classification():
@@ -841,24 +861,32 @@ GOLDEN_CONFIG = dict(
     sharpness=2.0,
     noise_strength=0.5,
 )
-GOLDEN_SHA256 = "7a054d18f5f053df0a4dab9f89fdd35ce3ed892eb7a98def8a94684d86d6d0cf"
+GOLDEN_SHA256 = {
+    True: "7a054d18f5f053df0a4dab9f89fdd35ce3ed892eb7a98def8a94684d86d6d0cf",
+    False: "704ca6bca62b224cf9963d316b94f317cd0699de15b78c89a51f77c471d60ca4",
+}
 
 # (config overrides, simulate keywords, digest); every digest was recorded
 # before the stepping loops were merged into one, so a change of any byte
-# here is a change of behaviour
+# here is a change of behaviour. The full-mode runs take the Gibbs weights'
+# exp, so their digests are keyed by dispatch family (on_this_dispatch)
 GOLDEN_CASES = {
     "default": ({}, {}, GOLDEN_SHA256),
     "stride5_snapshots": (
-        {}, dict(record_stride=5, snapshot_stride=10),
-        "d6fa5362b716e0b3fe103166030373bbd8fd0c5eb5500e4503ad625abbc78c38",
+        {}, dict(record_stride=5, snapshot_stride=10), {
+            True: "d6fa5362b716e0b3fe103166030373bbd8fd0c5eb5500e4503ad625abbc78c38",
+            False: "09593cb23aa436afb0e884be2ff5ba3d1a7d7b490b0efd04fef9e04e99e08729",
+        },
     ),
     "truncation": (
         dict(truncation_radius=1.5), {},
         "6b8f87ad068e8354730b431db70d0aa14ef9b293fdb92ba2d60fce5910d78a4b",
     ),
     "shared_noise": (
-        dict(shared_noise=True), {},
-        "c689f0dc5afaa2f52b41fd47a3c9c37d78860bb4836021372bfe55d63a7e7b32",
+        dict(shared_noise=True), {}, {
+            True: "c689f0dc5afaa2f52b41fd47a3c9c37d78860bb4836021372bfe55d63a7e7b32",
+            False: "21aea16fe2f74a12281b59f38fc8873e1c86ce3df32cc8d63e65eb41280f77de",
+        },
     ),
     "auxiliary_crowd": (
         dict(mode="auxiliary", kernel=CROWD_KERNEL), {},
@@ -868,8 +896,10 @@ GOLDEN_CASES = {
     # kernel or recorder reading the scaled target e for the crowd mean
     # moves this digest; recorded before the mean was shared
     "truncation_crowd": (
-        dict(truncation_radius=1.0, kernel=CROWD_KERNEL), {},
-        "d612127b962ed805d154695ad10a5105bd15774e6f148a30fcc6b340b8bf03b5",
+        dict(truncation_radius=1.0, kernel=CROWD_KERNEL), {}, {
+            True: "d612127b962ed805d154695ad10a5105bd15774e6f148a30fcc6b340b8bf03b5",
+            False: "de2aca7edb4651faf176b091f16d3ce00f73a05ae30154bff3b64c0331b52b64",
+        },
     ),
 }
 
@@ -879,8 +909,10 @@ COUPLED_OVERRIDES = dict(
     init=InitialLaw.gaussian(center=(1.0, 1.0), sigma=1.0, lambda_lo=0.1, lambda_hi=0.6),
 )
 COUPLED_SHA256 = {
-    1: "d2585a52b66676d210b967aff0a74cc5ef245af3bbc89319eb034b6429a5a7f1",
-    5: "42ed9118bee658264c635295894f6fd292e44cecb8a7813c4213accac5efe295",
+    1: {True: "d2585a52b66676d210b967aff0a74cc5ef245af3bbc89319eb034b6429a5a7f1",
+        False: "172d14f516efe49873a08cee9ef43cfb85305c0870920243fcb0dde3ec2c486e"},
+    5: {True: "42ed9118bee658264c635295894f6fd292e44cecb8a7813c4213accac5efe295",
+        False: "506cf85cc383094e8e3cbf5bf68fdd54dd7b3851481e66d1b9644ee02f982328"},
 }
 
 
@@ -909,7 +941,7 @@ def test_golden_statistics_hash_is_stable(case):
     overrides, sim_kwargs, expected = GOLDEN_CASES[case]
     cfg = golden_config(**overrides)
     record = simulate(cfg, ball_radii=(1.0,), **sim_kwargs)
-    assert record_digest(record, cfg) == expected
+    assert record_digest(record, cfg) == on_this_dispatch(expected), SIMD_TARGETS
 
 
 @pytest.mark.parametrize("stride", sorted(COUPLED_SHA256))
@@ -922,7 +954,12 @@ def test_coupled_pair_hash_is_stable(stride):
     for rec in records:
         digest.update(rec.to_csv().encode())
         digest.update(np.array([*lam, rec.clamp_events], dtype=float).tobytes())
-    assert digest.hexdigest() == COUPLED_SHA256[stride]
+    assert digest.hexdigest() == on_this_dispatch(COUPLED_SHA256[stride]), SIMD_TARGETS
+
+
+def test_a_dispatch_family_without_a_recorded_value_fails_naming_its_targets():
+    with pytest.raises(pytest.fail.Exception, match=f"numpy dispatch {SIMD_TARGETS}$"):
+        on_this_dispatch({not AVX512: "recorded on the other family"})
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
