@@ -2,9 +2,10 @@
 
 The weighted consensus at sharpness n averages g under weights proportional
 to exp(-n E). Weights are always computed after subtracting the smallest
-finite energy, which leaves every ratio unchanged and keeps the exponentials
-in range for any n; it also makes the consensus exactly invariant under
-energy shifts E -> E + c.
+energy, which leaves every ratio unchanged and keeps the exponentials in
+range for any n; it also makes the consensus exactly invariant under energy
+shifts E -> E + c. Energies lie in (-inf, +inf]: an atom at +inf gets weight
+0, and a NaN or -inf energy is refused.
 """
 
 from __future__ import annotations
@@ -63,45 +64,35 @@ def _stabilized_weights(sharpness: float, energies: np.ndarray, prior):
     them (energies (R, N)) sharing the prior, (N,) float64 masses or one
     scalar mass, finite and nonnegative.
 
-    Energies are taken as float64. At sharpness > 0, energies whose plain row
-    minima are finite (so no NaN and no -inf anywhere) are weighted in one
-    buffer: an energy of +inf gets exp(-inf) = 0, the zero the masked copy
-    writes, and the in-place steps take the masked path's operations in its
-    order with only the operands of * swapped, so the bits are the masked
-    path's. Anything else, the errors included, takes the masked path.
+    Energies are taken as float64 and shifted by their row minimum. A row
+    holding a NaN or -inf energy has no Laplace weights and is refused, as is
+    a row with no finite energy. An energy of +inf gets exp(-inf) = 0; at
+    sharpness 0 every atom keeps its prior weight.
     """
     energies = np.asarray(energies, dtype=np.float64)
-    if sharpness > 0.0:
-        lowest = energies.min(axis=-1, keepdims=True, initial=np.inf)  # inf for N = 0
-        if np.isfinite(lowest).all():
-            weights = energies - lowest
-            weights *= -sharpness
-            np.exp(weights, out=weights)
-            weights *= prior
-            weights /= _total(weights)
-            return weights
-    finite = np.isfinite(energies)
-    _require_per_population(
-        finite.any(axis=-1), "every atom has infinite energy; weights are undefined"
-    )
+    lowest = energies.min(axis=-1, keepdims=True, initial=np.inf)  # inf for N = 0
+    if not np.isfinite(lowest).all():
+        # NaN first: it fails every comparison, the < inf below included
+        _require_per_population(
+            lowest[..., 0] > -np.inf, "an energy is NaN or -inf; weights are undefined"
+        )
+        _require_per_population(
+            lowest[..., 0] < np.inf, "every atom has infinite energy; weights are undefined"
+        )
     if sharpness == 0.0:
         # exp(-0 * E) = 1 by convention, infinite energies included
-        weights = np.broadcast_to(prior, energies.shape).copy()
+        weights = np.full(energies.shape, prior, dtype=np.float64)
     else:
-        # a +-0 lowest gives the same weights: exp(-n * +-0) = 1
-        lowest = energies.min(axis=-1, keepdims=True, where=finite, initial=np.inf)
-        weights = prior * np.exp(-sharpness * (energies - lowest))
-        np.copyto(weights, 0.0, where=~finite)
-    return weights / _total(weights)
-
-
-def _total(weights: np.ndarray) -> np.ndarray:
-    """The sums of weights along the last axis, kept as an axis; each must be > 0."""
+        weights = energies - lowest
+        weights *= -sharpness
+        np.exp(weights, out=weights)
+        weights *= prior
     total = weights.sum(axis=-1, keepdims=True)
     _require_per_population(
         total[..., 0] > 0.0, "all weights vanished; atoms carry no usable mass"
     )
-    return total
+    weights /= total
+    return weights
 
 
 def consensus_from_energies(

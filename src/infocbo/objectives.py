@@ -169,7 +169,8 @@ def verify_growth(
     lower = spec.c2 * norms**spec.growth_exponent
     upper = spec.c3 * (1.0 + norms**spec.growth_exponent)
     slack = GROWTH_RTOL * np.maximum(1.0, np.abs(values))
-    bad = (values < lower - slack) | (values > upper + slack) | (values < -slack)
+    # a value passes only inside all three bounds, so a NaN value is a violation
+    bad = ~((values >= lower - slack) & (values <= upper + slack) & (values >= -slack))
     violations = tuple(
         GrowthViolation(pts[i].copy(), float(values[i]), float(lower[i]), float(upper[i]))
         for i in np.flatnonzero(bad)

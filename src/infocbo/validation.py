@@ -363,22 +363,11 @@ def euler_outcomes() -> list[CheckOutcome]:
     """The rate relaxation of one noiseless agent against the logistic
     closed form, where criterion 7 allows an Euler error of 2 dt."""
     dt = 0.05
-    kernel = KernelSpec("logistic", a=1.0, b=1.0, theta=None)
-    cfg = SimConfig(
-        d=1,
-        n_particles=1,
-        dt=dt,
-        t_end=5.0,
-        seed=SEED_ORACLE,
-        objective=quadratic(1),
-        observable=ObservableMap(),
-        kernel=kernel,
-        init=InitialLaw.point(center=(0.0,), lambda_lo=0.0),
-        noise_strength=0.0,
-        mode="auxiliary",
-    )
+    cfg = _committed(d=1, n_particles=1, dt=dt, t_end=5.0, seed=SEED_ORACLE,
+                     objective=quadratic(1), init=InitialLaw.point(center=(0.0,), lambda_lo=0.0),
+                     noise_strength=0.0, mode="auxiliary")
     record = simulate(cfg, record_stride=1)
-    exact = logistic_closed_form(kernel, 0.0, record.times)
+    exact = logistic_closed_form(cfg.kernel, 0.0, record.times)
     max_error = float(np.abs(record.mean_lambda - exact).max())
     return [
         CheckOutcome(

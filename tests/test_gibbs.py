@@ -14,7 +14,8 @@ from infocbo.gibbs import (
     weighted_consensus,
 )
 from infocbo.measures import EmpiricalMeasure
-from infocbo.objectives import ObservableMap, eval_objective_batch, eval_observable_batch, quadratic
+from infocbo.objectives import (ObservableMap, custom_objective, eval_objective_batch,
+                                eval_observable_batch, quadratic)
 from infocbo.util import rng_from_seed
 from oracles import cutoff_phi_measure, gibbs_weights, moment_p, truncated_drift, w1_exact
 
@@ -124,7 +125,6 @@ def test_all_infinite_energies_error():
 
 
 def test_finite_weights_that_vanish_name_the_replica():
-    # finite energies take the one-buffer path, which keeps the masked path's check:
     # replica 1's one massive atom lies 10^4 above its massless lowest
     energies = np.array([[1.0, 0.0], [0.0, 1e4]])
     with pytest.raises(GibbsError, match=r"all weights vanished.*\(replica 1\)$"):
@@ -136,20 +136,52 @@ def test_populations_without_atoms_have_undefined_weights():
         _stabilized_weights(1.0, np.empty((2, 0)), 1.0)
 
 
-def test_finite_stacked_weights_hold_at_most_one_weight_array():
-    # finite energies are weighted in one buffer; masking every step, as
-    # infinite or NaN energies need, peaks at 2.13 weight arrays
+def _weights_input(case):
     energies = rng_from_seed(3).standard_normal((3, 20_000)) ** 2
-    _stabilized_weights(64.0, energies, 1 / 20_000)  # first calls allocate caches
+    if case == "infinite":
+        energies[:, ::7] = np.inf
+    prior = rng_from_seed(4).uniform(0.5, 1.0, 20_000) if case == "masses" else 1 / 20_000
+    return (0.0 if case == "zero_sharpness" else 64.0), energies, prior
+
+
+@pytest.mark.parametrize("case", ["finite", "infinite", "masses", "zero_sharpness"])
+def test_stacked_weights_hold_at_most_one_weight_array(case):
+    # every admitted input is weighted in one buffer; a mask of the energies
+    # and an out-of-place divide read 2.13 weight arrays
+    sharpness, energies, prior = _weights_input(case)
+    _stabilized_weights(sharpness, energies, prior)  # first calls allocate caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        _stabilized_weights(64.0, energies, 1 / 20_000)
+        _stabilized_weights(sharpness, energies, prior)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * energies.nbytes + 16 * 1024  # slack for the Python objects
+
+
+def test_a_minus_inf_energy_is_refused():
+    # the Laplace principle gives all the weight to the lowest energy, so an
+    # atom at -inf would take it all; weighting it 0, as a mask of the
+    # non-finite energies did, hands the consensus to the other atoms
+    with pytest.raises(GibbsError, match=r"^an energy is NaN or -inf; weights are undefined$"):
+        _stabilized_weights(1.0, np.array([0.0, -np.inf, 1.0]), 1 / 3)
+
+
+@pytest.mark.parametrize("sharpness", [0.0, 1.0])
+def test_a_nan_energy_is_refused_naming_its_replica(sharpness):
+    # a NaN is no energy at all, at any sharpness: reading it as weight 0 (or
+    # as its prior weight) would hide it
+    energies = np.array([[0.0, 1.0], [2.0, np.nan], [np.inf, np.inf]])
+    with pytest.raises(GibbsError, match=r"NaN or -inf.*\(replica 1\)$"):
+        consensus_from_energies(params_for(sharpness), np.zeros((3, 2, 1)),
+                                np.array([0.5, 0.5]), energies)
+    undefined = custom_objective("nan_off_origin", 1, lambda x: 0.0 if not x.any() else np.nan,
+                                 c2=1.0, c3=1.0, growth_exponent=2.0)
+    params = ConsensusParams(sharpness, undefined, ObservableMap())
+    with pytest.raises(GibbsError, match=r"NaN or -inf; weights are undefined$"):
+        weighted_consensus(params, uniform([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,22 @@ def test_growth_audit_flags_an_overstated_lower_constant():
     assert len(report.violations) > 0
 
 
+def test_growth_audit_flags_nan_values():
+    # NaN fails every comparison, so it must be read as outside the bounds
+    undefined = custom_objective(
+        "nan_off_origin",
+        2,
+        lambda x: 0.0 if not x.any() else math.nan,
+        c2=1.0,
+        c3=1.0,
+        growth_exponent=2.0,
+    )
+    report = verify_growth(undefined, sample_count=50, radius=10.0, rng_seed=0)
+    assert not report.ok
+    assert len(report.violations) == 50
+    assert all(math.isnan(v.value) for v in report.violations)
+
+
 def test_custom_objective_must_vanish_at_origin():
     with pytest.raises(ObjectiveError):
         custom_objective("shifted", 1, lambda x: float(x[0] ** 2) + 1.0, c2=1.0, c3=2.0, growth_exponent=2.0)

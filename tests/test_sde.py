@@ -13,7 +13,7 @@ from infocbo import diagnostics, infokernel, sde, validation
 from infocbo.gibbs import ConsensusParams, GibbsError, consensus_from_energies
 from infocbo.infokernel import KernelSpec
 from infocbo.measures import EmpiricalMeasure
-from infocbo.objectives import ObservableMap, quadratic
+from infocbo.objectives import ObservableMap, custom_objective, quadratic
 from infocbo.sde import (
     ConfigError,
     Ensemble,
@@ -666,6 +666,26 @@ def test_divergence_in_auxiliary_mode_names_the_nonfinite_position():
     with pytest.raises(SimulationError, match="non-finite"):
         with np.errstate(all="ignore"):
             simulate(cfg)
+
+
+def test_a_run_whose_energies_turn_nan_names_the_step_and_the_replica():
+    # the objective is undefined past radius 2; of seeds 1, 2 and 3 only the
+    # second starts an agent there, so the batch must name replica 1
+    def undefined_far_out(p):
+        sq = np.sum(p * p, axis=-1)
+        return np.where(sq <= 4.0, sq, np.nan)
+
+    objective = custom_objective("nan_past_2", 1, undefined_far_out, c2=1.0, c3=1.0,
+                                 growth_exponent=2.0, vectorized=True)
+    cfg = make_config(objective=objective, mode="full")
+    seeds = [1, 2, 3]
+    xs, _ = sde.initial_ensemble(cfg, [rng_from_seed(s) for s in seeds]).views()
+    assert (np.abs(xs).max(axis=(1, 2)) > 2.0).tolist() == [False, True, False]
+    message = r"step 0/\d+: an energy is NaN or -inf.*\(replica 1\)$"
+    with pytest.raises(SimulationError, match="^" + message):
+        sde._simulate_batch(cfg, seeds)
+    with pytest.raises(SimulationError, match=rf"^N = 4: {message}"):
+        diagnostics.g_phi_replica_residuals(cfg, seeds, diagnostics.gaussian_bump())
 
 
 def test_shared_noise_keeps_coincident_agents_together():
